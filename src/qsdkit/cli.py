@@ -8,6 +8,7 @@ files, dimension mismatches).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -349,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=1, choices=(1, 2), help="deviation norm")
     p.add_argument("--reference", help="POVM file defining the reference distribution")
     _add_common(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("dilate", help="build a projective dilation of a POVM")
     p.add_argument("--povm", required=True, help="POVM JSON file")
@@ -360,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the k*d baseline construction instead")
     p.add_argument("--seed", type=int, default=7, help="seed for verification states")
     _add_common(p)
-    p.set_defaults(func=cmd_dilate)
 
     p = sub.add_parser("simulate", help="measure states through a dilated POVM")
     p.add_argument("--isometry", required=True, help="isometry JSON file")
@@ -375,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log-spaced sweep start:stop:points; writes a CSV to --out")
     p.add_argument("--out", help="output file (JSON, or CSV for sweeps)")
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="time solve/decompose/dilate across qubit counts")
     p.add_argument("--min-qubits", type=int, default=2)
@@ -388,15 +386,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip remaining configurations beyond this wall-clock budget")
     p.add_argument("--out", help="write the timing report JSON here")
     _add_common(p)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call uses; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _shared_parser().parse_args(argv)
+        # Looked up on every call rather than stored in the cached parser,
+        # so a command function patched after the first call (by a test or
+        # a profiler) is the one that runs.
+        commands = {"solve": cmd_solve, "dilate": cmd_dilate,
+                    "simulate": cmd_simulate, "bench": cmd_bench}
+        return commands[args.command](args)
     except (NumericalError, DecodeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -344,14 +344,14 @@ def _check_reference(spec: ProblemSpec, reference: JointDistribution) -> np.ndar
     return reference.entries
 
 
-def _deviation_terms(asm, spec, offs, ref, ell, weight):
+def _deviation_terms(asm, spec, offs, svecs, ref, ell, weight):
     """Slack encoding of ``weight * sum_ij |ref_ij - p_i Tr(rho_i' Pi_j)|^ell``.
 
-    For ell=1 each entry gets a bound variable ``t >= |deviation|`` entering
-    the linear objective; for ell=2 each deviation is pinned to a free
-    variable entering the diagonal quadratic term.
+    ``svecs`` are the noisy states' svecs (:func:`_noisy_svecs`).  For ell=1
+    each entry gets a bound variable ``t >= |deviation|`` entering the linear
+    objective; for ell=2 each deviation is pinned to a free variable entering
+    the diagonal quadratic term.
     """
-    svecs = _noisy_svecs(spec)
     k = spec.num_states
     for i in range(k):
         w_vec = spec.priors[i] * svecs[i]
@@ -381,7 +381,7 @@ def build_fit_min_lp(spec: ProblemSpec, ell: int, reference: JointDistribution) 
     ref = _check_reference(spec, reference)
     asm = _Assembler()
     offs = _element_blocks(asm, spec, inconclusive=True)
-    _deviation_terms(asm, spec, offs, ref, ell, weight=1.0)
+    _deviation_terms(asm, spec, offs, _noisy_svecs(spec), ref, ell, weight=1.0)
     name = "minl1" if ell == 1 else "minss"
     return _make_scheme(asm, spec, _labels(spec, True), maximize=False, name=name)
 
@@ -430,7 +430,7 @@ def build_hybrid(spec: ProblemSpec, w: float, ell: int,
     offs = _element_blocks(asm, spec, inconclusive=True)
     _success_objective(asm, spec, offs, svecs)
     if w > 0:
-        _deviation_terms(asm, spec, offs, ref, ell, weight=w)
+        _deviation_terms(asm, spec, offs, svecs, ref, ell, weight=w)
     return _make_scheme(asm, spec, _labels(spec, True), maximize=True, name="hybrid")
 
 

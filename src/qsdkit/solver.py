@@ -20,6 +20,7 @@ internals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,13 +62,37 @@ class FreeCone:
     size: int
 
 
+@functools.lru_cache(maxsize=64)
+def _index_plan(dim: int) -> tuple:
+    """Flat index arrays relating a ``dim x dim`` matrix to its svec coordinates.
+
+    ``svec_src`` picks, from the float view of a row-major complex matrix
+    (real and imaginary parts interleaved), the diagonal real parts, then the
+    upper-triangle real parts, then the upper-triangle imaginary parts.
+    ``smat_src`` picks each matrix entry, in row-major order, from the row
+    ``[diagonal, upper, lower]`` that :func:`_smat_batch` concatenates.
+    Both are read-only, as every caller shares them.
+    """
+    rows, cols = np.triu_indices(dim, k=1)
+    t = rows.size
+    diag = np.arange(dim) * (dim + 1)
+    upper = rows * dim + cols
+    svec_src = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
+    smat_src = np.empty(dim * dim, dtype=np.intp)
+    smat_src[diag] = np.arange(dim)
+    smat_src[upper] = dim + np.arange(t)
+    smat_src[cols * dim + rows] = dim + t + np.arange(t)
+    svec_src.setflags(write=False)
+    smat_src.setflags(write=False)
+    return svec_src, smat_src
+
+
 def svec(m: np.ndarray) -> np.ndarray:
     """Real parametrization of a complex Hermitian matrix (inner-product preserving)."""
     m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    iu = np.triu_indices(d, k=1)
-    upper = m[iu]
-    return np.concatenate([m.diagonal().real, _SQRT2 * upper.real, _SQRT2 * upper.imag])
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return _svec_batch(m[None])[0]
 
 
 def smat(v: np.ndarray, dim: int) -> np.ndarray:
@@ -75,35 +100,34 @@ def smat(v: np.ndarray, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.size != dim * dim:
         raise ValueError(f"vector length {v.size} does not match dim {dim}")
-    t = dim * (dim - 1) // 2
-    iu = np.triu_indices(dim, k=1)
-    m = np.zeros((dim, dim), dtype=complex)
-    m[np.diag_indices(dim)] = v[:dim]
-    upper = (v[dim:dim + t] + 1j * v[dim + t:]) / _SQRT2
-    m[iu] = upper
-    m[(iu[1], iu[0])] = upper.conj()
-    return m
+    return _smat_batch(v.reshape(1, dim * dim), dim)[0]
 
 
-def _smat_batch(v: np.ndarray, dim: int) -> np.ndarray:
-    """(nb, dim**2) stacked svec coordinates -> (nb, dim, dim) Hermitian matrices."""
-    nb = v.shape[0]
+def _smat_batch(v: np.ndarray, dim: int, symmetrize: bool = False) -> np.ndarray:
+    """(nb, dim**2) stacked svec coordinates -> (nb, dim, dim) Hermitian matrices.
+
+    With ``symmetrize`` the entries are those of ``0.5 * (M + M^H)`` for the
+    unsymmetrized ``M``, computed bit for bit on the triangle vectors only.
+    That step changes no value but can flip the sign of zero imaginary parts,
+    which ``eigh`` passes on to the signs of zeros in its output.
+    """
     t = dim * (dim - 1) // 2
-    iu = np.triu_indices(dim, k=1)
-    m = np.zeros((nb, dim, dim), dtype=complex)
-    m[:, np.arange(dim), np.arange(dim)] = v[:, :dim]
     upper = (v[:, dim:dim + t] + 1j * v[:, dim + t:]) / _SQRT2
-    m[:, iu[0], iu[1]] = upper
-    m[:, iu[1], iu[0]] = upper.conj()
-    return m
+    lower = upper.conj()
+    if symmetrize:
+        upper = 0.5 * (upper + upper)
+        lower = 0.5 * (lower + lower)
+    rows = np.concatenate((v[:, :dim], upper, lower), axis=1)
+    return rows[:, _index_plan(dim)[1]].reshape(-1, dim, dim)
 
 
 def _svec_batch(m: np.ndarray) -> np.ndarray:
+    """(nb, dim, dim) complex matrices -> (nb, dim**2) svec coordinates."""
     nb, dim = m.shape[0], m.shape[1]
-    iu = np.triu_indices(dim, k=1)
-    upper = m[:, iu[0], iu[1]]
-    diag = m[:, np.arange(dim), np.arange(dim)].real
-    return np.concatenate([diag, _SQRT2 * upper.real, _SQRT2 * upper.imag], axis=1)
+    parts = np.ascontiguousarray(m).reshape(nb, dim * dim).view(float)
+    out = parts[:, _index_plan(dim)[0]]
+    out[:, dim:] *= _SQRT2
+    return out
 
 
 def psd_project(m: np.ndarray) -> np.ndarray:
@@ -184,36 +208,38 @@ class Solution:
 # --------------------------------------------------------------------------
 
 class _ConeProjector:
-    """Blockwise projection onto K; PSD blocks of equal dimension are batched."""
+    """Blockwise projection onto K; PSD blocks of equal dimension are batched.
+
+    Each group of equal-dimension PSD blocks owns an (nb, dim**2) index
+    array of its coordinates in the variable vector, so the group is read
+    with one gather and written back with one scatter.
+    """
 
     def __init__(self, blocks):
         self.nonneg_mask = np.zeros(sum(b.size for b in blocks), dtype=bool)
-        self.psd_groups = {}  # dim -> list of offsets
+        offsets = {}  # dim -> offsets of its blocks, in block order
         off = 0
         for blk in blocks:
             if isinstance(blk, NonNegCone):
                 self.nonneg_mask[off:off + blk.size] = True
             elif isinstance(blk, PsdCone):
-                self.psd_groups.setdefault(blk.dim, []).append(off)
+                offsets.setdefault(blk.dim, []).append(off)
             elif not isinstance(blk, FreeCone):
                 raise TypeError(f"unknown cone block {blk!r}")
             off += blk.size
-        self.psd_groups = {d: np.asarray(offs) for d, offs in self.psd_groups.items()}
+        self.psd_groups = [(dim, np.asarray(offs)[:, None] + np.arange(dim * dim))
+                           for dim, offs in offsets.items()]
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        out = v.copy()
+    def __call__(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the projection of ``v`` into ``out`` and return ``out``."""
+        out[...] = v
         np.maximum(out, 0.0, where=self.nonneg_mask, out=out)
-        for dim, offs in self.psd_groups.items():
-            size = dim * dim
-            stacked = np.stack([v[o:o + size] for o in offs])
-            mats = _smat_batch(stacked, dim)
-            mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+        for dim, index in self.psd_groups:
+            mats = _smat_batch(v[index], dim, symmetrize=True)
             w, u = np.linalg.eigh(mats)
-            w = np.clip(w, 0.0, None)
+            np.maximum(w, 0.0, out=w)
             proj = (u * w[:, None, :]) @ u.conj().transpose(0, 2, 1)
-            flat = _svec_batch(proj)
-            for row, o in enumerate(offs):
-                out[o:o + size] = flat[row]
+            out[index] = _svec_batch(proj)
         return out
 
 
@@ -238,12 +264,22 @@ class _AffineProjector:
 
     @staticmethod
     def _make_solver(gram):
+        """Solver for ``gram @ mu = r``; ``r`` is a temporary it may overwrite."""
         try:
-            cho = scipy.linalg.cho_factor(gram, check_finite=False)
-            return lambda r: scipy.linalg.cho_solve(cho, r, check_finite=False)
+            factor, lower = scipy.linalg.cho_factor(gram, check_finite=False)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
             pinv = np.linalg.pinv(gram, rcond=1e-12)
             return lambda r: pinv @ r
+        # The LAPACK routine scipy.linalg.cho_solve ends in, without its
+        # per-call argument checks.
+        potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor,))
+
+        def solve(r):
+            mu, info = potrs(factor, r, lower=lower, overwrite_b=True)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of potrs")
+            return mu
+        return solve
 
     def set_rho(self, rho):
         self._rho = rho
@@ -279,6 +315,11 @@ def _row_equilibrate(A, b):
     return A * scale[:, None], b * scale
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector; the same arithmetic as ``np.linalg.norm``."""
+    return math.sqrt(v @ v)
+
+
 class _AndersonMemory:
     """Safeguarded type-II Anderson acceleration of the splitting map.
 
@@ -288,40 +329,65 @@ class _AndersonMemory:
     fixed-point residual beats the plain step's, so acceleration can never
     drive the iteration away from the solution.  Everything is least-squares
     based and deterministic.
+
+    The history lives in two preallocated row-major buffers of ``size``
+    rows and ``2 * mem`` columns: ``images`` holds the images ``F(w_j)``,
+    and ``diffs`` the differences ``r_j - r_{j-1}`` of consecutive
+    residuals ``r_j = w_j - F(w_j)``, each computed once, when pair ``j`` is
+    pushed, and stored in pair ``j``'s slot.  The pairs rotate through
+    ``mem`` slots, and each column is written twice, to its slot ``s`` and
+    to ``s + mem``, so the newest ``k`` columns are always one slice of the
+    buffer in chronological order, oldest first, and a push shifts nothing.
+    The order matters: ``lstsq`` then gets the matrix that stacking the
+    history afresh gives, and the image combination is the same row-major
+    matrix-vector product with only a longer row stride.  A ring read in
+    rotated order would permute the columns, which changes the rounding of
+    both and, through it, the iterates.
     """
 
-    def __init__(self, mem: int = 10):
+    def __init__(self, mem: int, size: int):
         self.mem = mem
-        self.ws = []
-        self.fws = []
+        self.images = np.empty((size, 2 * mem))
+        self.diffs = np.empty((size, 2 * mem))
+        self.last = None  # newest residual
+        self.count = 0
+        self.slot = -1  # slot of the newest pair
 
     def clear(self):
-        self.ws.clear()
-        self.fws.clear()
+        self.count = 0
+        self.last = None
 
     def push(self, w, fw):
-        self.ws.append(w)
-        self.fws.append(fw)
-        if len(self.ws) > self.mem:
-            self.ws.pop(0)
-            self.fws.pop(0)
+        """Record the pair ``(w, F(w))``; returns its residual ``w - F(w)``."""
+        residual = w - fw
+        j = (self.slot + 1) % self.mem
+        self.images[:, j] = fw
+        self.images[:, j + self.mem] = fw
+        if self.count > 0:
+            diff = np.subtract(residual, self.last, out=self.diffs[:, j])
+            self.diffs[:, j + self.mem] = diff
+        self.count = min(self.count + 1, self.mem)
+        self.slot = j
+        self.last = residual
+        return residual
 
     def candidate(self):
-        if len(self.ws) < 3:
+        k = self.count
+        if k < 3:
             return None
-        residuals = np.stack([w - f for w, f in zip(self.ws, self.fws)], axis=1)
-        diffs = residuals[:, 1:] - residuals[:, :-1]
+        end = self.slot + self.mem + 1
+        start = end - k
         try:
-            gamma, *_ = np.linalg.lstsq(diffs, residuals[:, -1], rcond=None)
+            gamma, *_ = np.linalg.lstsq(self.diffs[:, start + 1:end], self.last, rcond=None)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(gamma)):
             return None
-        theta = np.zeros(residuals.shape[1])
+        theta = np.zeros(k)
         theta[-1] = 1.0
         theta[1:] -= gamma
         theta[:-1] += gamma
-        return np.stack(self.fws, axis=1) @ theta
+        return self.images[:, start:end] @ theta
 
 
 def solve(program: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
@@ -353,18 +419,23 @@ def solve(program: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
     project_cone = _ConeProjector(program.blocks)
     affine = _AffineProjector(A, b, quad)
     affine.set_rho(rho)
+    affine_tol = tol * (1.0 + _norm(b))
 
-    def step(z, u, penalty):
+    def step(w, penalty):
+        """One splitting step from ``w = (z, u)``; returns ``x`` and ``F(w)``."""
+        z, u = w[:n], w[n:]
         x = affine.project(z - u, c, penalty)
         x_relaxed = over_relax * x + (1.0 - over_relax) * z
-        z_new = project_cone(x_relaxed + u)
-        u_new = u + x_relaxed - z_new
-        return x, z_new, u_new
+        fw = np.empty(2 * n)
+        z_new = project_cone(x_relaxed + u, out=fw[:n])
+        np.subtract(u + x_relaxed, z_new, out=fw[n:])
+        return x, fw
 
-    z = np.zeros(n)
-    u = np.zeros(n)
+    # The iterate (z, u) and its image are kept as halves of one vector, the
+    # form Anderson acceleration works on.
+    w = np.zeros(2 * n)
     x = np.zeros(n)
-    anderson = _AndersonMemory(acceleration) if acceleration > 0 else None
+    anderson = _AndersonMemory(acceleration, 2 * n) if acceleration > 0 else None
 
     best_x = x
     best_res = math.inf
@@ -376,11 +447,10 @@ def solve(program: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
     it = 0
     status = MAX_ITERS
     for it in range(1, max_iters + 1):
-        x, z_new, u_new = step(z, u, rho)
-        pri_res = float(np.linalg.norm(x - z_new)) / (1.0 + max(
-            float(np.linalg.norm(x)), float(np.linalg.norm(z_new))))
-        dual_res = rho * float(np.linalg.norm(z_new - z)) / (
-            1.0 + rho * float(np.linalg.norm(u_new)))
+        x, fw = step(w, rho)
+        z_new, u_new = fw[:n], fw[n:]
+        pri_res = _norm(x - z_new) / (1.0 + max(_norm(x), _norm(z_new)))
+        dual_res = rho * _norm(z_new - w[:n]) / (1.0 + rho * _norm(u_new))
 
         combined = max(pri_res, dual_res)
         if combined < best_res:
@@ -391,29 +461,22 @@ def solve(program: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
             # Verify the affine system directly before declaring optimality;
             # the normalized residuals alone can look converged at a
             # numerically degenerate point (e.g. after a wild extrapolation).
-            if float(np.linalg.norm(A @ x - b)) <= tol * (1.0 + float(np.linalg.norm(b))):
-                z, u = z_new, u_new
+            if _norm(A @ x - b) <= affine_tol:
                 status = OPTIMAL
                 best_x = x
                 break
 
         accepted = False
         if anderson is not None:
-            w = np.concatenate([z, u])
-            fw = np.concatenate([z_new, u_new])
-            anderson.push(w, fw)
+            residual = anderson.push(w, fw)
             cand = anderson.candidate()
-            if cand is not None and float(np.linalg.norm(cand)) <= 1e4 * (
-                    1.0 + float(np.linalg.norm(w))):
-                z_c, u_c = cand[:n], cand[n:]
-                _, z2, u2 = step(z_c, u_c, rho)
-                res_cand = float(np.linalg.norm(np.concatenate([z_c - z2, u_c - u2])))
-                res_plain = float(np.linalg.norm(w - fw))
-                if res_cand < res_plain:
-                    z, u = z2, u2
+            if cand is not None and _norm(cand) <= 1e4 * (1.0 + _norm(w)):
+                _, fw_cand = step(cand, rho)
+                if _norm(cand - fw_cand) < _norm(residual):
+                    w = fw_cand
                     accepted = True
         if not accepted:
-            z, u = z_new, u_new
+            w = fw
 
         # Residual balancing keeps the primal and dual residuals within a
         # factor of ten of each other; u is rescaled so the unscaled dual
@@ -422,13 +485,13 @@ def solve(program: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
         if it % 100 == 0:
             if pri_res > 10.0 * dual_res:
                 rho *= 2.0
-                u *= 0.5
+                w[n:] *= 0.5
                 affine.set_rho(rho)
                 if anderson is not None:
                     anderson.clear()
             elif dual_res > 10.0 * pri_res:
                 rho *= 0.5
-                u *= 2.0
+                w[n:] *= 2.0
                 affine.set_rho(rho)
                 if anderson is not None:
                     anderson.clear()

@@ -119,6 +119,23 @@ class TestDilateCommand:
         assert report["total_rank"] == 12
         assert report["target_qubits"] == 4
 
+    def test_consecutive_calls_share_no_state(self, tmp_path, povm_file, capsys):
+        # main() reuses one parser: neither a failed parse nor a flag given
+        # to an earlier call may carry over to the next call.
+        assert main(["dilate", "--povm", str(povm_file)]) == 1  # --out missing
+        code, generic = run_json(capsys, [
+            "dilate", "--povm", str(povm_file), "--generic", "--delta", "1e-4",
+            "--out", str(tmp_path / "gen.json")])
+        assert code == 0
+        assert generic["meta"]["generic"] is True
+        assert generic["total_rank"] == 12
+        code, minimal = run_json(capsys, [
+            "dilate", "--povm", str(povm_file), "--delta", "1e-4",
+            "--out", str(tmp_path / "min.json")])
+        assert code == 0
+        assert minimal["meta"]["generic"] is False
+        assert minimal["total_rank"] <= 6
+
     def test_invalid_povm_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

@@ -13,6 +13,7 @@ from qsdkit import (
     solve,
     svec,
 )
+from qsdkit.solver import _AndersonMemory, _ConeProjector, _smat_batch, _svec_batch
 
 
 def random_hermitian(d, rng):
@@ -22,9 +23,20 @@ def random_hermitian(d, rng):
 
 class TestSvec:
     def test_round_trip(self, rng):
-        for d in (2, 3, 4, 8):
+        for d in range(1, 9):
             m = random_hermitian(d, rng)
             np.testing.assert_allclose(smat(svec(m), d), m, atol=1e-14)
+            v = rng.standard_normal(d * d)
+            np.testing.assert_allclose(svec(smat(v, d)), v, atol=1e-14)
+
+    def test_batched_forms_agree(self, rng):
+        for d in range(1, 9):
+            mats = np.stack([random_hermitian(d, rng) for _ in range(3)])
+            vecs = _svec_batch(mats)
+            back = _smat_batch(vecs, d)
+            for i in range(3):
+                assert np.array_equal(vecs[i], svec(mats[i]))
+                assert np.array_equal(back[i], smat(vecs[i], d))
 
     def test_inner_product_preserved(self, rng):
         for d in (2, 4, 8):
@@ -35,6 +47,8 @@ class TestSvec:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             smat(np.zeros(5), 2)
+        with pytest.raises(ValueError):
+            svec(np.zeros((2, 3)))
 
 
 class TestPsdProject:
@@ -57,6 +71,76 @@ class TestPsdProject:
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             candidate = g @ g.conj().T
             assert np.linalg.norm(candidate - m) >= base - 1e-12
+
+
+def project_blockwise(blocks, v):
+    """Reference cone projection, one block at a time."""
+    out, off = [], 0
+    for blk in blocks:
+        seg = v[off:off + blk.size]
+        if isinstance(blk, PsdCone):
+            out.append(svec(psd_project(smat(seg, blk.dim))))
+        elif isinstance(blk, NonNegCone):
+            out.append(np.maximum(seg, 0.0))
+        else:
+            out.append(seg)
+        off += blk.size
+    return np.concatenate(out)
+
+
+class TestConeProjector:
+    def test_matches_blockwise_reference(self, rng):
+        blocks = (PsdCone(3), NonNegCone(4), PsdCone(1), PsdCone(3), FreeCone(2),
+                  PsdCone(2), PsdCone(1), NonNegCone(1), PsdCone(3))
+        project = _ConeProjector(blocks)
+        n = sum(blk.size for blk in blocks)
+        for _ in range(20):
+            v = rng.standard_normal(n)
+            assert np.array_equal(project(v, np.empty(n)), project_blockwise(blocks, v))
+
+
+class ListAnderson:
+    """Reference Anderson memory: lists of iterates and images, stacked per call."""
+
+    def __init__(self, mem):
+        self.mem, self.ws, self.fws = mem, [], []
+
+    def push(self, w, fw):
+        self.ws.append(w)
+        self.fws.append(fw)
+        if len(self.ws) > self.mem:
+            self.ws.pop(0)
+            self.fws.pop(0)
+
+    def candidate(self):
+        if len(self.ws) < 3:
+            return None
+        residuals = np.stack([w - f for w, f in zip(self.ws, self.fws)], axis=1)
+        diffs = residuals[:, 1:] - residuals[:, :-1]
+        gamma, *_ = np.linalg.lstsq(diffs, residuals[:, -1], rcond=None)
+        theta = np.zeros(residuals.shape[1])
+        theta[-1] = 1.0
+        theta[1:] -= gamma
+        theta[:-1] += gamma
+        return np.stack(self.fws, axis=1) @ theta
+
+
+class TestAndersonMemory:
+    def test_candidates_match_list_reference(self, rng):
+        size, mem = 40, 5
+        memory = _AndersonMemory(mem, size)
+        for pushes in (2 * mem + 3, mem + 1):  # wraps the buffer, then refills after clear()
+            reference = ListAnderson(mem)
+            memory.clear()
+            for _ in range(pushes):
+                w, fw = rng.standard_normal(size), rng.standard_normal(size)
+                assert np.array_equal(memory.push(w, fw), w - fw)
+                reference.push(w, fw)
+                expected, got = reference.candidate(), memory.candidate()
+                if expected is None:
+                    assert got is None
+                else:
+                    assert np.array_equal(got, expected)
 
 
 def max_eig_program(c_matrix):
