@@ -20,6 +20,7 @@ from .dilation import (
     complete_to_unitary,
     decompose_rank1,
     dilate,
+    dilated_joint_distribution,
     simulate_measurement,
     truncate,
     verify_dilation,

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on usage errors (bad flags or malformed input),
 2 on numerical failure (unconverged or infeasible solves, invalid POVM
-files, dimension mismatches).
+files, isometries whose dimension or labels do not fit the problem).
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import numpy as np
 
 from . import __version__
 from .dilation import (
-    RESIDUAL,
     build_isometry,
     build_isometry_generic,
     complete_to_unitary,
     decompose_rank1,
     dilate,
+    dilated_joint_distribution,
     simulate_measurement,
     verify_dilation,
 )
@@ -34,12 +34,14 @@ from .metrics import (
 from .schemes import (
     AT_LEAST,
     AT_MOST,
+    REFERENCE_SCHEMES,
     SCHEME_NAMES,
     DecodeError,
     solve_scheme,
     uqsd_reference,
 )
 from .serialize import (
+    canonical_dumps,
     read_isometry,
     read_povm,
     read_problem,
@@ -50,7 +52,7 @@ from .serialize import (
     write_sweep_csv,
 )
 from .solver import OPTIMAL
-from .states import INCONCLUSIVE, ProblemSpec, depolarize, make_coherent_state
+from .states import ProblemSpec, depolarize, make_coherent_state
 
 
 class UsageError(Exception):
@@ -82,10 +84,6 @@ def _parse_vector(raw: str, k: int, name: str) -> np.ndarray:
     return np.asarray(parts)
 
 
-def _label_key(label) -> str:
-    return str(label)
-
-
 def cmd_solve(args) -> int:
     spec = read_problem(args.problem)
     lam_eval = args.lambda_eval if args.lambda_eval is not None else (args.lam or 0.0)
@@ -102,7 +100,7 @@ def cmd_solve(args) -> int:
     if args.scheme == "hybrid":
         params["w"] = args.w
         params["ell"] = args.ell
-    if args.scheme in ("minl1", "minss", "meco", "hybrid") and args.reference:
+    if args.scheme in REFERENCE_SCHEMES and args.reference:
         ref_povm = read_povm(args.reference)
         params["reference"] = joint_distribution(spec.with_noise(0.0), ref_povm, 0.0)
 
@@ -175,53 +173,38 @@ def cmd_dilate(args) -> int:
     return 0
 
 
-def _ensemble_rates(spec, dil, lam):
-    """(p_succ, p_err, p_inc) of the dilated measurement on the ensemble.
-
-    Residual (truncation) mass counts as inconclusive: the measurement
-    declined to identify any state.
-    """
-    p_succ = p_err = p_inc = 0.0
-    for i, (prior, rho) in enumerate(zip(spec.priors, spec.states)):
-        noisy = depolarize(rho, lam)
-        probs = simulate_measurement(dil, noisy).probabilities
-        for label, p in probs.items():
-            mass = prior * p
-            if label == i:
-                p_succ += mass
-            elif label in (INCONCLUSIVE, RESIDUAL):
-                p_inc += mass
-            else:
-                p_err += mass
-    return p_succ, p_err, p_inc
-
-
 def cmd_simulate(args) -> int:
     dil = read_isometry(args.isometry)
     spec = read_problem(args.problem)
-    if spec.dim != dil.domain_dim:
-        raise NumericalError(
-            f"dimension mismatch: problem dim {spec.dim}, isometry domain {dil.domain_dim}")
-
     if args.lambda_sweep:
         try:
             start, stop, points = args.lambda_sweep.split(":")
             lams = np.geomspace(float(start), float(stop), int(points))
         except ValueError as exc:
             raise UsageError(f"bad --lambda-sweep (want start:stop:points): {exc}") from exc
-        rows = []
-        for lam in lams:
-            p_succ, p_err, p_inc = _ensemble_rates(spec, dil, float(lam))
-            ratio = p_err / p_succ if p_succ > 1e-15 else float("inf")
-            rows.append((float(lam), p_succ, p_err, p_inc, ratio))
         if not args.out:
             raise UsageError("--lambda-sweep requires --out for the CSV")
+    else:
+        lams = [args.lam or 0.0]
+    if not all(0.0 <= lam <= 1.0 for lam in lams):
+        raise UsageError("noise levels must lie in [0, 1]")
+    try:
+        jds = [dilated_joint_distribution(spec, dil, float(lam)) for lam in lams]
+    except ValueError as exc:
+        raise NumericalError(f"isometry does not fit the problem: {exc}") from exc
+
+    if args.lambda_sweep:
+        rows = []
+        for lam, jd in zip(lams, jds):
+            stats = outcome_stats(jd)
+            rows.append((float(lam), stats.p_succ, stats.p_err, stats.p_inc,
+                         error_to_success(jd)))
         write_sweep_csv(args.out, rows)
         _print_json({"meta": _meta(args, seed=args.seed), "rows": len(rows),
                      "out": args.out})
         return 0
 
-    lam = args.lam or 0.0
+    lam = lams[0]
     meta = _meta(args, seed=args.seed)
     meta["lambda"] = float(lam)
     per_state = []
@@ -236,23 +219,18 @@ def cmd_simulate(args) -> int:
         result = simulate_measurement(dil, noisy, shots=args.shots, seed=args.seed)
         entry = {
             "state": int(i),
-            "probabilities": {_label_key(l): float(p)
-                              for l, p in result.probabilities.items()},
+            "probabilities": {str(l): float(p) for l, p in result.probabilities.items()},
         }
         if result.counts is not None:
-            entry["counts"] = {_label_key(l): int(c) for l, c in result.counts.items()}
+            entry["counts"] = {str(l): int(c) for l, c in result.counts.items()}
         per_state.append(entry)
-    p_succ, p_err, p_inc = _ensemble_rates(spec, dil, lam)
+    stats = outcome_stats(jds[0])
     report = {"meta": meta, "shots": int(args.shots), "per_state": per_state,
-              "p_succ": p_succ, "p_err": p_err, "p_inc": p_inc}
+              "p_succ": stats.p_succ, "p_err": stats.p_err, "p_inc": stats.p_inc}
     if args.out:
         write_json(args.out, report)
     _print_json(report)
     return 0
-
-
-BENCH_SCHEMES = ("uqsd", "med", "med_plus", "frio", "crossqsd",
-                 "minl1", "minss", "meco", "hybrid")
 
 
 def _bench_spec(num_qubits: int, lam: float) -> ProblemSpec:
@@ -262,7 +240,7 @@ def _bench_spec(num_qubits: int, lam: float) -> ProblemSpec:
 
 
 def cmd_bench(args) -> int:
-    schemes = BENCH_SCHEMES if args.schemes == "all" else tuple(args.schemes.split(","))
+    schemes = SCHEME_NAMES if args.schemes == "all" else tuple(args.schemes.split(","))
     for name in schemes:
         if name not in SCHEME_NAMES:
             raise UsageError(f"unknown scheme {name!r}")
@@ -276,23 +254,12 @@ def cmd_bench(args) -> int:
             if time.perf_counter() - started > args.budget_seconds:
                 budget_hit = True
                 break
-            params = {}
-            if name == "frio":
-                params["rate"] = 0.1
-            if name == "crossqsd":
-                params["alpha"] = np.full(3, 0.1)
-                params["beta"] = np.full(3, 0.1)
-            if name == "hybrid":
-                params["w"] = 0.3
-                params["ell"] = 1
-            if name in ("minl1", "minss", "meco", "hybrid"):
-                if reference is None:
-                    reference = uqsd_reference(spec, tol=args.tol)
-                params["reference"] = reference
+            if name in REFERENCE_SCHEMES and reference is None:
+                reference = uqsd_reference(spec, tol=args.tol)
 
             t0 = time.perf_counter()
             result = solve_scheme(spec, name, tol=args.tol,
-                                  max_iters=args.max_iters, **params)
+                                  max_iters=args.max_iters, reference=reference)
             rows.append({"scheme": name, "qubits": num_qubits, "task": "solve",
                          "seconds": time.perf_counter() - t0})
 
@@ -318,8 +285,6 @@ def cmd_bench(args) -> int:
 
 
 def _print_json(obj) -> None:
-    from .serialize import canonical_dumps
-
     sys.stdout.write(canonical_dumps(obj) + "\n")
 
 

@@ -13,6 +13,10 @@ Small eigenvalues (numerical dust from a solver, or genuinely negligible
 components) can be discarded with a threshold ``delta``; the map is then no
 longer a strict isometry and the lost probability mass shows up under the
 explicit :data:`RESIDUAL` outcome instead of being renormalized away.
+
+One outcome table (exact label probabilities for a batch of states) serves
+:func:`simulate_measurement`, :func:`verify_dilation` and
+:func:`dilated_joint_distribution`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .states import DensityMatrix, Povm, PureState
+from .metrics import JointDistribution
+from .states import INCONCLUSIVE, Povm, ProblemSpec, PureState
 
 #: Outcome label for target-basis states outside the decomposition's range
 #: (collects the truncation deficit).
@@ -212,12 +217,57 @@ def build_isometry_generic(povm: Povm) -> DilationResult:
                           isometry=v, outcome_map=tuple(outcome_map), delta=0.0)
 
 
-def _state_matrix(state) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    if isinstance(state, PureState):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    return np.asarray(state, dtype=complex)
+def _densities(states) -> np.ndarray:
+    """Density matrices of :class:`PureState`, :class:`DensityMatrix` or
+    matrix entries, stacked into one ``(m, d, d)`` array."""
+    return np.stack([np.outer(s.amplitudes, s.amplitudes.conj()) if isinstance(s, PureState)
+                     else np.asarray(getattr(s, "matrix", s), dtype=complex) for s in states])
+
+
+def _outcome_table(dil: DilationResult, states) -> tuple:
+    """Labels and exact outcome probabilities of a batch of states.
+
+    ``states`` is anything :func:`_densities` stacks.  Returns the labels
+    (first-seen order of ``dil.outcome_map``, :data:`RESIDUAL` always
+    present) and an ``(m, L)`` table whose row ``s`` sums
+    ``<b| V rho_s V^+ |b>``, clipped at 0, over the basis states ``b`` of
+    each label; :data:`RESIDUAL` also collects the truncation deficit
+    ``1 - Tr(V rho_s V^+)``.
+    """
+    rhos = _densities(states)
+    if rhos.shape[1] != dil.domain_dim:
+        raise ValueError(f"state dim {rhos.shape[1]} != domain dim {dil.domain_dim}")
+    v = dil.isometry
+    per_basis = np.clip(((v @ rhos) * v.conj()).sum(axis=2).real, 0.0, None)
+    labels = list(dict.fromkeys([*dil.outcome_map, RESIDUAL]))
+    column = {lbl: j for j, lbl in enumerate(labels)}
+    table = np.zeros((len(rhos), len(labels)))
+    np.add.at(table, (slice(None), [column[lbl] for lbl in dil.outcome_map]), per_basis)
+    table[:, column[RESIDUAL]] += np.maximum(0.0, 1.0 - per_basis.sum(axis=1))
+    return labels, table
+
+
+def dilated_joint_distribution(spec: ProblemSpec, dil: DilationResult,
+                               lam: float | None = None) -> JointDistribution:
+    """Joint distribution of (prepared state, outcome) through a dilation.
+
+    The dilated counterpart of :func:`~qsdkit.metrics.joint_distribution`
+    at noise level ``lam`` (default: the instance's ``noise_lambda``);
+    :data:`RESIDUAL` mass is folded into the inconclusive column, because
+    the measurement declined to identify any state.  A conclusive label
+    ``>= k`` raises ``ValueError``; a label missing from the outcome map
+    (all of its pieces truncated) leaves its column zero.
+    """
+    k = spec.num_states
+    labels, table = _outcome_table(dil, spec.noisy_states(lam))
+    columns = [k if lbl in (INCONCLUSIVE, RESIDUAL) else lbl for lbl in labels]
+    for lbl in labels:
+        if lbl not in (INCONCLUSIVE, RESIDUAL) and not 0 <= lbl < k:
+            raise ValueError(f"isometry outcome label {lbl} does not identify "
+                             f"one of the problem's {k} states")
+    entries = np.zeros((k, k + 1))
+    np.add.at(entries, (slice(None), columns), spec.priors[:, None] * table)
+    return JointDistribution(entries)
 
 
 def simulate_measurement(dil: DilationResult, state, shots: int = 0,
@@ -229,34 +279,12 @@ def simulate_measurement(dil: DilationResult, state, shots: int = 0,
     deficit ``1 - Tr(V rho V^+)``.  With ``shots > 0`` a multinomial sample
     with the given seed is drawn (deterministic for a fixed seed).
     """
-    v = dil.isometry
-    if isinstance(state, PureState):
-        if state.dim != dil.domain_dim:
-            raise ValueError(f"state dim {state.dim} != domain dim {dil.domain_dim}")
-        amp_out = v @ state.amplitudes
-        per_basis = np.abs(amp_out) ** 2
-    else:
-        rho = _state_matrix(state)
-        if rho.shape[0] != dil.domain_dim:
-            raise ValueError(f"state dim {rho.shape[0]} != domain dim {dil.domain_dim}")
-        per_basis = np.einsum("bi,ij,bj->b", v, rho, v.conj()).real
-    per_basis = np.clip(per_basis, 0.0, None)
-
-    labels = []
-    for lbl in dil.outcome_map:
-        if lbl not in labels:
-            labels.append(lbl)
-    if RESIDUAL not in labels:
-        labels.append(RESIDUAL)
-    probs = {lbl: 0.0 for lbl in labels}
-    for b, lbl in enumerate(dil.outcome_map):
-        probs[lbl] += float(per_basis[b])
-    probs[RESIDUAL] += max(0.0, 1.0 - float(per_basis.sum()))
-
+    labels, table = _outcome_table(dil, [state])
+    p = table[0]
+    probs = dict(zip(labels, p.tolist()))
     counts = None
     if shots > 0:
         rng = np.random.default_rng(seed)
-        p = np.array([probs[lbl] for lbl in labels])
         drawn = rng.multinomial(shots, p / p.sum())
         counts = {lbl: int(c) for lbl, c in zip(labels, drawn)}
     return MeasurementResult(probabilities=probs, counts=counts, shots=shots)
@@ -280,14 +308,13 @@ def verify_dilation(dil: DilationResult, povm: Povm, states=None,
         for _ in range(num_states):
             a = rng.standard_normal(dil.domain_dim) + 1j * rng.standard_normal(dil.domain_dim)
             states.append(PureState(a / np.linalg.norm(a)))
-    max_dev = 0.0
-    for state in states:
-        rho = _state_matrix(state)
-        result = simulate_measurement(dil, state)
-        for lbl, elem in zip(povm.labels, povm.elements):
-            expected = float(np.trace(rho @ elem).real)
-            got = result.probabilities.get(lbl, 0.0)
-            max_dev = max(max_dev, abs(got - expected))
+    rhos = _densities(states)
+    labels, table = _outcome_table(dil, rhos)
+    got = dict(zip(labels, table.T))
+    expected = np.einsum("sij,eji->es", rhos, np.asarray(povm.elements)).real
+    # A label absent from the outcome map (all pieces truncated) never fires.
+    max_dev = max(float(np.max(np.abs(got.get(lbl, 0.0) - want)))
+                  for lbl, want in zip(povm.labels, expected))
     return DilationReport(isometry_deviation=iso_dev, max_probability_deviation=max_dev)
 
 

@@ -53,6 +53,8 @@ AT_MOST = "at_most"
 
 SCHEME_NAMES = ("med", "med_plus", "uqsd", "frio", "crossqsd",
                 "minl1", "minss", "meco", "hybrid")
+#: Schemes that fit a reference distribution (default: :func:`uqsd_reference`).
+REFERENCE_SCHEMES = ("minl1", "minss", "meco", "hybrid")
 
 
 class DecodeError(RuntimeError):
@@ -498,11 +500,13 @@ def build_scheme(spec: ProblemSpec, name: str, *, rate: float = 0.1,
                  tol: float = 1e-8) -> SchemeProgram:
     """Dispatch a scheme by name with keyword parameters.
 
-    Fit-style schemes (``minl1``, ``minss``, ``meco``, ``hybrid``) default
-    their reference to :func:`uqsd_reference` on the same instance.
+    The :data:`REFERENCE_SCHEMES` default their reference to
+    :func:`uqsd_reference` on the same instance.
     """
     if name not in SCHEME_NAMES:
         raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
+    if name in REFERENCE_SCHEMES and reference is None:
+        reference = uqsd_reference(spec, tol=tol)
     k = spec.num_states
     if name == "med":
         return build_med(spec)
@@ -516,8 +520,6 @@ def build_scheme(spec: ProblemSpec, name: str, *, rate: float = 0.1,
         alpha = np.full(k, 0.1) if alpha is None else alpha
         beta = np.full(k, 0.1) if beta is None else beta
         return build_crossqsd(spec, alpha, beta)
-    if reference is None:
-        reference = uqsd_reference(spec, tol=tol)
     if name == "minl1":
         return build_fit_min_lp(spec, 1, reference)
     if name == "minss":

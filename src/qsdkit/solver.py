@@ -130,13 +130,17 @@ def _svec_batch(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _psd_clip(mats: np.ndarray) -> np.ndarray:
+    """(nb, dim, dim) Hermitian matrices with their negative eigenvalues set to 0."""
+    w, u = np.linalg.eigh(mats)
+    np.maximum(w, 0.0, out=w)
+    return (u * w[:, None, :]) @ u.conj().transpose(0, 2, 1)
+
+
 def psd_project(m: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) PSD matrix: symmetrize, clip negative eigenvalues."""
     m = np.asarray(m, dtype=complex)
-    h = 0.5 * (m + m.conj().T)
-    w, u = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    return (u * w) @ u.conj().T
+    return _psd_clip(0.5 * (m + m.conj().T)[None])[0]
 
 
 # --------------------------------------------------------------------------
@@ -235,11 +239,7 @@ class _ConeProjector:
         out[...] = v
         np.maximum(out, 0.0, where=self.nonneg_mask, out=out)
         for dim, index in self.psd_groups:
-            mats = _smat_batch(v[index], dim, symmetrize=True)
-            w, u = np.linalg.eigh(mats)
-            np.maximum(w, 0.0, out=w)
-            proj = (u * w[:, None, :]) @ u.conj().transpose(0, 2, 1)
-            out[index] = _svec_batch(proj)
+            out[index] = _svec_batch(_psd_clip(_smat_batch(v[index], dim, symmetrize=True)))
         return out
 
 

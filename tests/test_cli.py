@@ -200,6 +200,19 @@ class TestSimulateCommand:
                      "--problem", str(other)])
         assert code == 2
 
+    def test_label_beyond_problem_exits_2(self, tmp_path, isometry_file, capsys):
+        # The isometry dilates a 3-state MED POVM; this problem has 2 states
+        # of the same dimension, so outcome label 2 identifies no state.
+        other = tmp_path / "two.json"
+        other.write_text(json.dumps({
+            "num_qubits": 2,
+            "states": [{"type": "pure", "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 3},
+                       {"type": "pure", "amplitudes": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 2}]}))
+        code = main(["simulate", "--isometry", str(isometry_file),
+                     "--problem", str(other)])
+        assert code == 2
+        assert "label 2" in capsys.readouterr().err
+
 
 class TestFullPipeline:
     def test_confidence_scheme_sweep_endpoints(self, tmp_path, capsys):

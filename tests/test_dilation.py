@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 
 from qsdkit import (
+    INCONCLUSIVE,
     RESIDUAL,
     DensityMatrix,
     Povm,
+    ProblemSpec,
     PureState,
     build_isometry,
     build_isometry_generic,
     complete_to_unitary,
     decompose_rank1,
     dilate,
+    dilated_joint_distribution,
+    joint_distribution,
     simulate_measurement,
     truncate,
     verify_dilation,
 )
-from conftest import random_density, random_povm, random_pure
+from conftest import random_density, random_povm, random_problem, random_pure
 
 
 def basis_pvm(dim):
@@ -276,3 +280,62 @@ class TestCompleteToUnitary:
 def simulate_probab(dil, psi, basis_index):
     amp = dil.isometry @ psi.amplitudes
     return float(abs(amp[basis_index]) ** 2)
+
+
+class TestDilatedJointDistribution:
+    @pytest.mark.parametrize("inconclusive", [False, True])
+    def test_exact_dilation_matches_povm(self, rng, inconclusive):
+        for _ in range(4):
+            spec = random_problem(rng, dim=4)
+            povm = random_povm(4, spec.num_states, rng, inconclusive=inconclusive)
+            dil = dilate(povm)
+            for lam in (0.0, 1e-3, 1.0):
+                got = dilated_joint_distribution(spec, dil, lam).entries
+                want = joint_distribution(spec, povm, lam).entries
+                assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_truncated_inconclusive_column_collects_residual(self, rng):
+        spec = random_problem(rng, k=3, dim=4, lam=0.05)
+        povm = random_povm(4, 3, rng, inconclusive=True)
+        dec = truncate(decompose_rank1(povm, rank_tol=None), 0.15)
+        dil = build_isometry(dec)
+        assert dec.total_rank < 16
+        jd = dilated_joint_distribution(spec, dil)
+        v = dil.isometry
+        inc_index = povm.labels.index(INCONCLUSIVE)
+        deficits = []
+        for i, (p, rho) in enumerate(zip(spec.priors, spec.noisy_states())):
+            r = rho.matrix
+            deficit = 1.0 - float(np.trace(v @ r @ v.conj().T).real)
+            inc_mass = float(np.trace(r @ dec.reconstruct(inc_index)).real)
+            assert jd.inconclusive_column[i] == pytest.approx(p * (inc_mass + deficit), abs=1e-12)
+            for j in range(3):
+                kept = float(np.trace(r @ dec.reconstruct(j)).real)
+                assert jd.entries[i, j] == pytest.approx(p * kept, abs=1e-12)
+            deficits.append(deficit)
+        assert max(deficits) > 1e-3
+
+    def test_truncated_away_label_reads_zero(self):
+        povm = Povm(2, (np.diag([1.0, 0.99]).astype(complex), np.diag([0.0, 0.01]).astype(complex)),
+                    (0, 1))
+        dil = dilate(povm, delta=0.05)
+        assert 1 not in dil.outcome_map
+        spec = ProblemSpec.from_states([PureState(np.array([0.0, 1.0])),
+                                        PureState(np.array([1.0, 0.0]))])
+        jd = dilated_joint_distribution(spec, dil)
+        np.testing.assert_allclose(jd.entries, [[0.495, 0.0, 0.005], [0.5, 0.0, 0.0]],
+                                   atol=1e-12)
+
+    def test_label_beyond_problem_rejected(self):
+        dil = dilate(trine_povm())
+        spec = ProblemSpec.from_states([PureState(np.array([1.0, 0.0])),
+                                        PureState(np.array([0.0, 1.0]))])
+        with pytest.raises(ValueError, match="label 2"):
+            dilated_joint_distribution(spec, dil)
+
+    def test_residual_key_present_for_exact_dilation(self):
+        dil = dilate(basis_pvm(2))
+        assert RESIDUAL not in dil.outcome_map
+        probs = simulate_measurement(dil, PureState(np.array([1.0, 0.0]))).probabilities
+        assert list(probs) == [0, 1, RESIDUAL]
+        assert probs[RESIDUAL] == pytest.approx(0.0, abs=1e-14)
