@@ -16,7 +16,9 @@ explicit :data:`RESIDUAL` outcome instead of being renormalized away.
 
 One outcome table (exact label probabilities for a batch of states) serves
 :func:`simulate_measurement`, :func:`verify_dilation` and
-:func:`dilated_joint_distribution`.
+:func:`dilated_joint_distribution`.  The table is linear in the state, so
+the table of a depolarized state is the same mix of the clean state's row
+and the maximally mixed state's row.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import JointDistribution
-from .states import INCONCLUSIVE, Povm, ProblemSpec, PureState
+from .states import INCONCLUSIVE, DepolarizingChannel, Povm, ProblemSpec, PureState
 
 #: Outcome label for target-basis states outside the decomposition's range
 #: (collects the truncation deficit).
@@ -256,10 +258,17 @@ def dilated_joint_distribution(spec: ProblemSpec, dil: DilationResult,
     :data:`RESIDUAL` mass is folded into the inconclusive column, because
     the measurement declined to identify any state.  A conclusive label
     ``>= k`` raises ``ValueError``; a label missing from the outcome map
-    (all of its pieces truncated) leaves its column zero.
+    (all of its pieces truncated) leaves its column zero.  A noise level
+    outside [0, 1] raises ``ValueError``.
+
+    The outcome table is linear in the state, so the noisy states' rows
+    are ``(1 - lam)`` times the clean states' rows plus ``lam`` times the
+    row of ``I / d``; no depolarized state is built.
     """
     k = spec.num_states
-    labels, table = _outcome_table(dil, spec.noisy_states(lam))
+    channel = DepolarizingChannel(spec.noise_lambda if lam is None else lam, spec.dim)
+    labels, clean = _outcome_table(dil, [*spec.states, np.eye(spec.dim) / spec.dim])
+    table = (1.0 - channel.lam) * clean[:k] + channel.lam * clean[k]
     columns = [k if lbl in (INCONCLUSIVE, RESIDUAL) else lbl for lbl in labels]
     for lbl in labels:
         if lbl not in (INCONCLUSIVE, RESIDUAL) and not 0 <= lbl < k:

@@ -3,7 +3,10 @@
 All floats are written with 17 significant digits, enough for an exact
 binary round trip, and object keys are sorted, so rereading a file and
 rewriting it reproduces it byte for byte.  Complex numbers are always
-``[re, im]`` pairs.
+``[re, im]`` pairs.  Payloads hold complex matrices and vectors as float
+arrays of shape ``(..., 2)``; :func:`canonical_dumps` writes an array with
+exactly the bytes of the equal nested lists, so the file layout is the
+same whichever form a payload uses.
 """
 
 from __future__ import annotations
@@ -27,15 +30,35 @@ from .states import (
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         return f"{x:.1f}"
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
     return f"{x:.17g}"
 
 
+def _dumps_float_array(a: np.ndarray, indent: int) -> str:
+    """The nested-list layout of a float array, built one axis at a time."""
+    lines = list(map(_format_float, a.ravel().tolist()))
+    for depth in range(a.ndim - 1, -1, -1):
+        pad = " " * (indent + 2 * depth)
+        n = a.shape[depth]
+        if n == 0:
+            lines = [pad + "[]"] * math.prod(a.shape[:depth])
+            continue
+        # Leaves carry no padding yet; the innermost axis adds it.
+        inner = " " * (indent + 2 * a.ndim) if depth == a.ndim - 1 else ""
+        head, sep, tail = pad + "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
+        lines = [head + sep.join(lines[j:j + n]) + tail for j in range(0, len(lines), n)]
+    return lines[0]
+
+
 def canonical_dumps(obj, indent: int = 0) -> str:
-    """JSON with sorted keys and 17-significant-digit floats."""
+    """JSON with sorted keys and 17-significant-digit floats.
+
+    A numpy array is written exactly as its ``tolist()`` would be; float
+    arrays are formatted in one pass instead of one call per element.
+    """
     pad = " " * indent
     if isinstance(obj, dict):
         items = []
@@ -47,6 +70,10 @@ def canonical_dumps(obj, indent: int = 0) -> str:
         if not items:
             return pad + "{}"
         return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim > 0:
+            return _dumps_float_array(obj, indent)
+        return canonical_dumps(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         items = [canonical_dumps(v, indent + 2) for v in obj]
         if not items:
@@ -75,21 +102,49 @@ def read_json(path):
         return json.load(fh)
 
 
-def encode_complex_matrix(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+def _encode_complex(a) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1)
 
 
-def decode_complex_matrix(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
+def _decode_complex(data, ndim: int, field: str) -> np.ndarray:
+    """Complex array of rank ``ndim`` from nested ``[re, im]`` pairs.
+
+    Raises ``ValueError`` naming ``field`` for ragged rows, entries that
+    are not pairs, and entries that are not finite numbers (``null``,
+    strings, NaN).  The floats are copied bit for bit.
+    """
+    try:
+        raw = np.array(data)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"{field} is not a rectangular array of [re, im] pairs") from exc
+    if raw.dtype.kind not in "biuf":
+        raise ValueError(f"{field} holds an entry that is not a number")
+    if raw.ndim != ndim + 1 or raw.shape[-1] != 2:
+        raise ValueError(f"{field} must be a rank-{ndim} array of [re, im] pairs, "
+                         f"got shape {raw.shape}")
+    pairs = np.ascontiguousarray(raw, dtype=float)
+    if not np.isfinite(pairs).all():
+        raise ValueError(f"{field} holds a non-finite entry")
+    return pairs.view(complex)[..., 0]
 
 
-def encode_complex_vector(v: np.ndarray) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
+def encode_complex_matrix(m: np.ndarray) -> np.ndarray:
+    """``(rows, cols, 2)`` float array of the real and imaginary parts."""
+    return _encode_complex(m)
 
 
-def decode_complex_vector(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=complex)
+def decode_complex_matrix(data, field: str = "matrix") -> np.ndarray:
+    return _decode_complex(data, 2, field)
+
+
+def encode_complex_vector(v: np.ndarray) -> np.ndarray:
+    """``(n, 2)`` float array of the real and imaginary parts."""
+    return _encode_complex(v)
+
+
+def decode_complex_vector(data, field: str = "vector") -> np.ndarray:
+    return _decode_complex(data, 1, field)
 
 
 # --------------------------------------------------------------------------
@@ -106,12 +161,12 @@ def expand_state_entry(entry: dict, num_qubits: int) -> list:
     """
     kind = entry.get("type")
     if kind == "pure":
-        return [PureState(decode_complex_vector(entry["amplitudes"]))]
+        return [PureState(decode_complex_vector(entry["amplitudes"], "amplitudes"))]
     if kind == "density":
-        return [DensityMatrix(decode_complex_matrix(entry["matrix"]))]
+        return [DensityMatrix(decode_complex_matrix(entry["matrix"], "matrix"))]
     if kind == "coherent":
-        re, im = entry["alpha"]
-        return [make_coherent_state(complex(re, im), num_qubits)]
+        alpha = complex(decode_complex_vector([entry["alpha"]], "alpha")[0])
+        return [make_coherent_state(alpha, num_qubits)]
     if kind == "benchmark2q":
         if num_qubits != 2:
             raise ValueError("benchmark2q entries require num_qubits = 2")
@@ -124,8 +179,11 @@ def read_problem(path, noise_lambda: float = 0.0) -> ProblemSpec:
     data = read_json(path)
     num_qubits = int(data["num_qubits"])
     states = []
-    for entry in data["states"]:
-        states.extend(expand_state_entry(entry, num_qubits))
+    for i, entry in enumerate(data["states"]):
+        try:
+            states.extend(expand_state_entry(entry, num_qubits))
+        except ValueError as exc:
+            raise ValueError(f"states[{i}]: {exc}") from exc
     dim = 2 ** num_qubits
     dms = [s if isinstance(s, DensityMatrix) else density_of(s) for s in states]
     for s in dms:
@@ -192,7 +250,8 @@ def read_povm(path) -> Povm:
     data = read_json(path)
     dim = int(data["dim"])
     labels = tuple(_decode_label(e["label"]) for e in data["elements"])
-    elements = tuple(decode_complex_matrix(e["matrix"]) for e in data["elements"])
+    elements = tuple(decode_complex_matrix(e["matrix"], f"elements[{j}].matrix")
+                     for j, e in enumerate(data["elements"]))
     return Povm(dim=dim, elements=elements, labels=labels)
 
 
@@ -215,13 +274,32 @@ def write_isometry(path, dil: DilationResult, meta: dict | None = None) -> None:
 
 
 def read_isometry(path) -> DilationResult:
+    """Load an isometry file, checking its header against the matrix.
+
+    The matrix must have shape ``(2**target_qubits, domain_dim)`` and the
+    outcome map one label per matrix row; otherwise ``ValueError`` names
+    the field that disagrees.
+    """
     data = read_json(path)
+    domain_dim = int(data["domain_dim"])
+    target_qubits = int(data["target_qubits"])
+    matrix = decode_complex_matrix(data["matrix"], "matrix")
+    outcome_map = tuple(_decode_label(l) for l in data["outcome_map"])
+    if matrix.shape[0] != 2 ** target_qubits:
+        raise ValueError(f"matrix has {matrix.shape[0]} rows, but target_qubits "
+                         f"{target_qubits} needs {2 ** target_qubits}")
+    if matrix.shape[1] != domain_dim:
+        raise ValueError(f"matrix has {matrix.shape[1]} columns, but domain_dim "
+                         f"is {domain_dim}")
+    if len(outcome_map) != matrix.shape[0]:
+        raise ValueError(f"outcome_map has {len(outcome_map)} labels for "
+                         f"{matrix.shape[0]} matrix rows")
     return DilationResult(
-        domain_dim=int(data["domain_dim"]),
+        domain_dim=domain_dim,
         total_rank=int(data["total_rank"]),
-        target_qubits=int(data["target_qubits"]),
-        isometry=decode_complex_matrix(data["matrix"]),
-        outcome_map=tuple(_decode_label(l) for l in data["outcome_map"]),
+        target_qubits=target_qubits,
+        isometry=matrix,
+        outcome_map=outcome_map,
         delta=float(data["delta"]),
     )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsdkit.cli import main
-from qsdkit.serialize import read_povm, read_sweep_csv, validate_bench_report
+from qsdkit.serialize import read_json, read_povm, read_sweep_csv, validate_bench_report
 
 
 @pytest.fixture
@@ -147,6 +147,17 @@ class TestDilateCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("entry", [None, "0.5"])
+    def test_malformed_povm_entry_exits_2(self, tmp_path, povm_file, capsys, entry):
+        data = read_json(povm_file)
+        data["elements"][1]["matrix"][0][1][1] = entry
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = main(["dilate", "--povm", str(bad), "--out", str(tmp_path / "iso.json")])
+        assert code == 2
+        assert "invalid POVM file: elements[1].matrix" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     @pytest.fixture
     def isometry_file(self, tmp_path, problem_file, capsys):
@@ -199,6 +210,55 @@ class TestSimulateCommand:
         code = main(["simulate", "--isometry", str(isometry_file),
                      "--problem", str(other)])
         assert code == 2
+
+    def test_noise_level_out_of_range_exits_1(self, problem_file, isometry_file, capsys):
+        code = main(["simulate", "--isometry", str(isometry_file),
+                     "--problem", str(problem_file), "--lambda", "1.5"])
+        assert code == 1
+        assert "[0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, mutate", [
+        ("target_qubits", lambda d: d.update(target_qubits=d["target_qubits"] + 1)),
+        ("domain_dim", lambda d: d.update(domain_dim=2 * d["domain_dim"])),
+        ("outcome_map", lambda d: d["outcome_map"].pop()),
+        ("matrix", lambda d: d["matrix"].pop()),
+    ])
+    def test_isometry_header_disagreeing_with_matrix_exits_1(
+            self, tmp_path, problem_file, isometry_file, capsys, field, mutate):
+        data = read_json(isometry_file)
+        mutate(data)
+        bad = tmp_path / "bad_iso.json"
+        bad.write_text(json.dumps(data))
+        code = main(["simulate", "--isometry", str(bad), "--problem", str(problem_file)])
+        assert code == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [None, "0.5"])
+    def test_malformed_isometry_entry_exits_1(self, tmp_path, problem_file, isometry_file,
+                                              capsys, entry):
+        data = read_json(isometry_file)
+        data["matrix"][0][0][0] = entry
+        bad = tmp_path / "bad_iso.json"
+        bad.write_text(json.dumps(data))
+        code = main(["simulate", "--isometry", str(bad), "--problem", str(problem_file)])
+        assert code == 1
+        assert "matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, entry", [("matrix", None), ("matrix", "0.5"),
+                                            ("amplitudes", None), ("amplitudes", "0.5")])
+    def test_malformed_problem_entry_exits_1(self, tmp_path, isometry_file, capsys, key, entry):
+        if key == "matrix":
+            state = {"type": "density",
+                     "matrix": [[[0.25, 0.0] for _ in range(4)] for _ in range(4)]}
+            state["matrix"][0][0][0] = entry
+        else:
+            state = {"type": "pure", "amplitudes": [[0.5, 0.0] for _ in range(4)]}
+            state["amplitudes"][0][0] = entry
+        bad = tmp_path / "bad_problem.json"
+        bad.write_text(json.dumps({"num_qubits": 2, "states": [state, state]}))
+        code = main(["simulate", "--isometry", str(isometry_file), "--problem", str(bad)])
+        assert code == 1
+        assert f"states[0]: {key}" in capsys.readouterr().err
 
     def test_label_beyond_problem_exits_2(self, tmp_path, isometry_file, capsys):
         # The isometry dilates a 3-state MED POVM; this problem has 2 states

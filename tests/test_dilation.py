@@ -14,6 +14,7 @@ from qsdkit import (
     build_isometry_generic,
     complete_to_unitary,
     decompose_rank1,
+    depolarize,
     dilate,
     dilated_joint_distribution,
     joint_distribution,
@@ -339,3 +340,27 @@ class TestDilatedJointDistribution:
         probs = simulate_measurement(dil, PureState(np.array([1.0, 0.0]))).probabilities
         assert list(probs) == [0, 1, RESIDUAL]
         assert probs[RESIDUAL] == pytest.approx(0.0, abs=1e-14)
+
+    def test_noise_linear_table_matches_depolarized_states(self, rng):
+        # The rates mix the clean states' rows with the row of I/d; they
+        # must agree with tables of explicitly depolarized states.
+        spec = random_problem(rng, k=3, dim=4)
+        povm = random_povm(4, 3, rng, inconclusive=True)
+        dil = dilate(povm, delta=0.15)
+        assert dil.total_rank < 16
+        k = spec.num_states
+        for lam in (0.0, *np.geomspace(1e-6, 1.0, 9)):
+            want = np.zeros((k, k + 1))
+            for i, (p, rho) in enumerate(zip(spec.priors, spec.states)):
+                probs = simulate_measurement(dil, depolarize(rho, lam)).probabilities
+                for lbl, prob in probs.items():
+                    want[i, k if lbl in (INCONCLUSIVE, RESIDUAL) else lbl] += p * prob
+            got = dilated_joint_distribution(spec, dil, lam).entries
+            assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("lam", [-1e-3, 1.5])
+    def test_noise_level_out_of_range_rejected(self, lam):
+        spec = ProblemSpec.from_states([PureState(np.array([1.0, 0.0])),
+                                        PureState(np.array([0.0, 1.0]))])
+        with pytest.raises(ValueError, match="noise level"):
+            dilated_joint_distribution(spec, dilate(basis_pvm(2)), lam)

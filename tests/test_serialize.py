@@ -13,6 +13,10 @@ from qsdkit import (
 from qsdkit.serialize import (
     BENCH_REPORT_SCHEMA,
     canonical_dumps,
+    decode_complex_matrix,
+    decode_complex_vector,
+    encode_complex_matrix,
+    povm_payload,
     read_isometry,
     read_povm,
     read_problem,
@@ -45,6 +49,153 @@ class TestCanonicalJson:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             canonical_dumps({"x": object()})
+
+
+class TestCanonicalLayout:
+    def test_exact_text_of_mixed_payload(self):
+        payload = {"array": np.array([[1.5, -0.0], [1e16, 2.0]]), "int": 3,
+                   "flag": True, "none": None, "neg_zero": -0.0, "one": 1.0,
+                   "big": 1e16, "empty_list": [], "empty_obj": {}}
+        assert canonical_dumps(payload) == (
+            '{\n'
+            '  "array": [\n'
+            '    [\n'
+            '      1.5,\n'
+            '      -0.0\n'
+            '    ],\n'
+            '    [\n'
+            '      10000000000000000,\n'
+            '      2.0\n'
+            '    ]\n'
+            '  ],\n'
+            '  "big": 10000000000000000,\n'
+            '  "empty_list": [],\n'
+            '  "empty_obj": {},\n'
+            '  "flag": true,\n'
+            '  "int": 3,\n'
+            '  "neg_zero": -0.0,\n'
+            '  "none": null,\n'
+            '  "one": 1.0\n'
+            '}')
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 2), (4, 1, 2), (0,), (2, 0),
+                                       (0, 3), (3, 0, 2)])
+    def test_array_matches_nested_lists(self, rng, shape):
+        for _ in range(3):
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+            mask = rng.random(shape)
+            a[mask < 0.2] = 0.0
+            a[(mask >= 0.2) & (mask < 0.3)] = -0.0
+            a[mask > 0.8] = np.round(a[mask > 0.8])
+            for indent in (0, 2, 6):
+                assert canonical_dumps(a, indent) == canonical_dumps(a.tolist(), indent)
+                assert canonical_dumps({"x": a}) == canonical_dumps({"x": a.tolist()})
+
+    def test_non_float_arrays_written_as_lists(self):
+        a = np.array([[1, 2], [3, 4]])
+        assert canonical_dumps(a) == canonical_dumps(a.tolist())
+        assert canonical_dumps(np.array([True, False])) == canonical_dumps([True, False])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_array_rejects_non_finite(self, bad):
+        a = np.zeros((2, 3, 2))
+        a[1, 2, 0] = bad
+        with pytest.raises(ValueError):
+            canonical_dumps({"matrix": a})
+
+    def test_payload_file_matches_list_payload(self, rng):
+        povm = random_povm(4, 3, rng, inconclusive=True)
+        payload = povm_payload(povm, meta={"seed": 0})
+        as_lists = {**payload, "elements": [
+            {"label": e["label"], "matrix": e["matrix"].tolist()}
+            for e in payload["elements"]]}
+        assert canonical_dumps(payload) == canonical_dumps(as_lists)
+
+
+def _null(m):
+    m[0][0][0] = None
+
+
+def _string(m):
+    m[0][0][1] = "0.0"
+
+
+def _ragged(m):
+    m[1].pop()
+
+
+def _re_only(m):
+    for row in m:
+        row[:] = [[re] for re, _ in row]
+
+
+class TestMalformedEntries:
+    @pytest.mark.parametrize("defect", [_null, _string, _ragged, _re_only])
+    def test_matrix_decoder_names_field(self, defect):
+        m = encode_complex_matrix(np.eye(2)).tolist()
+        defect(m)
+        with pytest.raises(ValueError, match="elements.0..matrix"):
+            decode_complex_matrix(m, "elements[0].matrix")
+
+    @pytest.mark.parametrize("defect", [
+        lambda v: v[0].__setitem__(0, None),
+        lambda v: v[1].__setitem__(1, "0.0"),
+        lambda v: v[1].pop(),
+        lambda v: v.__setitem__(slice(None), [[re] for re, _ in v]),
+    ])
+    def test_vector_decoder_names_field(self, defect):
+        v = [[1.0, 0.0], [0.0, 1.0]]
+        defect(v)
+        with pytest.raises(ValueError, match="amplitudes"):
+            decode_complex_vector(v, "amplitudes")
+
+    def test_decoders_copy_bits(self):
+        values = [[1.0 / 3.0, -0.0], [1e-300, -2.5e17]]
+        v = decode_complex_vector(values)
+        assert v.tobytes() == np.array(values).tobytes()
+        m = decode_complex_matrix([values, values])
+        assert m.shape == (2, 2)
+        assert m.tobytes() == np.array([values, values]).tobytes()
+
+    @pytest.mark.parametrize("kind", ["povm", "problem", "isometry"])
+    @pytest.mark.parametrize("defect", [_null, _string, _ragged, _re_only])
+    def test_file_readers_raise_value_error(self, tmp_path, rng, kind, defect):
+        path = tmp_path / f"{kind}.json"
+        if kind == "povm":
+            write_povm(path, random_povm(2, 2, rng))
+            data = json.loads(path.read_text())
+            defect(data["elements"][1]["matrix"])
+            field, reader = "elements.1..matrix", read_povm
+        elif kind == "problem":
+            write_problem(path, ProblemSpec.from_states(make_benchmark_two_qubit_states()))
+            data = json.loads(path.read_text())
+            defect(data["states"][2]["matrix"])
+            field, reader = "states.2.: matrix", read_problem
+        else:
+            write_isometry(path, dilate(random_povm(2, 2, rng)))
+            data = json.loads(path.read_text())
+            defect(data["matrix"])
+            field, reader = "matrix", read_isometry
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=field):
+            reader(path)
+
+
+class TestIsometryHeader:
+    @pytest.mark.parametrize("field, mutate", [
+        ("target_qubits", lambda d: d.update(target_qubits=d["target_qubits"] + 1)),
+        ("domain_dim", lambda d: d.update(domain_dim=d["domain_dim"] + 1)),
+        ("outcome_map", lambda d: d["outcome_map"].pop()),
+        ("matrix", lambda d: d["matrix"].pop()),
+    ])
+    def test_disagreeing_header_rejected(self, tmp_path, rng, field, mutate):
+        path = tmp_path / "iso.json"
+        write_isometry(path, dilate(random_povm(4, 2, rng), delta=1e-3))
+        data = json.loads(path.read_text())
+        mutate(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=field):
+            read_isometry(path)
 
 
 class TestFileRoundTrips:
