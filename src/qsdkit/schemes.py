@@ -105,6 +105,7 @@ class _Assembler:
         self._rhs = []
         self._obj = []
         self._quad = []
+        self.block_sum = None
 
     def _add_block(self, block) -> int:
         off = sum(self._sizes)
@@ -148,7 +149,8 @@ class _Assembler:
             for off, vec in self._quad:
                 quad[off:off + vec.size] += vec
         return ConeProgram(blocks=tuple(self._blocks), c=c, A=A,
-                           b=np.asarray(self._rhs), quad_diag=quad)
+                           b=np.asarray(self._rhs), quad_diag=quad,
+                           block_sum=self.block_sum)
 
 
 def _noisy_svecs(spec: ProblemSpec) -> list:
@@ -156,14 +158,15 @@ def _noisy_svecs(spec: ProblemSpec) -> list:
 
 
 def _element_blocks(asm: _Assembler, spec: ProblemSpec, inconclusive: bool):
-    """POVM element blocks plus the completeness constraint; returns offsets."""
+    """POVM element blocks plus the completeness constraint; returns offsets.
+
+    Completeness, ``sum_j Pi_j = I``, is recorded as the program's block-sum
+    rows rather than as ``d**2`` rows of ``A``.
+    """
     d = spec.dim
     count = spec.num_states + (1 if inconclusive else 0)
     offs = [asm.add_psd(d) for _ in range(count)]
-    identity = svec(np.eye(d))
-    one = np.ones(1)
-    for t in range(d * d):
-        asm.add_row([(off + t, one) for off in offs], identity[t])
+    asm.block_sum = (tuple(offs), svec(np.eye(d)))
     return offs
 
 

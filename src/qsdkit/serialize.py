@@ -102,6 +102,24 @@ def read_json(path):
         return json.load(fh)
 
 
+def _scalar(data: dict, field: str, kind=int):
+    """``kind(data[field])``; ``ValueError`` names the field when it does not convert."""
+    try:
+        return kind(data[field])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{field} must be a number, got {data[field]!r}") from exc
+
+
+def _finite_list(values, field: str) -> np.ndarray:
+    """Float array of a list of finite numbers; ``ValueError`` names a bad entry."""
+    if not isinstance(values, list):
+        raise ValueError(f"{field} must be a list of numbers, got {values!r}")
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ValueError(f"{field}[{i}] must be a finite number, got {v!r}")
+    return np.asarray(values, dtype=float)
+
+
 def _encode_complex(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     return np.stack([a.real, a.imag], axis=-1)
@@ -170,14 +188,14 @@ def expand_state_entry(entry: dict, num_qubits: int) -> list:
     if kind == "benchmark2q":
         if num_qubits != 2:
             raise ValueError("benchmark2q entries require num_qubits = 2")
-        return list(make_benchmark_two_qubit_states(tuple(entry["a"])))
+        return list(make_benchmark_two_qubit_states(tuple(_finite_list(entry["a"], "a"))))
     raise ValueError(f"unknown state entry type {kind!r}")
 
 
 def read_problem(path, noise_lambda: float = 0.0) -> ProblemSpec:
     """Load a problem file into a :class:`ProblemSpec`."""
     data = read_json(path)
-    num_qubits = int(data["num_qubits"])
+    num_qubits = _scalar(data, "num_qubits")
     states = []
     for i, entry in enumerate(data["states"]):
         try:
@@ -192,7 +210,7 @@ def read_problem(path, noise_lambda: float = 0.0) -> ProblemSpec:
     priors = data.get("priors")
     if priors is None:
         priors = [1.0 / len(dms)] * len(dms)
-    return ProblemSpec(states=tuple(dms), priors=np.asarray(priors, dtype=float),
+    return ProblemSpec(states=tuple(dms), priors=_finite_list(priors, "priors"),
                        noise_lambda=noise_lambda)
 
 
@@ -248,7 +266,7 @@ def write_povm(path, povm: Povm, meta: dict | None = None) -> None:
 
 def read_povm(path) -> Povm:
     data = read_json(path)
-    dim = int(data["dim"])
+    dim = _scalar(data, "dim")
     labels = tuple(_decode_label(e["label"]) for e in data["elements"])
     elements = tuple(decode_complex_matrix(e["matrix"], f"elements[{j}].matrix")
                      for j, e in enumerate(data["elements"]))
@@ -281,8 +299,8 @@ def read_isometry(path) -> DilationResult:
     the field that disagrees.
     """
     data = read_json(path)
-    domain_dim = int(data["domain_dim"])
-    target_qubits = int(data["target_qubits"])
+    domain_dim = _scalar(data, "domain_dim")
+    target_qubits = _scalar(data, "target_qubits")
     matrix = decode_complex_matrix(data["matrix"], "matrix")
     outcome_map = tuple(_decode_label(l) for l in data["outcome_map"])
     if matrix.shape[0] != 2 ** target_qubits:
@@ -296,11 +314,11 @@ def read_isometry(path) -> DilationResult:
                          f"{matrix.shape[0]} matrix rows")
     return DilationResult(
         domain_dim=domain_dim,
-        total_rank=int(data["total_rank"]),
+        total_rank=_scalar(data, "total_rank"),
         target_qubits=target_qubits,
         isometry=matrix,
         outcome_map=outcome_map,
-        delta=float(data["delta"]),
+        delta=_scalar(data, "delta", float),
     )
 
 

@@ -10,12 +10,18 @@ the reals, see :func:`svec`), nonnegative orthants, and free blocks.
 Inequalities are expected to be encoded by the caller with nonnegative slack
 variables.
 
+A program may also carry block-sum rows ``sum_j x[o_j : o_j + L] = r``
+(the completeness constraint of a POVM is one such set of rows).  Their
+supports are disjoint, so the affine step eliminates them in closed form and
+factors only the small Schur complement of the remaining rows of ``A``.
+
 The method is ADMM on the splitting ``f(x) = c'x + q-term + indicator{Ax=b}``,
-``g(z) = indicator{z in K}``: an affine projection (cached factorization of
-``A A'``), a cone projection per block (eigenvalue clipping for PSD blocks),
-and a scaled dual update, with residual balancing of the penalty parameter.
-Everything is deterministic: fixed zero initialization, no randomized
-internals.
+``g(z) = indicator{z in K}``: an affine projection (block-sum rows solved
+through a diagonal, the other rows through a cached Cholesky factorization of
+their Schur complement), a cone projection per block (eigenvalue clipping for
+PSD blocks), and a scaled dual update, with residual balancing of the penalty
+parameter.  Everything is deterministic: fixed zero initialization, no
+randomized internals.
 """
 
 from __future__ import annotations
@@ -149,13 +155,23 @@ def psd_project(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConeProgram:
-    """A conic program in the solver's standard form (minimization)."""
+    """A conic program in the solver's standard form (minimization).
+
+    The equality constraints are the rows of ``A x = b`` and, when
+    ``block_sum = (offsets, rhs)`` is given, the ``L = len(rhs)`` block-sum
+    rows ``sum_j x[offsets[j] : offsets[j] + L] = rhs``: row ``t`` adds
+    coordinate ``t`` of every listed block.  Each offset must start a
+    distinct block of size ``L``, which makes the supports of the rows
+    disjoint.  In the constraint system the block-sum rows come first, then
+    the rows of ``A``; ``A`` is dense and may have no rows.
+    """
 
     blocks: tuple
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
     quad_diag: np.ndarray | None = None
+    block_sum: tuple | None = None
 
     def __post_init__(self):
         n = sum(blk.size for blk in self.blocks)
@@ -171,9 +187,31 @@ class ConeProgram:
             if q.size != n or np.any(q < 0):
                 raise ValueError("quad_diag must be a nonnegative vector of the variable length")
             object.__setattr__(self, "quad_diag", q)
+        if self.block_sum is not None:
+            object.__setattr__(self, "block_sum", self._check_block_sum())
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+
+    def _check_block_sum(self) -> tuple:
+        offsets, rhs = self.block_sum
+        offsets = tuple(int(o) for o in offsets)
+        rhs = np.asarray(rhs, dtype=float).ravel()
+        starts, off = {}, 0
+        for blk in self.blocks:
+            starts[off] = blk.size
+            off += blk.size
+        if not offsets:
+            raise ValueError("block_sum needs at least one offset")
+        if len(set(offsets)) != len(offsets):
+            raise ValueError(f"block_sum offsets {offsets} repeat a block")
+        for o in offsets:
+            if o not in starts:
+                raise ValueError(f"block_sum offset {o} does not start a block")
+            if starts[o] != rhs.size:
+                raise ValueError(f"block_sum block at offset {o} has size {starts[o]}, "
+                                 f"but rhs has length {rhs.size}")
+        return offsets, rhs
 
     @property
     def num_vars(self) -> int:
@@ -244,23 +282,44 @@ class _ConeProjector:
 
 
 class _AffineProjector:
-    """Projection onto {x : Ax = b} in the metric diag(q) + rho*I.
+    """Projection onto the constraint system in the metric ``D = diag(q) + rho*I``.
 
-    For ``q = 0`` the factorization of ``A A'`` is reused for every rho; with
-    a quadratic term the system matrix depends on rho and is refactored when
-    the penalty changes.  Redundant rows are tolerated by falling back to a
-    pseudoinverse (least-squares multiplier).
+    The rows are the block-sum rows ``C`` (scaled to unit norm, ``1/sqrt(m)``
+    for ``m`` blocks, as :func:`_row_equilibrate` scales ``A``), then the
+    equilibrated rows ``R`` of ``A``.  The multipliers ``mu`` of a point
+    ``t`` solve ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  Because the
+    rows of ``C`` have disjoint supports, ``Delta = C D^-1 C'`` is diagonal
+    for any diagonal ``D``, so with ``K = R D^-1 C'`` only the Schur
+    complement ``S = R D^-1 R' - K Delta^-1 K'``, one row and column per row
+    of ``A``, is factored; ``C x`` is a gather-sum over the blocks and
+    ``C' mu`` a scatter.  Without block-sum rows ``C`` is empty and
+    ``S = R D^-1 R'``.
+
+    For ``q = 0`` the step is Euclidean (``D = I``) and one factorization
+    serves every rho; with a quadratic term ``S`` depends on rho and is
+    refactored when the penalty changes.  Redundant rows are tolerated by
+    falling back to a pseudoinverse (least-squares multiplier).
     """
 
-    def __init__(self, A, b, quad):
+    def __init__(self, A, b, quad, block_sum=None):
         self.A = A
         self.AT = A.T.copy()
         self.b = b
         self.quad = quad
-        self._rho = None
+        self.index = None
+        rhs_norm2 = b @ b
+        if block_sum is not None:
+            offsets, rhs = block_sum
+            # (m, L) coordinates of the summed blocks: column t is row t's support.
+            self.index = np.asarray(offsets)[:, None] + np.arange(rhs.size)
+            self.scale = 1.0 / math.sqrt(len(offsets))
+            self.rhs = rhs * self.scale
+            rhs_norm2 += self.rhs @ self.rhs
+        self.rhs_norm = math.sqrt(rhs_norm2)
+        self._d_inv = None
         self._solve = None
         if quad is None:
-            self._solve = self._make_solver(A @ A.T)
+            self._factor()
 
     @staticmethod
     def _make_solver(gram):
@@ -281,26 +340,69 @@ class _AffineProjector:
             return mu
         return solve
 
+    def _factor(self):
+        """Set up the multiplier solve for the current metric."""
+        d_inv = self._d_inv
+        if d_inv is None:
+            a_dinv = self.A
+            gram = self.A @ self.A.T
+        else:
+            a_dinv = self.A * d_inv[None, :]
+            gram = a_dinv @ self.AT
+        if self.index is not None:
+            m = self.index.shape[0]
+            if d_inv is None:
+                self._delta = np.full(self.index.shape[1], self.scale * self.scale * m)
+            else:
+                self._delta = self.scale * self.scale * d_inv[self.index].sum(axis=0)
+            self._k = self.scale * a_dinv[:, self.index].sum(axis=1)
+            gram = gram - (self._k / self._delta) @ self._k.T
+        self._solve = self._make_solver(gram) if self.b.size else None
+
     def set_rho(self, rho):
-        self._rho = rho
         if self.quad is not None:
-            d_inv = 1.0 / (self.quad + rho)
-            self._d_inv = d_inv
-            self._solve = self._make_solver((self.A * d_inv[None, :]) @ self.AT)
+            self._d_inv = 1.0 / (self.quad + rho)
+            self._factor()
+
+    def _multiplier_image(self, t):
+        """``[C; R]' mu`` for the multipliers ``mu`` of the point ``t``.
+
+        With block-sum rows: ``mu_C = Delta^-1 (C t - rhs - K' mu_R)``, where
+        ``mu_R`` solves ``S mu_R = R t - b - K Delta^-1 (C t - rhs)``.
+        """
+        if self.index is None:
+            return self.AT @ self._solve(self.A @ t - self.b)
+        r_c = self.scale * t[self.index].sum(axis=0) - self.rhs
+        mu_c = r_c / self._delta
+        if self._solve is None:
+            out = np.zeros_like(t)
+        else:
+            mu = self._solve(self.A @ t - self.b - self._k @ mu_c)
+            mu_c -= (self._k.T @ mu) / self._delta
+            out = self.AT @ mu
+        out[self.index] += self.scale * mu_c
+        return out
 
     def project(self, v, c, rho):
-        """argmin c'x + q-term + (rho/2)||x - v||^2 subject to Ax = b."""
+        """argmin c'x + q-term + (rho/2)||x - v||^2 subject to the constraints."""
         if self.quad is None:
             w = v - c / rho
-            if self.b.size == 0:
+            if self.b.size == 0 and self.index is None:
                 return w
-            mu = self._solve(self.A @ w - self.b)
-            return w - self.AT @ mu
+            return w - self._multiplier_image(w)
         t = self._d_inv * (rho * v - c)
-        if self.b.size == 0:
+        if self.b.size == 0 and self.index is None:
             return t
-        mu = self._solve(self.A @ t - self.b)
-        return t - self._d_inv * (self.AT @ mu)
+        return t - self._d_inv * self._multiplier_image(t)
+
+    def residual(self, x) -> float:
+        """Norm of the equilibrated constraint residual at ``x``, all rows."""
+        res2 = 0.0
+        if self.index is not None:
+            r_c = self.scale * x[self.index].sum(axis=0) - self.rhs
+            res2 = r_c @ r_c
+        r = self.A @ x - self.b
+        return math.sqrt(res2 + r @ r)
 
 
 def _row_equilibrate(A, b):
@@ -417,9 +519,9 @@ def solve(program: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
     if rho is None:
         rho = 0.02 if quad is not None else 1.0
     project_cone = _ConeProjector(program.blocks)
-    affine = _AffineProjector(A, b, quad)
+    affine = _AffineProjector(A, b, quad, program.block_sum)
     affine.set_rho(rho)
-    affine_tol = tol * (1.0 + _norm(b))
+    affine_tol = tol * (1.0 + affine.rhs_norm)
 
     def step(w, penalty):
         """One splitting step from ``w = (z, u)``; returns ``x`` and ``F(w)``."""
@@ -461,7 +563,7 @@ def solve(program: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
             # Verify the affine system directly before declaring optimality;
             # the normalized residuals alone can look converged at a
             # numerically degenerate point (e.g. after a wild extrapolation).
-            if _norm(A @ x - b) <= affine_tol:
+            if affine.residual(x) <= affine_tol:
                 status = OPTIMAL
                 best_x = x
                 break

@@ -165,6 +165,8 @@ class ProblemSpec:
         priors = np.asarray(self.priors, dtype=float).ravel()
         if priors.size != len(states):
             raise ValueError("need one prior per state")
+        if not np.all(np.isfinite(priors)):
+            raise ValueError(f"priors must be finite, got {priors!r}")
         if np.any(priors < 0):
             raise ValueError("priors must be nonnegative")
         if abs(float(priors.sum()) - 1.0) > 1e-12:

@@ -77,6 +77,19 @@ class TestSolveCommand:
         assert report["meta"]["lambda_eval"] == 0.01
         assert all(c >= 0.95 - 1e-5 for c in report["confidence_given_state"])
 
+    @pytest.mark.parametrize("key", ["priors", "a"])
+    def test_null_number_exits_1(self, tmp_path, capsys, key):
+        data = {"num_qubits": 2, "states": [{"type": "benchmark2q", "a": [0.2, 0.5, 0.7]}],
+                "priors": [0.5, 0.25, 0.25]}
+        target = data["priors"] if key == "priors" else data["states"][0]["a"]
+        target[1] = None
+        bad = tmp_path / "bad_problem.json"
+        bad.write_text(json.dumps(data))
+        code = main(["solve", "--problem", str(bad), "--scheme", "med",
+                     "--out", str(tmp_path / "povm.json")])
+        assert code == 1
+        assert f"{key}[1]" in capsys.readouterr().err
+
     def test_missing_problem_file_is_usage_error(self, tmp_path, capsys):
         code = main(["solve", "--problem", str(tmp_path / "nope.json"),
                      "--scheme", "med", "--out", str(tmp_path / "o.json")])
@@ -146,6 +159,14 @@ class TestDilateCommand:
                      "--out", str(tmp_path / "iso.json")])
         assert code == 2
 
+    def test_null_dim_exits_2(self, tmp_path, povm_file, capsys):
+        data = read_json(povm_file)
+        data["dim"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = main(["dilate", "--povm", str(bad), "--out", str(tmp_path / "iso.json")])
+        assert code == 2
+        assert "invalid POVM file: dim" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [None, "0.5"])
     def test_malformed_povm_entry_exits_2(self, tmp_path, povm_file, capsys, entry):
@@ -259,6 +280,25 @@ class TestSimulateCommand:
         code = main(["simulate", "--isometry", str(isometry_file), "--problem", str(bad)])
         assert code == 1
         assert f"states[0]: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["domain_dim", "target_qubits", "total_rank", "delta"])
+    def test_null_isometry_field_exits_1(self, tmp_path, problem_file, isometry_file,
+                                         capsys, field):
+        data = read_json(isometry_file)
+        data[field] = None
+        bad = tmp_path / "bad_iso.json"
+        bad.write_text(json.dumps(data))
+        code = main(["simulate", "--isometry", str(bad), "--problem", str(problem_file)])
+        assert code == 1
+        assert field in capsys.readouterr().err
+
+    def test_null_num_qubits_exits_1(self, tmp_path, isometry_file, capsys):
+        bad = tmp_path / "bad_problem.json"
+        bad.write_text(json.dumps({"num_qubits": None,
+                                   "states": [{"type": "benchmark2q", "a": [0.2, 0.5, 0.7]}]}))
+        code = main(["simulate", "--isometry", str(isometry_file), "--problem", str(bad)])
+        assert code == 1
+        assert "num_qubits" in capsys.readouterr().err
 
     def test_label_beyond_problem_exits_2(self, tmp_path, isometry_file, capsys):
         # The isometry dilates a 3-state MED POVM; this problem has 2 states

@@ -181,6 +181,55 @@ class TestMalformedEntries:
             reader(path)
 
 
+class TestNullFields:
+    """A ``null`` (or otherwise non-numeric) header field raises ValueError naming it."""
+
+    @pytest.mark.parametrize("field", ["domain_dim", "target_qubits", "total_rank", "delta"])
+    def test_isometry_field(self, tmp_path, rng, field):
+        path = tmp_path / "iso.json"
+        write_isometry(path, dilate(random_povm(2, 2, rng)))
+        data = json.loads(path.read_text())
+        data[field] = None
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=field):
+            read_isometry(path)
+
+    def test_povm_dim(self, tmp_path, rng):
+        path = tmp_path / "povm.json"
+        write_povm(path, random_povm(2, 2, rng))
+        data = json.loads(path.read_text())
+        data["dim"] = None
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="dim"):
+            read_povm(path)
+
+    def test_problem_num_qubits(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"num_qubits": None, "states": []}))
+        with pytest.raises(ValueError, match="num_qubits"):
+            read_problem(path)
+
+    @pytest.mark.parametrize("a, field", [([0.2, None, 0.7], r"a\[1\]"),
+                                          ([0.2, "0.5", 0.7], r"a\[1\]"),
+                                          (None, "a must be a list")])
+    def test_benchmark2q_amplitudes(self, tmp_path, a, field):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"num_qubits": 2,
+                                    "states": [{"type": "benchmark2q", "a": a}]}))
+        with pytest.raises(ValueError, match=r"states\[0\]: " + field):
+            read_problem(path)
+
+    @pytest.mark.parametrize("prior", [None, "0.5", float("nan")])
+    def test_problem_prior(self, tmp_path, prior):
+        path = tmp_path / "problem.json"
+        write_problem(path, ProblemSpec.from_states(make_benchmark_two_qubit_states()))
+        data = json.loads(path.read_text())
+        data["priors"][1] = prior
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r"priors\[1\]"):
+            read_problem(path)
+
+
 class TestIsometryHeader:
     @pytest.mark.parametrize("field, mutate", [
         ("target_qubits", lambda d: d.update(target_qubits=d["target_qubits"] + 1)),

@@ -4,15 +4,21 @@ import pytest
 from qsdkit import (
     INFEASIBLE,
     OPTIMAL,
+    SCHEME_NAMES,
     ConeProgram,
     FreeCone,
     NonNegCone,
+    ProblemSpec,
     PsdCone,
+    build_scheme,
+    make_benchmark_two_qubit_states,
     psd_project,
     smat,
     solve,
+    solve_scheme,
     svec,
 )
+from qsdkit.cli import _bench_spec
 from qsdkit.solver import _AndersonMemory, _ConeProjector, _smat_batch, _svec_batch
 
 
@@ -247,3 +253,58 @@ class TestSolve:
             ConeProgram(blocks=(NonNegCone(2),), c=np.zeros(2),
                         A=np.zeros((1, 2)), b=np.zeros(1),
                         quad_diag=np.array([-1.0, 0.0]))
+
+
+def expand_block_sum(program):
+    """The same program with its block-sum rows written as dense rows of A, first."""
+    offsets, rhs = program.block_sum
+    rows = np.zeros((rhs.size, program.num_vars))
+    for off in offsets:
+        rows[:, off:off + rhs.size] += np.eye(rhs.size)
+    return ConeProgram(blocks=program.blocks, c=program.c, A=np.vstack([rows, program.A]),
+                       b=np.concatenate([rhs, program.b]), quad_diag=program.quad_diag)
+
+
+BLOCK_SUM_CASES = [(inst, name) for inst in ("ens", "tri2") for name in SCHEME_NAMES
+                   # uqsd has no block-sum rows; ens minss takes 34 735 iterations.
+                   if name != "uqsd" and (inst, name) != ("ens", "minss")]
+
+
+class TestBlockSum:
+    @pytest.mark.parametrize("inst, name", BLOCK_SUM_CASES)
+    def test_matches_dense_rows(self, inst, name):
+        if inst == "ens":
+            spec = ProblemSpec.from_states(make_benchmark_two_qubit_states(), noise_lambda=0.01)
+        else:
+            spec = _bench_spec(2, 0.01)
+        program = build_scheme(spec, name).program
+        assert program.block_sum is not None
+        expanded = expand_block_sum(program)
+        structured = solve(program, acceleration=0)
+        dense = solve(expanded, acceleration=0)
+        assert structured.status == dense.status == OPTIMAL
+        assert structured.iterations == dense.iterations
+        assert abs(structured.objective - dense.objective) <= 1e-12
+        residual = np.linalg.norm(expanded.A @ structured.x - expanded.b)
+        assert residual <= 1e-8 * (1 + np.linalg.norm(expanded.b))
+
+    @pytest.mark.parametrize("offsets, message", [((0, 0), "repeat"),
+                                                  ((0, 2), "does not start a block"),
+                                                  ((0, 4), "has size 1"),
+                                                  ((), "at least one")])
+    def test_invalid_offsets_rejected(self, offsets, message):
+        blocks = (PsdCone(2), NonNegCone(1), PsdCone(2))
+        with pytest.raises(ValueError, match=message):
+            ConeProgram(blocks=blocks, c=np.zeros(9), A=np.zeros((0, 9)), b=np.zeros(0),
+                        block_sum=(offsets, svec(np.eye(2))))
+
+    def test_six_qubit_med_matches_square_root_measurement(self):
+        # The coherent triple is geometrically uniform, so the square-root
+        # measurement is optimal: P = (sum_j sqrt(lambda_j(G)))^2 / 9.
+        spec = _bench_spec(6, 0.0)
+        result = solve_scheme(spec, "med")
+        assert result.solution.status == OPTIMAL
+        vecs = np.stack([np.linalg.eigh(s.matrix)[1][:, -1] for s in spec.states])
+        gram = vecs.conj() @ vecs.T
+        srm = np.sum(np.sqrt(np.linalg.eigvalsh(gram))) ** 2 / 9
+        assert abs(result.value - srm) <= 1e-8

@@ -166,6 +166,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProblemSpec(states, np.array([0.7, 0.7]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_problem_priors_must_be_finite(self, rng, bad):
+        states = (random_density(2, rng), random_density(2, rng))
+        with pytest.raises(ValueError, match="finite"):
+            ProblemSpec(states, np.array([bad, 1.0]))
+
     def test_problem_mixed_dims(self, rng):
         with pytest.raises(ValueError):
             ProblemSpec((random_density(2, rng), random_density(4, rng)),
