@@ -16,12 +16,12 @@ import numpy as np
 
 from . import __version__
 from .dilation import (
+    _joint_distributions,
     build_isometry,
     build_isometry_generic,
     complete_to_unitary,
     decompose_rank1,
     dilate,
-    dilated_joint_distribution,
     simulate_measurement,
     verify_dilation,
 )
@@ -189,7 +189,7 @@ def cmd_simulate(args) -> int:
     if not all(0.0 <= lam <= 1.0 for lam in lams):
         raise UsageError("noise levels must lie in [0, 1]")
     try:
-        jds = [dilated_joint_distribution(spec, dil, float(lam)) for lam in lams]
+        jds = _joint_distributions(spec, dil, [float(lam) for lam in lams])
     except ValueError as exc:
         raise NumericalError(f"isometry does not fit the problem: {exc}") from exc
 

@@ -265,18 +265,29 @@ def dilated_joint_distribution(spec: ProblemSpec, dil: DilationResult,
     are ``(1 - lam)`` times the clean states' rows plus ``lam`` times the
     row of ``I / d``; no depolarized state is built.
     """
+    return _joint_distributions(spec, dil, [spec.noise_lambda if lam is None else lam])[0]
+
+
+def _joint_distributions(spec: ProblemSpec, dil: DilationResult, lams) -> list:
+    """:func:`dilated_joint_distribution` at each noise level of ``lams``.
+
+    The clean states' outcome table is computed once and mixed per level.
+    """
     k = spec.num_states
-    channel = DepolarizingChannel(spec.noise_lambda if lam is None else lam, spec.dim)
+    channels = [DepolarizingChannel(lam, spec.dim) for lam in lams]
     labels, clean = _outcome_table(dil, [*spec.states, np.eye(spec.dim) / spec.dim])
-    table = (1.0 - channel.lam) * clean[:k] + channel.lam * clean[k]
     columns = [k if lbl in (INCONCLUSIVE, RESIDUAL) else lbl for lbl in labels]
     for lbl in labels:
         if lbl not in (INCONCLUSIVE, RESIDUAL) and not 0 <= lbl < k:
             raise ValueError(f"isometry outcome label {lbl} does not identify "
                              f"one of the problem's {k} states")
-    entries = np.zeros((k, k + 1))
-    np.add.at(entries, (slice(None), columns), spec.priors[:, None] * table)
-    return JointDistribution(entries)
+    out = []
+    for channel in channels:
+        table = (1.0 - channel.lam) * clean[:k] + channel.lam * clean[k]
+        entries = np.zeros((k, k + 1))
+        np.add.at(entries, (slice(None), columns), spec.priors[:, None] * table)
+        out.append(JointDistribution(entries))
+    return out
 
 
 def simulate_measurement(dil: DilationResult, state, shots: int = 0,

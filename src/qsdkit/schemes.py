@@ -208,17 +208,6 @@ def build_med_plus(spec: ProblemSpec) -> SchemeProgram:
     return _make_scheme(asm, spec, _labels(spec, True), maximize=True, name="med_plus")
 
 
-def _subspace_map(carrier: np.ndarray) -> np.ndarray:
-    """Matrix taking svec coordinates of M to svec coordinates of N M N^+."""
-    d = carrier.shape[0]
-    r = carrier.shape[1]
-    out = np.empty((d * d, r * r))
-    basis = np.eye(r * r)
-    for t in range(r * r):
-        out[:, t] = svec(carrier @ smat(basis[t], r) @ carrier.conj().T)
-    return out
-
-
 def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
     """Unambiguous discrimination: conclusive outcomes never misidentify.
 
@@ -228,10 +217,12 @@ def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
     is ``N_j M_j N_j^+`` with ``N_j`` an orthonormal kernel basis and
     ``M_j >= 0`` the reduced variable.  (Writing the conditions as equality
     rows instead leaves the feasible set with an empty conic interior, which
-    the first-order solver handles poorly.)  Elements whose kernel is empty,
-    which happens for any full-rank noisy states, are identically zero.
-    Nontrivial solutions need linearly independent states; the program stays
-    feasible regardless.
+    the first-order solver handles poorly.)  Completeness is recorded as the
+    program's block-sum rows with ``N_j`` as the carrier of block ``j``, so
+    the rows read ``sum_j N_j M_j N_j^+ + Pi_inc = I`` and ``A`` has no
+    rows.  Elements whose kernel is empty, which happens for any full-rank
+    noisy states, are identically zero.  Nontrivial solutions need linearly
+    independent states; the program stays feasible regardless.
     """
     asm = _Assembler()
     d = spec.dim
@@ -246,36 +237,20 @@ def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
         kernel = u[:, w < 1e-9]
         carriers.append(kernel if kernel.shape[1] > 0 else None)
 
-    block_offsets = {}
+    offsets = []
     element_blocks = []
-    subspace_maps = {}
-    next_block = 0
-    for j in range(k):
-        if carriers[j] is None:
+    for j, n_j in enumerate(carriers):
+        if n_j is None:
             element_blocks.append(None)
             continue
-        r = carriers[j].shape[1]
-        block_offsets[j] = asm.add_psd(r)
-        subspace_maps[j] = _subspace_map(carriers[j])
-        element_blocks.append(next_block)
-        next_block += 1
-    inc_off = asm.add_psd(d)
-    element_blocks.append(next_block)
-
-    identity = svec(np.eye(d))
-    one = np.ones(1)
-    for t in range(d * d):
-        entries = [(inc_off + t, one)]
-        for j, tmap in subspace_maps.items():
-            entries.append((block_offsets[j], tmap[t, :]))
-        asm.add_row(entries, identity[t])
-
-    for j in range(k):
-        if carriers[j] is None:
-            continue
-        n_j = carriers[j]
+        element_blocks.append(len(offsets))
+        offsets.append(asm.add_psd(n_j.shape[1]))
         reduced = n_j.conj().T @ noisy[j].matrix @ n_j
-        asm.add_objective(block_offsets[j], -spec.priors[j] * svec(reduced))
+        asm.add_objective(offsets[-1], -spec.priors[j] * svec(reduced))
+    element_blocks.append(len(offsets))
+    offsets.append(asm.add_psd(d))
+    block_carriers = tuple(n_j for n_j in carriers if n_j is not None) + (None,)
+    asm.block_sum = (tuple(offsets), svec(np.eye(d)), block_carriers)
 
     return SchemeProgram(asm.build(), d, k, _labels(spec, True),
                          maximize=True, name="uqsd",

@@ -11,17 +11,21 @@ Inequalities are expected to be encoded by the caller with nonnegative slack
 variables.
 
 A program may also carry block-sum rows ``sum_j x[o_j : o_j + L] = r``
-(the completeness constraint of a POVM is one such set of rows).  Their
-supports are disjoint, so the affine step eliminates them in closed form and
-factors only the small Schur complement of the remaining rows of ``A``.
+(the completeness constraint of a POVM is one such set of rows).  A block may
+enter them through a column-orthonormal carrier ``N_j``, as
+``svec(N_j smat(x_j) N_j^+)``, which confines a POVM element to a subspace.
+Without carriers the supports of the rows are disjoint and the affine step
+eliminates them in closed form; with carriers it factors their ``L x L``
+Gram matrix once.  Either way only the small Schur complement of the
+remaining rows of ``A`` is factored beside them.
 
 The method is ADMM on the splitting ``f(x) = c'x + q-term + indicator{Ax=b}``,
 ``g(z) = indicator{z in K}``: an affine projection (block-sum rows solved
-through a diagonal, the other rows through a cached Cholesky factorization of
-their Schur complement), a cone projection per block (eigenvalue clipping for
-PSD blocks), and a scaled dual update, with residual balancing of the penalty
-parameter.  Everything is deterministic: fixed zero initialization, no
-randomized internals.
+through a diagonal or a cached factorization, the other rows through a cached
+Cholesky factorization of their Schur complement), a cone projection per
+block (eigenvalue clipping for PSD blocks), and a scaled dual update, with
+residual balancing of the penalty parameter.  Everything is deterministic:
+fixed zero initialization, no randomized internals.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+from .states import CARRIER_ISOMETRY_TOL
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -164,6 +170,14 @@ class ConeProgram:
     distinct block of size ``L``, which makes the supports of the rows
     disjoint.  In the constraint system the block-sum rows come first, then
     the rows of ``A``; ``A`` is dense and may have no rows.
+
+    ``block_sum = (offsets, rhs, carriers)`` gives one entry per offset,
+    ``None`` or a column-orthonormal ``d x r`` carrier ``N_j`` with
+    ``d * d = L``.  The block of a carrier is ``PsdCone(r)`` and enters the
+    rows as ``svec(N_j smat(x_j) N_j^+)``; the rows then read
+    ``sum_j svec(N_j smat(x_j) N_j^+) = rhs``.  ``quad_diag`` must be zero on
+    carrier blocks.  A carrier-free ``block_sum`` is stored as
+    ``(offsets, rhs)``.
     """
 
     blocks: tuple
@@ -194,24 +208,54 @@ class ConeProgram:
         object.__setattr__(self, "b", b)
 
     def _check_block_sum(self) -> tuple:
-        offsets, rhs = self.block_sum
+        offsets, rhs, *carriers = self.block_sum
         offsets = tuple(int(o) for o in offsets)
         rhs = np.asarray(rhs, dtype=float).ravel()
+        carriers = tuple(carriers[0]) if carriers else (None,) * len(offsets)
         starts, off = {}, 0
         for blk in self.blocks:
-            starts[off] = blk.size
+            starts[off] = blk
             off += blk.size
         if not offsets:
             raise ValueError("block_sum needs at least one offset")
         if len(set(offsets)) != len(offsets):
             raise ValueError(f"block_sum offsets {offsets} repeat a block")
-        for o in offsets:
+        if len(carriers) != len(offsets):
+            raise ValueError(f"block_sum has {len(carriers)} carriers for "
+                             f"{len(offsets)} offsets {offsets}")
+        checked = []
+        for o, carrier in zip(offsets, carriers):
             if o not in starts:
                 raise ValueError(f"block_sum offset {o} does not start a block")
-            if starts[o] != rhs.size:
-                raise ValueError(f"block_sum block at offset {o} has size {starts[o]}, "
-                                 f"but rhs has length {rhs.size}")
-        return offsets, rhs
+            if carrier is None:
+                if starts[o].size != rhs.size:
+                    raise ValueError(f"block_sum block at offset {o} has size {starts[o].size}, "
+                                     f"but rhs has length {rhs.size}")
+                checked.append(None)
+            else:
+                checked.append(self._check_carrier(o, starts[o], carrier, rhs.size))
+        if all(carrier is None for carrier in checked):
+            return offsets, rhs
+        return offsets, rhs, tuple(checked)
+
+    def _check_carrier(self, off: int, blk, carrier, rows: int) -> np.ndarray:
+        """The carrier of the block at ``off`` as a read-only complex copy."""
+        n = np.array(carrier, dtype=complex)
+        if n.ndim != 2 or n.shape[0] ** 2 != rows:
+            raise ValueError(f"block_sum carrier at offset {off} has shape {n.shape}; "
+                             f"rhs of length {rows} needs {math.isqrt(rows)} rows")
+        r = n.shape[1]
+        if blk != PsdCone(r):
+            raise ValueError(f"block_sum carrier at offset {off} has {r} columns, "
+                             f"but its block is {blk!r}, not PsdCone({r})")
+        dev = float(np.linalg.norm(n.conj().T @ n - np.eye(r)))
+        if not dev <= CARRIER_ISOMETRY_TOL:
+            raise ValueError(f"block_sum carrier at offset {off} is not column-orthonormal: "
+                             f"||N^+N - I|| = {dev:.3e}")
+        if self.quad_diag is not None and np.any(self.quad_diag[off:off + blk.size] != 0):
+            raise ValueError(f"quad_diag is nonzero on the carrier block at offset {off}")
+        n.setflags(write=False)
+        return n
 
     @property
     def num_vars(self) -> int:
@@ -281,24 +325,100 @@ class _ConeProjector:
         return out
 
 
+class _CarrierMaps:
+    """The block-sum maps ``x_j -> svec(N_j smat(x_j) N_j^+)`` of carrier blocks.
+
+    Carriers of equal rank ``r`` form one group: a ``(g, r*r)`` index array
+    of their coordinates and their ``(g, d, r)`` stacked matrices, so the sum
+    of the maps and its adjoint ``y -> svec(N_j^+ smat(y) N_j)`` take one
+    batched product per group.
+    """
+
+    def __init__(self, offsets, carriers, dim):
+        self.dim = dim
+        by_rank = {}
+        for off, n in zip(offsets, carriers):
+            if n is not None:
+                by_rank.setdefault(n.shape[1], []).append((off, n))
+        self.groups = []
+        for r, members in by_rank.items():
+            index = np.asarray([off for off, _ in members])[:, None] + np.arange(r * r)
+            n = np.stack([n for _, n in members])
+            self.groups.append((r, index, n, np.ascontiguousarray(n.conj().transpose(0, 2, 1))))
+
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        """Sum of the maps applied to ``v`` (n,) or to each row of ``v`` (nb, n)."""
+        total = 0.0
+        for r, index, n, nh in self.groups:
+            m = _smat_batch(v[..., index].reshape(-1, r * r), r)
+            total = total + (n @ m.reshape(-1, len(index), r, r) @ nh).sum(axis=1)
+        return _svec_batch(total).reshape(v.shape[:-1] + (self.dim * self.dim,))
+
+    def add_adjoint(self, y: np.ndarray, out: np.ndarray) -> None:
+        """Add ``svec(N_j^+ smat(y) N_j)`` to block ``j`` of ``out`` (n,), for ``y`` (L,)."""
+        ymat = _smat_batch(y[None], self.dim)
+        for r, index, n, nh in self.groups:
+            out[index] += _svec_batch(nh @ ymat @ n)
+
+    def gram(self) -> np.ndarray:
+        """``sum_j P_j`` for ``P_j`` the ``(L, L)`` svec matrix of ``Z -> Q_j Z Q_j``.
+
+        ``Q_j = N_j N_j^+``.  Column ``(c, e)`` of ``P_j`` is the svec of
+        ``Q_j B Q_j`` for the basis matrix ``B`` of that coordinate, which
+        is built from the outer product ``q_c q_e^+`` of two columns of
+        ``Q_j``; summed over ``j`` that outer product is one batched product
+        over the carriers.  ``P_j`` is symmetric, so columns are written as
+        rows, in chunks of coordinate pairs.  O(d**4) work.
+        """
+        d = self.dim
+        q = np.concatenate([n @ nh for _, _, n, nh in self.groups])
+        qh = q.conj()
+        rows, cols = np.triu_indices(d, k=1)
+        t = rows.size
+        diag = np.arange(d)
+
+        def outer(cs, es):
+            o = q[:, :, cs].transpose(2, 1, 0) @ qh[:, :, es].transpose(2, 0, 1)
+            return o[:, diag, diag], o[:, rows, cols], o[:, cols, rows]
+
+        out = np.empty((d * d, d * d))
+        od, ou, _ = outer(diag, diag)
+        out[:d] = np.concatenate([od.real, _SQRT2 * ou.real, _SQRT2 * ou.imag], axis=1)
+        step = max(1, (1 << 20) // (d * d))
+        for lo in range(0, t, step):
+            hi = min(t, lo + step)
+            od, ou, ol = outer(rows[lo:hi], cols[lo:hi])
+            out[d + lo:d + hi] = np.concatenate(
+                [_SQRT2 * od.real, ou.real + ol.real, ou.imag - ol.imag], axis=1)
+            out[d + t + lo:d + t + hi] = np.concatenate(
+                [-_SQRT2 * od.imag, -(ou.imag + ol.imag), ou.real - ol.real], axis=1)
+        return out
+
+
 class _AffineProjector:
     """Projection onto the constraint system in the metric ``D = diag(q) + rho*I``.
 
-    The rows are the block-sum rows ``C`` (scaled to unit norm, ``1/sqrt(m)``
-    for ``m`` blocks, as :func:`_row_equilibrate` scales ``A``), then the
-    equilibrated rows ``R`` of ``A``.  The multipliers ``mu`` of a point
-    ``t`` solve ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  Because the
-    rows of ``C`` have disjoint supports, ``Delta = C D^-1 C'`` is diagonal
-    for any diagonal ``D``, so with ``K = R D^-1 C'`` only the Schur
-    complement ``S = R D^-1 R' - K Delta^-1 K'``, one row and column per row
-    of ``A``, is factored; ``C x`` is a gather-sum over the blocks and
-    ``C' mu`` a scatter.  Without block-sum rows ``C`` is empty and
-    ``S = R D^-1 R'``.
+    The rows are the block-sum rows ``C``, then the equilibrated rows ``R``
+    of ``A``.  Row ``t`` of ``C`` is scaled to unit norm, as
+    :func:`_row_equilibrate` scales ``A``: by ``s_t = 1/sqrt(sum_j P_j[t,t])``,
+    where ``P_j`` is the identity for a plain block and the svec matrix of
+    ``Z -> Q_j Z Q_j``, ``Q_j = N_j N_j^+``, for a carrier block, so
+    ``s_t = 1/sqrt(m)`` for ``m`` plain blocks.  The multipliers ``mu`` of a
+    point ``t`` solve ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  With
+    ``K = R D^-1 C'`` and ``Delta = C D^-1 C'`` only the Schur complement
+    ``S = R D^-1 R' - K Delta^-1 K'``, one row and column per row of ``A``,
+    is factored beside ``Delta``.  Without carriers the rows of ``C`` have
+    disjoint supports, so ``Delta`` is diagonal for any diagonal ``D``,
+    ``C x`` is a gather-sum over the blocks and ``C' mu`` a scatter.  With
+    carriers ``Delta = s (sum_plain D^-1 + sum_j P_j / rho) s`` is dense,
+    built from :meth:`_CarrierMaps.gram` and factored once per metric, and
+    ``C x`` and ``C' mu`` add the batched carrier products.  Without
+    block-sum rows ``C`` is empty and ``S = R D^-1 R'``.
 
     For ``q = 0`` the step is Euclidean (``D = I``) and one factorization
-    serves every rho; with a quadratic term ``S`` depends on rho and is
-    refactored when the penalty changes.  Redundant rows are tolerated by
-    falling back to a pseudoinverse (least-squares multiplier).
+    serves every rho; with a quadratic term ``S`` and ``Delta`` depend on
+    rho and are refactored when the penalty changes.  Redundant rows are
+    tolerated by falling back to a pseudoinverse (least-squares multiplier).
     """
 
     def __init__(self, A, b, quad, block_sum=None):
@@ -307,16 +427,28 @@ class _AffineProjector:
         self.b = b
         self.quad = quad
         self.index = None
+        self.carriers = None
         rhs_norm2 = b @ b
         if block_sum is not None:
-            offsets, rhs = block_sum
-            # (m, L) coordinates of the summed blocks: column t is row t's support.
-            self.index = np.asarray(offsets)[:, None] + np.arange(rhs.size)
-            self.scale = 1.0 / math.sqrt(len(offsets))
+            offsets, rhs, *carriers = block_sum
+            if carriers:
+                self.carriers = _CarrierMaps(offsets, carriers[0], math.isqrt(rhs.size))
+                offsets = [o for o, n in zip(offsets, carriers[0]) if n is None]
+                self._carrier_gram = self.carriers.gram()
+                norms = np.sqrt(len(offsets) + np.diagonal(self._carrier_gram))
+                keep = norms > 1e-14
+                if np.any(np.abs(rhs[~keep]) > 1e-12):
+                    raise ValueError("constraint system contains an inconsistent zero row")
+                self.scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=keep)
+            else:
+                self.scale = 1.0 / math.sqrt(len(offsets))
+            # (m, L) coordinates of the plain summed blocks: column t is row t's support.
+            self.index = np.asarray(offsets, dtype=np.intp)[:, None] + np.arange(rhs.size)
             self.rhs = rhs * self.scale
             rhs_norm2 += self.rhs @ self.rhs
         self.rhs_norm = math.sqrt(rhs_norm2)
         self._d_inv = None
+        self._rho = None
         self._solve = None
         if quad is None:
             self._factor()
@@ -350,19 +482,47 @@ class _AffineProjector:
             a_dinv = self.A * d_inv[None, :]
             gram = a_dinv @ self.AT
         if self.index is not None:
-            m = self.index.shape[0]
-            if d_inv is None:
-                self._delta = np.full(self.index.shape[1], self.scale * self.scale * m)
+            self._k = self.scale * self._block_sums(a_dinv)
+            if self.carriers is None:
+                m = self.index.shape[0]
+                if d_inv is None:
+                    self._delta = np.full(self.index.shape[1], self.scale * self.scale * m)
+                else:
+                    self._delta = self.scale * self.scale * d_inv[self.index].sum(axis=0)
+                gram = gram - (self._k / self._delta) @ self._k.T
             else:
-                self._delta = self.scale * self.scale * d_inv[self.index].sum(axis=0)
-            self._k = self.scale * a_dinv[:, self.index].sum(axis=1)
-            gram = gram - (self._k / self._delta) @ self._k.T
+                if d_inv is None:
+                    # Factored once, for every rho: the Gram matrix is not needed again.
+                    delta, self._carrier_gram = self._carrier_gram, None
+                    delta[np.diag_indices_from(delta)] += self.index.shape[0]
+                else:
+                    delta = self._carrier_gram / self._rho
+                    delta[np.diag_indices_from(delta)] += d_inv[self.index].sum(axis=0)
+                delta *= self.scale[:, None]
+                delta *= self.scale
+                self._delta_solve = self._make_solver(delta)
+                if self.b.size:
+                    gram = gram - self._k @ self._delta_solve(self._k.T.copy())
         self._solve = self._make_solver(gram) if self.b.size else None
 
     def set_rho(self, rho):
         if self.quad is not None:
+            self._rho = rho
             self._d_inv = 1.0 / (self.quad + rho)
             self._factor()
+
+    def _block_sums(self, v):
+        """The unscaled block-sum rows applied to ``v`` (n,) or each row of ``v`` (nb, n)."""
+        sums = v[..., self.index].sum(axis=-2)
+        if self.carriers is not None:
+            sums = sums + self.carriers.forward(v)
+        return sums
+
+    def _delta_inv(self, r):
+        """``Delta^-1 r``; ``r`` is a temporary it may overwrite."""
+        if self.carriers is None:
+            return r / self._delta
+        return self._delta_solve(r)
 
     def _multiplier_image(self, t):
         """``[C; R]' mu`` for the multipliers ``mu`` of the point ``t``.
@@ -372,15 +532,18 @@ class _AffineProjector:
         """
         if self.index is None:
             return self.AT @ self._solve(self.A @ t - self.b)
-        r_c = self.scale * t[self.index].sum(axis=0) - self.rhs
-        mu_c = r_c / self._delta
+        r_c = self.scale * self._block_sums(t) - self.rhs
+        mu_c = self._delta_inv(r_c)
         if self._solve is None:
             out = np.zeros_like(t)
         else:
             mu = self._solve(self.A @ t - self.b - self._k @ mu_c)
-            mu_c -= (self._k.T @ mu) / self._delta
+            mu_c -= self._delta_inv(self._k.T @ mu)
             out = self.AT @ mu
-        out[self.index] += self.scale * mu_c
+        y = self.scale * mu_c
+        out[self.index] += y
+        if self.carriers is not None:
+            self.carriers.add_adjoint(y, out)
         return out
 
     def project(self, v, c, rho):
@@ -399,10 +562,38 @@ class _AffineProjector:
         """Norm of the equilibrated constraint residual at ``x``, all rows."""
         res2 = 0.0
         if self.index is not None:
-            r_c = self.scale * x[self.index].sum(axis=0) - self.rhs
+            r_c = self.scale * self._block_sums(x) - self.rhs
             res2 = r_c @ r_c
         r = self.A @ x - self.b
         return math.sqrt(res2 + r @ r)
+
+
+# Carrier rows of at most this many dense entries (every uqsd program up to
+# d=16) are solved as rows of ``A``.  Up to d=8 the batched carrier products
+# cost more in numpy call overhead than dense products with the rows.  At d=16
+# the structured step is faster by about 13 ms per solve, but dense rows keep
+# the arithmetic, and so the last bits, of the 4-qubit uqsd references that
+# the fit schemes take as data; their Anderson-accelerated iteration counts
+# are chaotic in those bits (ROADMAP F1).
+_MAX_DENSE_CARRIER_ROWS = 1 << 18
+
+
+def _block_sum_rows(program: ConeProgram) -> np.ndarray:
+    """The carrier block-sum rows of ``program`` as a dense ``(L, n)`` matrix.
+
+    Column ``t`` of a carrier block's part is ``svec(N B_t N^+)`` for the
+    basis matrix ``B_t = smat(e_t)``, all computed in one batched product.
+    """
+    offsets, rhs, carriers = program.block_sum
+    rows = np.zeros((rhs.size, program.num_vars))
+    for off, n in zip(offsets, carriers):
+        if n is None:
+            rows[:, off:off + rhs.size] += np.eye(rhs.size)
+        else:
+            r = n.shape[1]
+            maps = _svec_batch(n @ _smat_batch(np.eye(r * r), r) @ n.conj().T)
+            rows[:, off:off + r * r] += maps.T
+    return rows
 
 
 def _row_equilibrate(A, b):
@@ -513,13 +704,19 @@ def solve(program: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = program.num_vars
-    A, b = _row_equilibrate(program.A, program.b)
+    A, b, block_sum = program.A, program.b, program.block_sum
+    if block_sum is not None and len(block_sum) == 3 and \
+            block_sum[1].size * n <= _MAX_DENSE_CARRIER_ROWS:
+        A = np.vstack([_block_sum_rows(program), A])
+        b = np.concatenate([block_sum[1], b])
+        block_sum = None
+    A, b = _row_equilibrate(A, b)
     c = program.c
     quad = program.quad_diag
     if rho is None:
         rho = 0.02 if quad is not None else 1.0
     project_cone = _ConeProjector(program.blocks)
-    affine = _AffineProjector(A, b, quad, program.block_sum)
+    affine = _AffineProjector(A, b, quad, block_sum)
     affine.set_rho(rho)
     affine_tol = tol * (1.0 + affine.rhs_norm)
 

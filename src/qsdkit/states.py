@@ -25,6 +25,7 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 POVM_PSD_TOL = 1e-7
 POVM_COMPLETENESS_TOL = 1e-7
+CARRIER_ISOMETRY_TOL = 1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+import qsdkit.solver as solver_module
 from qsdkit import (
     INFEASIBLE,
     OPTIMAL,
     SCHEME_NAMES,
     ConeProgram,
+    DensityMatrix,
     FreeCone,
     NonNegCone,
     ProblemSpec,
     PsdCone,
     build_scheme,
+    build_uqsd,
     make_benchmark_two_qubit_states,
     psd_project,
     smat,
@@ -266,7 +269,7 @@ def expand_block_sum(program):
 
 
 BLOCK_SUM_CASES = [(inst, name) for inst in ("ens", "tri2") for name in SCHEME_NAMES
-                   # uqsd has no block-sum rows; ens minss takes 34 735 iterations.
+                   # uqsd's rows carry carriers (TestCarrierRows); ens minss takes 34 735 iterations.
                    if name != "uqsd" and (inst, name) != ("ens", "minss")]
 
 
@@ -308,3 +311,154 @@ class TestBlockSum:
         gram = vecs.conj() @ vecs.T
         srm = np.sum(np.sqrt(np.linalg.eigvalsh(gram))) ** 2 / 9
         assert abs(result.value - srm) <= 1e-8
+
+
+def expand_carriers(program):
+    """The program with its carrier block-sum rows written as dense rows of A, first.
+
+    Column ``t`` of a carrier block's part is ``svec(N smat(e_t) N^+)``, one
+    basis matrix at a time.
+    """
+    offsets, rhs, carriers = program.block_sum
+    rows = np.zeros((rhs.size, program.num_vars))
+    for off, n in zip(offsets, carriers):
+        if n is None:
+            rows[:, off:off + rhs.size] += np.eye(rhs.size)
+            continue
+        r = n.shape[1]
+        for t in range(r * r):
+            rows[:, off + t] += svec(n @ smat(np.eye(r * r)[t], r) @ n.conj().T)
+    return ConeProgram(blocks=program.blocks, c=program.c, A=np.vstack([rows, program.A]),
+                       b=np.concatenate([rhs, program.b]), quad_diag=program.quad_diag)
+
+
+def mixed_spec():
+    """d=4 states of ranks 1, 1, 2, so the uqsd carriers have ranks 1, 1, 2."""
+    rng = np.random.default_rng(5)
+    vecs = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    pure = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in vecs]
+    states = (DensityMatrix(pure[0]), DensityMatrix(pure[1]),
+              DensityMatrix(0.3 * pure[2] + 0.7 * pure[3]))
+    return ProblemSpec(states, np.array([0.2, 0.3, 0.5]), 0.0)
+
+
+def carrier_spec(inst):
+    if inst == "ens":
+        return ProblemSpec.from_states(make_benchmark_two_qubit_states(), noise_lambda=0.0)
+    if inst == "mixed4":
+        return mixed_spec()
+    return _bench_spec(int(inst[-1]), 0.0)
+
+
+def with_conclusive_penalty(program, weight):
+    """``program`` plus a free ``s`` pinned to the conclusive trace, with ``weight * s**2``.
+
+    The new row couples every carrier block, and the quadratic term makes
+    the affine step refactor ``Delta`` when the penalty changes.
+    """
+    offsets, rhs, carriers = program.block_sum
+    n = program.num_vars
+    row = np.zeros(n + 1)
+    for off, carrier in zip(offsets, carriers):
+        if carrier is not None:
+            r = carrier.shape[1]
+            row[off:off + r * r] = svec(np.eye(r))
+    row[n] = -1.0
+    quad = np.zeros(n + 1)
+    quad[n] = 2.0 * weight
+    return ConeProgram(blocks=program.blocks + (FreeCone(1),), c=np.append(program.c, 0.0),
+                       A=np.vstack([np.hstack([program.A, np.zeros((program.A.shape[0], 1))]),
+                                    row]),
+                       b=np.append(program.b, 0.0), quad_diag=quad,
+                       block_sum=program.block_sum)
+
+
+def assert_same_solve(program, expanded, monkeypatch):
+    """The structured step and the dense rows take the same path (no acceleration)."""
+    monkeypatch.setattr(solver_module, "_MAX_DENSE_CARRIER_ROWS", 0)
+    structured = solve(program, acceleration=0)
+    dense = solve(expanded, acceleration=0)
+    assert structured.status == dense.status == OPTIMAL
+    assert structured.iterations == dense.iterations
+    assert abs(structured.objective - dense.objective) <= 1e-12
+    residual = np.linalg.norm(expanded.A @ structured.x - expanded.b)
+    assert residual <= 1e-8 * (1 + np.linalg.norm(expanded.b))
+
+
+def carrier_program(blocks, carriers, quad_diag=None):
+    n = sum(blk.size for blk in blocks)
+    offsets = np.cumsum([0] + [blk.size for blk in blocks[:-1]])
+    return ConeProgram(blocks=blocks, c=np.zeros(n), A=np.zeros((0, n)), b=np.zeros(0),
+                       quad_diag=quad_diag,
+                       block_sum=(tuple(offsets), svec(np.eye(2)), carriers))
+
+
+class TestCarrierRows:
+    @pytest.mark.parametrize("inst", ["ens", "tri2", "tri3", "mixed4"])
+    def test_uqsd_matches_dense_rows(self, inst, monkeypatch):
+        program = build_uqsd(carrier_spec(inst)).program
+        assert program.A.shape[0] == 0 and len(program.block_sum) == 3
+        expanded = expand_carriers(program)
+        # Small programs are solved through these dense rows by default.
+        L = program.block_sum[1].size
+        np.testing.assert_allclose(solver_module._block_sum_rows(program), expanded.A[:L],
+                                   rtol=0, atol=1e-15)
+        assert_same_solve(program, expanded, monkeypatch)
+
+    def test_mixed_carriers_have_unequal_ranks(self):
+        _, _, carriers = build_uqsd(mixed_spec()).program.block_sum
+        assert [None if n is None else n.shape[1] for n in carriers] == [1, 1, 2, None]
+
+    def test_coupling_rows_and_quadratic_term(self, monkeypatch):
+        program = with_conclusive_penalty(build_uqsd(mixed_spec()).program, weight=0.5)
+        assert_same_solve(program, expand_carriers(program), monkeypatch)
+
+    @pytest.mark.parametrize("dense_limit", [0, 1 << 18])
+    def test_uncovered_rows(self, dense_limit, monkeypatch):
+        # One carrier |0> covers only the (0, 0) row; the other rows read 0 = rhs.
+        monkeypatch.setattr(solver_module, "_MAX_DENSE_CARRIER_ROWS", dense_limit)
+        carrier = (np.array([[1.0], [0.0]]),)
+        program = ConeProgram(blocks=(PsdCone(1),), c=np.ones(1), A=np.zeros((0, 1)),
+                              b=np.zeros(0), block_sum=((0,), svec(np.diag([2.0, 0.0])), carrier))
+        sol = solve(program)
+        assert sol.status == OPTIMAL
+        assert abs(sol.x[0] - 2.0) <= 1e-8
+        inconsistent = ConeProgram(blocks=(PsdCone(1),), c=np.ones(1), A=np.zeros((0, 1)),
+                                   b=np.zeros(0), block_sum=((0,), svec(np.eye(2)), carrier))
+        with pytest.raises(ValueError, match="inconsistent zero row"):
+            solve(inconsistent)
+
+    def test_carrier_count_must_match_offsets(self):
+        with pytest.raises(ValueError, match="1 carriers for 2 offsets"):
+            carrier_program((PsdCone(1), PsdCone(2)), (np.array([[1.0], [0.0]]),))
+
+    def test_carrier_block_must_be_psd_of_its_rank(self):
+        with pytest.raises(ValueError, match="offset 0 has 1 columns.*not PsdCone\\(1\\)"):
+            carrier_program((NonNegCone(1), PsdCone(2)), (np.array([[1.0], [0.0]]), None))
+        with pytest.raises(ValueError, match="offset 4 has 1 columns.*not PsdCone\\(1\\)"):
+            carrier_program((PsdCone(2), PsdCone(2)), (None, np.array([[1.0], [0.0]])))
+
+    def test_carrier_must_be_column_orthonormal(self):
+        with pytest.raises(ValueError, match="offset 0 is not column-orthonormal"):
+            carrier_program((PsdCone(1), PsdCone(2)), (np.array([[1.0], [1e-3]]), None))
+
+    def test_quad_diag_must_vanish_on_carrier_blocks(self):
+        blocks = (PsdCone(1), PsdCone(2))
+        carriers = (np.array([[0.0], [1.0]]), None)
+        carrier_program(blocks, carriers, quad_diag=np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="nonzero on the carrier block at offset 0"):
+            carrier_program(blocks, carriers, quad_diag=np.array([1e-3, 0.0, 0.0, 0.0, 0.0]))
+
+    def test_carrier_free_block_sum_stays_a_pair(self):
+        program = carrier_program((PsdCone(2), PsdCone(2)), (None, None))
+        assert len(program.block_sum) == 2
+
+    def test_six_qubit_uqsd_matches_chefles_barnett(self):
+        # Equiprobable symmetric pure states: P = lambda_min of their Gram matrix.
+        spec = _bench_spec(6, 0.0)
+        result = solve_scheme(spec, "uqsd")
+        assert result.scheme.program.A.shape[0] == 0
+        assert result.solution.status == OPTIMAL
+        vecs = np.stack([np.linalg.eigh(s.matrix)[1][:, -1] for s in spec.states])
+        gram = vecs.conj() @ vecs.T
+        assert abs(result.value - np.linalg.eigvalsh(gram)[0]) <= 1e-8
