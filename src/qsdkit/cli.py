@@ -34,8 +34,8 @@ from .metrics import (
 from .schemes import (
     AT_LEAST,
     AT_MOST,
-    REFERENCE_SCHEMES,
     SCHEME_NAMES,
+    SCHEMES,
     DecodeError,
     solve_scheme,
     uqsd_reference,
@@ -51,7 +51,7 @@ from .serialize import (
     write_povm,
     write_sweep_csv,
 )
-from .solver import OPTIMAL
+from .solver import DEFAULT_MAX_ITERS, DEFAULT_TOL, OPTIMAL
 from .states import ProblemSpec, depolarize, make_coherent_state
 
 
@@ -89,21 +89,15 @@ def cmd_solve(args) -> int:
     lam_eval = args.lambda_eval if args.lambda_eval is not None else (args.lam or 0.0)
     lam_metrics = args.lam if args.lam is not None else lam_eval
     spec = spec.with_noise(lam_eval)
-    k = spec.num_states
-    params = {}
-    if args.scheme == "frio":
-        params["rate"] = args.rate
-        params["bound"] = args.bound
-    if args.scheme == "crossqsd":
-        params["alpha"] = _parse_vector(args.alpha, k, "--alpha")
-        params["beta"] = _parse_vector(args.beta, k, "--beta")
-    if args.scheme == "hybrid":
-        params["w"] = args.w
-        params["ell"] = args.ell
-    if args.scheme in REFERENCE_SCHEMES and args.reference:
-        ref_povm = read_povm(args.reference)
+    # The scheme parameters given on the command line; the scheme fills in the rest.
+    names = {key for _, defaults in SCHEMES.values() for key in defaults}
+    params = {key: value for key, value in vars(args).items() if key in names}
+    for key in ("alpha", "beta"):
+        if key in params:
+            params[key] = _parse_vector(params[key], spec.num_states, "--" + key)
+    if "reference" in params:
+        ref_povm = read_povm(params["reference"])
         params["reference"] = joint_distribution(spec.with_noise(0.0), ref_povm, 0.0)
-
     result = solve_scheme(spec, args.scheme, tol=args.tol,
                           max_iters=args.max_iters, **params)
     sol = result.solution
@@ -254,12 +248,15 @@ def cmd_bench(args) -> int:
             if time.perf_counter() - started > args.budget_seconds:
                 budget_hit = True
                 break
-            if name in REFERENCE_SCHEMES and reference is None:
-                reference = uqsd_reference(spec, tol=args.tol)
+            params = {}
+            if "reference" in SCHEMES[name][1]:
+                if reference is None:
+                    reference = uqsd_reference(spec, tol=args.tol)
+                params["reference"] = reference
 
             t0 = time.perf_counter()
             result = solve_scheme(spec, name, tol=args.tol,
-                                  max_iters=args.max_iters, reference=reference)
+                                  max_iters=args.max_iters, **params)
             rows.append({"scheme": name, "qubits": num_qubits, "task": "solve",
                          "seconds": time.perf_counter() - t0})
 
@@ -289,8 +286,9 @@ def _print_json(obj) -> None:
 
 
 def _add_common(p):
-    p.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
-    p.add_argument("--max-iters", type=int, default=200_000, help="solver iteration budget")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
+                   help="solver iteration budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,13 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise level for the reported metrics (default: lambda-eval)")
     p.add_argument("--lambda-eval", dest="lambda_eval", type=float, default=None,
                    help="noise level assumed while solving (default: --lambda or 0)")
-    p.add_argument("--rate", type=float, default=0.1, help="frio inconclusive rate")
-    p.add_argument("--bound", choices=(AT_LEAST, AT_MOST), default=AT_LEAST)
-    p.add_argument("--alpha", default="0.1", help="crossqsd false-positive bounds")
-    p.add_argument("--beta", default="0.1", help="crossqsd false-negative bounds")
-    p.add_argument("--w", type=float, default=0.3, help="hybrid trade-off weight")
-    p.add_argument("--ell", type=int, default=1, choices=(1, 2), help="deviation norm")
-    p.add_argument("--reference", help="POVM file defining the reference distribution")
+    # Scheme parameters: an absent flag takes the scheme's default, and a
+    # flag the scheme does not take is a usage error (see schemes.SCHEMES).
+    p.add_argument("--rate", type=float, default=argparse.SUPPRESS, help="frio inconclusive rate")
+    p.add_argument("--bound", choices=(AT_LEAST, AT_MOST), default=argparse.SUPPRESS)
+    p.add_argument("--alpha", default=argparse.SUPPRESS, help="crossqsd false-positive bounds")
+    p.add_argument("--beta", default=argparse.SUPPRESS, help="crossqsd false-negative bounds")
+    p.add_argument("--w", type=float, default=argparse.SUPPRESS, help="hybrid trade-off weight")
+    p.add_argument("--ell", type=int, choices=(1, 2), default=argparse.SUPPRESS,
+                   help="deviation norm")
+    p.add_argument("--reference", default=argparse.SUPPRESS,
+                   help="POVM file defining the reference distribution")
     _add_common(p)
 
     p = sub.add_parser("dilate", help="build a projective dilation of a POVM")

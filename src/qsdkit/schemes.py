@@ -22,6 +22,9 @@ Supported strategies
 - ``hybrid``     success probability minus ``w`` times the distribution
                  deviation
 
+:data:`SCHEMES` declares each strategy's builder call and its keyword
+parameters with their defaults; :func:`build_scheme` and
+:func:`solve_scheme` take exactly those parameters and reject any other.
 The noise level assumed while solving is ``spec.noise_lambda``; use
 ``spec.with_noise`` to build a program for a different assumption.
 """
@@ -34,6 +37,8 @@ import numpy as np
 
 from .metrics import JointDistribution, joint_distribution
 from .solver import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     MAX_ITERS,
     OPTIMAL,
     ConeProgram,
@@ -50,11 +55,6 @@ from .states import INCONCLUSIVE, Povm, ProblemSpec
 
 AT_LEAST = "at_least"
 AT_MOST = "at_most"
-
-SCHEME_NAMES = ("med", "med_plus", "uqsd", "frio", "crossqsd",
-                "minl1", "minss", "meco", "hybrid")
-#: Schemes that fit a reference distribution (default: :func:`uqsd_reference`).
-REFERENCE_SCHEMES = ("minl1", "minss", "meco", "hybrid")
 
 
 class DecodeError(RuntimeError):
@@ -153,59 +153,43 @@ class _Assembler:
                            block_sum=self.block_sum)
 
 
-def _noisy_svecs(spec: ProblemSpec) -> list:
-    return [svec(rho.matrix) for rho in spec.noisy_states()]
+def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool = True):
+    """POVM element blocks at ``offs``; returns ``(asm, svecs, offs)``.
 
-
-def _element_blocks(asm: _Assembler, spec: ProblemSpec, inconclusive: bool):
-    """POVM element blocks plus the completeness constraint; returns offsets.
-
-    Completeness, ``sum_j Pi_j = I``, is recorded as the program's block-sum
-    rows rather than as ``d**2`` rows of ``A``.
+    ``svecs`` are the noisy states' svecs.  Completeness, ``sum_j Pi_j = I``,
+    is recorded as the program's block-sum rows rather than as ``d**2`` rows
+    of ``A``.  With ``success`` the objective is minus the success probability.
     """
+    asm = _Assembler()
+    svecs = [svec(rho.matrix) for rho in spec.noisy_states()]
     d = spec.dim
     count = spec.num_states + (1 if inconclusive else 0)
     offs = [asm.add_psd(d) for _ in range(count)]
     asm.block_sum = (tuple(offs), svec(np.eye(d)))
-    return offs
+    if success:
+        for i in range(spec.num_states):
+            asm.add_objective(offs[i], -spec.priors[i] * svecs[i])
+    return asm, svecs, offs
 
 
-def _labels(spec: ProblemSpec, inconclusive: bool) -> tuple:
-    labels = list(range(spec.num_states))
-    if inconclusive:
-        labels.append(INCONCLUSIVE)
-    return tuple(labels)
-
-
-def _success_objective(asm, spec, offs, svecs, sign=-1.0):
-    for i in range(spec.num_states):
-        asm.add_objective(offs[i], sign * spec.priors[i] * svecs[i])
-
-
-def _make_scheme(asm, spec, labels, maximize, name) -> SchemeProgram:
-    """Finish a scheme whose elements are plain blocks 0..len(labels)-1."""
-    return SchemeProgram(asm.build(), spec.dim, spec.num_states, labels,
+def _make_scheme(asm, spec, offs, name, maximize=True) -> SchemeProgram:
+    """Finish a program of :func:`_element_program` with element offsets ``offs``."""
+    k, count = spec.num_states, len(offs)
+    return SchemeProgram(asm.build(), spec.dim, k, tuple(range(k)) + (INCONCLUSIVE,) * (count - k),
                          maximize=maximize, name=name,
-                         element_blocks=tuple(range(len(labels))),
-                         carriers=(None,) * len(labels))
+                         element_blocks=tuple(range(count)), carriers=(None,) * count)
 
 
 def build_med(spec: ProblemSpec) -> SchemeProgram:
     """Minimum-error discrimination: maximize the success probability."""
-    asm = _Assembler()
-    svecs = _noisy_svecs(spec)
-    offs = _element_blocks(asm, spec, inconclusive=False)
-    _success_objective(asm, spec, offs, svecs)
-    return _make_scheme(asm, spec, _labels(spec, False), maximize=True, name="med")
+    asm, _, offs = _element_program(spec, inconclusive=False)
+    return _make_scheme(asm, spec, offs, "med")
 
 
 def build_med_plus(spec: ProblemSpec) -> SchemeProgram:
     """Minimum-error discrimination with an (always redundant) inconclusive element."""
-    asm = _Assembler()
-    svecs = _noisy_svecs(spec)
-    offs = _element_blocks(asm, spec, inconclusive=True)
-    _success_objective(asm, spec, offs, svecs)
-    return _make_scheme(asm, spec, _labels(spec, True), maximize=True, name="med_plus")
+    asm, _, offs = _element_program(spec)
+    return _make_scheme(asm, spec, offs, "med_plus")
 
 
 def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
@@ -252,7 +236,7 @@ def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
     block_carriers = tuple(n_j for n_j in carriers if n_j is not None) + (None,)
     asm.block_sum = (tuple(offsets), svec(np.eye(d)), block_carriers)
 
-    return SchemeProgram(asm.build(), d, k, _labels(spec, True),
+    return SchemeProgram(asm.build(), d, k, tuple(range(k)) + (INCONCLUSIVE,),
                          maximize=True, name="uqsd",
                          element_blocks=tuple(element_blocks),
                          carriers=tuple(carriers) + (None,))
@@ -268,15 +252,12 @@ def build_frio(spec: ProblemSpec, rate: float, bound: str = AT_LEAST) -> SchemeP
         raise ValueError("rate must be in [0, 1]")
     if bound not in (AT_LEAST, AT_MOST):
         raise ValueError(f"bound must be '{AT_LEAST}' or '{AT_MOST}'")
-    asm = _Assembler()
-    svecs = _noisy_svecs(spec)
-    offs = _element_blocks(asm, spec, inconclusive=True)
-    _success_objective(asm, spec, offs, svecs)
+    asm, svecs, offs = _element_program(spec)
     inc_vec = sum(p * sv for p, sv in zip(spec.priors, svecs))
     slack = asm.add_nonneg()
     sign = -1.0 if bound == AT_LEAST else 1.0
     asm.add_row([(offs[-1], inc_vec), (slack, [sign])], rate)
-    return _make_scheme(asm, spec, _labels(spec, True), maximize=True, name="frio")
+    return _make_scheme(asm, spec, offs, "frio")
 
 
 def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
@@ -293,12 +274,9 @@ def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
     beta = np.asarray(beta, dtype=float).ravel()
     if alpha.size != k or beta.size != k:
         raise ValueError("need one alpha and one beta per state")
-    if np.any((alpha < 0) | (alpha > 1)) or np.any((beta < 0) | (beta > 1)):
+    if not np.all((0 <= alpha) & (alpha <= 1) & (0 <= beta) & (beta <= 1)):
         raise ValueError("alpha and beta entries must lie in [0, 1]")
-    asm = _Assembler()
-    svecs = _noisy_svecs(spec)
-    offs = _element_blocks(asm, spec, inconclusive=True)
-    _success_objective(asm, spec, offs, svecs)
+    asm, svecs, offs = _element_program(spec)
     priors = spec.priors
     for i in range(k):
         # Tr(rho_i' Pi_i) >= (1 - alpha_i) * sum_j Tr(rho_i' Pi_j)
@@ -313,7 +291,7 @@ def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
         vec = priors[i] * svecs[i] - (1.0 - beta[i]) * sum(
             priors[j] * svecs[j] for j in range(k))
         asm.add_row([(offs[i], vec), (slack, [-1.0])], 0.0)
-    return _make_scheme(asm, spec, _labels(spec, True), maximize=True, name="crossqsd")
+    return _make_scheme(asm, spec, offs, "crossqsd")
 
 
 def _check_reference(spec: ProblemSpec, reference: JointDistribution) -> np.ndarray:
@@ -327,7 +305,7 @@ def _check_reference(spec: ProblemSpec, reference: JointDistribution) -> np.ndar
 def _deviation_terms(asm, spec, offs, svecs, ref, ell, weight):
     """Slack encoding of ``weight * sum_ij |ref_ij - p_i Tr(rho_i' Pi_j)|^ell``.
 
-    ``svecs`` are the noisy states' svecs (:func:`_noisy_svecs`).  For ell=1
+    ``svecs`` are the noisy states' svecs (:func:`_element_program`).  For ell=1
     each entry gets a bound variable ``t >= |deviation|`` entering the linear
     objective; for ell=2 each deviation is pinned to a free variable entering
     the diagonal quadratic term.
@@ -359,11 +337,9 @@ def build_fit_min_lp(spec: ProblemSpec, ell: int, reference: JointDistribution) 
     if ell not in (1, 2):
         raise ValueError("ell must be 1 or 2")
     ref = _check_reference(spec, reference)
-    asm = _Assembler()
-    offs = _element_blocks(asm, spec, inconclusive=True)
-    _deviation_terms(asm, spec, offs, _noisy_svecs(spec), ref, ell, weight=1.0)
-    name = "minl1" if ell == 1 else "minss"
-    return _make_scheme(asm, spec, _labels(spec, True), maximize=False, name=name)
+    asm, svecs, offs = _element_program(spec, success=False)
+    _deviation_terms(asm, spec, offs, svecs, ref, ell, weight=1.0)
+    return _make_scheme(asm, spec, offs, "minl1" if ell == 1 else "minss", maximize=False)
 
 
 def build_fit_meco(spec: ProblemSpec, reference: JointDistribution) -> SchemeProgram:
@@ -376,10 +352,7 @@ def build_fit_meco(spec: ProblemSpec, reference: JointDistribution) -> SchemePro
     solver status.
     """
     ref = _check_reference(spec, reference)
-    asm = _Assembler()
-    svecs = _noisy_svecs(spec)
-    offs = _element_blocks(asm, spec, inconclusive=True)
-    _success_objective(asm, spec, offs, svecs)
+    asm, svecs, offs = _element_program(spec)
     k = spec.num_states
     for i in range(k):
         for j in range(k):
@@ -389,7 +362,7 @@ def build_fit_meco(spec: ProblemSpec, reference: JointDistribution) -> SchemePro
                 asm.add_row([(offs[j], w_vec), (slack, [1.0])], ref[i, j])
             else:
                 asm.add_row([(offs[j], w_vec), (slack, [-1.0])], ref[i, j])
-    return _make_scheme(asm, spec, _labels(spec, True), maximize=True, name="meco")
+    return _make_scheme(asm, spec, offs, "meco")
 
 
 def build_hybrid(spec: ProblemSpec, w: float, ell: int,
@@ -400,18 +373,15 @@ def build_hybrid(spec: ProblemSpec, w: float, ell: int,
     ``w = 0`` recovers plain success maximization; large ``w`` forces the
     distribution onto the reference.
     """
-    if w < 0:
+    if not w >= 0:
         raise ValueError("w must be nonnegative")
     if ell not in (1, 2):
         raise ValueError("ell must be 1 or 2")
     ref = _check_reference(spec, reference)
-    asm = _Assembler()
-    svecs = _noisy_svecs(spec)
-    offs = _element_blocks(asm, spec, inconclusive=True)
-    _success_objective(asm, spec, offs, svecs)
+    asm, svecs, offs = _element_program(spec)
     if w > 0:
         _deviation_terms(asm, spec, offs, svecs, ref, ell, weight=w)
-    return _make_scheme(asm, spec, _labels(spec, True), maximize=True, name="hybrid")
+    return _make_scheme(asm, spec, offs, "hybrid")
 
 
 # --------------------------------------------------------------------------
@@ -457,8 +427,8 @@ def decode_povm(scheme: SchemeProgram, solution: Solution) -> Povm:
     return Povm(dim=d, elements=tuple(cleaned), labels=scheme.labels)
 
 
-def uqsd_reference(spec: ProblemSpec, tol: float = 1e-8,
-                   max_iters: int = 200_000) -> JointDistribution:
+def uqsd_reference(spec: ProblemSpec, tol: float = DEFAULT_TOL,
+                   max_iters: int = DEFAULT_MAX_ITERS) -> JointDistribution:
     """Outcome distribution of optimal noiseless unambiguous discrimination.
 
     This is the default reference for the fit and hybrid schemes: the joint
@@ -472,44 +442,59 @@ def uqsd_reference(spec: ProblemSpec, tol: float = 1e-8,
     return joint_distribution(noiseless, povm, 0.0)
 
 
-def build_scheme(spec: ProblemSpec, name: str, *, rate: float = 0.1,
-                 bound: str = AT_LEAST, alpha=None, beta=None, w: float = 0.3,
-                 ell: int = 1, reference: JointDistribution | None = None,
-                 tol: float = 1e-8) -> SchemeProgram:
-    """Dispatch a scheme by name with keyword parameters.
+def _per_state(spec: ProblemSpec, value):
+    """``value`` for every state when it is a scalar, else ``value`` unchanged."""
+    return np.full(spec.num_states, value) if np.ndim(value) == 0 else value
 
-    The :data:`REFERENCE_SCHEMES` default their reference to
-    :func:`uqsd_reference` on the same instance.
+
+#: Each scheme's builder call and its keyword parameters with their defaults.
+#: A call looks its builder up by name when it runs, so a wrapper installed
+#: on this module's attribute (by a profiler, say) sees every build.  A
+#: ``reference`` of ``None`` stands for :func:`uqsd_reference` of the spec.
+SCHEMES = {
+    "med": (lambda spec, p: build_med(spec), {}),
+    "med_plus": (lambda spec, p: build_med_plus(spec), {}),
+    "uqsd": (lambda spec, p: build_uqsd(spec), {}),
+    "frio": (lambda spec, p: build_frio(spec, p["rate"], p["bound"]),
+             {"rate": 0.1, "bound": AT_LEAST}),
+    "crossqsd": (lambda spec, p: build_crossqsd(spec, _per_state(spec, p["alpha"]),
+                                                _per_state(spec, p["beta"])),
+                 {"alpha": 0.1, "beta": 0.1}),
+    "minl1": (lambda spec, p: build_fit_min_lp(spec, 1, p["reference"]), {"reference": None}),
+    "minss": (lambda spec, p: build_fit_min_lp(spec, 2, p["reference"]), {"reference": None}),
+    "meco": (lambda spec, p: build_fit_meco(spec, p["reference"]), {"reference": None}),
+    "hybrid": (lambda spec, p: build_hybrid(spec, p["w"], p["ell"], p["reference"]),
+               {"w": 0.3, "ell": 1, "reference": None}),
+}
+SCHEME_NAMES = tuple(SCHEMES)
+
+
+def build_scheme(spec: ProblemSpec, name: str, *, tol: float = DEFAULT_TOL,
+                 **params) -> SchemeProgram:
+    """Build a scheme by name from the keyword parameters it takes.
+
+    The parameters and their defaults are those of :data:`SCHEMES`; a
+    parameter the scheme does not take raises ``ValueError``.  A scalar
+    ``alpha`` or ``beta`` applies to every state.  A fitting scheme without
+    a ``reference`` fits :func:`uqsd_reference` of ``spec``, solved to
+    ``tol``.
     """
-    if name not in SCHEME_NAMES:
+    if name not in SCHEMES:
         raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
-    if name in REFERENCE_SCHEMES and reference is None:
-        reference = uqsd_reference(spec, tol=tol)
-    k = spec.num_states
-    if name == "med":
-        return build_med(spec)
-    if name == "med_plus":
-        return build_med_plus(spec)
-    if name == "uqsd":
-        return build_uqsd(spec)
-    if name == "frio":
-        return build_frio(spec, rate, bound)
-    if name == "crossqsd":
-        alpha = np.full(k, 0.1) if alpha is None else alpha
-        beta = np.full(k, 0.1) if beta is None else beta
-        return build_crossqsd(spec, alpha, beta)
-    if name == "minl1":
-        return build_fit_min_lp(spec, 1, reference)
-    if name == "minss":
-        return build_fit_min_lp(spec, 2, reference)
-    if name == "meco":
-        return build_fit_meco(spec, reference)
-    return build_hybrid(spec, w, ell, reference)
+    call, defaults = SCHEMES[name]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        takes = ", ".join(defaults) or "no parameters"
+        raise ValueError(f"scheme {name!r} takes {takes}; got {', '.join(unknown)}")
+    params = {**defaults, **params}
+    if "reference" in params and params["reference"] is None:
+        params["reference"] = uqsd_reference(spec, tol=tol)
+    return call(spec, params)
 
 
-def solve_scheme(spec: ProblemSpec, name: str, *, tol: float = 1e-8,
-                 max_iters: int = 200_000, **params) -> SchemeResult:
-    """Build, solve, and decode one scheme in a single call."""
+def solve_scheme(spec: ProblemSpec, name: str, *, tol: float = DEFAULT_TOL,
+                 max_iters: int = DEFAULT_MAX_ITERS, **params) -> SchemeResult:
+    """Build (see :func:`build_scheme`), solve, and decode one scheme in one call."""
     scheme = build_scheme(spec, name, tol=tol, **params)
     solution = solve(scheme.program, tol=tol, max_iters=max_iters)
     povm = decode_povm(scheme, solution)

@@ -169,7 +169,8 @@ class ConeProgram:
     coordinate ``t`` of every listed block.  Each offset must start a
     distinct block of size ``L``, which makes the supports of the rows
     disjoint.  In the constraint system the block-sum rows come first, then
-    the rows of ``A``; ``A`` is dense and may have no rows.
+    the rows of ``A``; ``A`` is dense and may have no rows.  Every entry of
+    ``c``, ``A``, ``b`` and ``quad_diag`` must be finite.
 
     ``block_sum = (offsets, rhs, carriers)`` gives one entry per offset,
     ``None`` or a column-orthonormal ``d x r`` carrier ``N_j`` with
@@ -196,11 +197,13 @@ class ConeProgram:
             raise ValueError(f"objective length {c.size} does not match variable count {n}")
         if A.shape != (b.size, n):
             raise ValueError(f"constraint shape {A.shape} does not match ({b.size}, {n})")
-        if self.quad_diag is not None:
-            q = np.asarray(self.quad_diag, dtype=float).ravel()
-            if q.size != n or np.any(q < 0):
-                raise ValueError("quad_diag must be a nonnegative vector of the variable length")
-            object.__setattr__(self, "quad_diag", q)
+        q = None if self.quad_diag is None else np.asarray(self.quad_diag, dtype=float).ravel()
+        for field, value in (("c", c), ("A", A), ("b", b), ("quad_diag", q)):
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{field} has non-finite entries")
+        if q is not None and (q.size != n or np.any(q < 0)):
+            raise ValueError("quad_diag must be a nonnegative vector of the variable length")
+        object.__setattr__(self, "quad_diag", q)
         if self.block_sum is not None:
             object.__setattr__(self, "block_sum", self._check_block_sum())
         object.__setattr__(self, "c", c)
@@ -261,6 +264,11 @@ class ConeProgram:
     def num_vars(self) -> int:
         return self.c.size
 
+
+#: Default residual tolerance and iteration budget of :func:`solve`, shared by
+#: the scheme wrappers and the ``qsd`` command line.
+DEFAULT_TOL = 1e-8
+DEFAULT_MAX_ITERS = 200_000
 
 OPTIMAL = "optimal"
 MAX_ITERS = "max_iters"
@@ -683,7 +691,7 @@ class _AndersonMemory:
         return self.images[:, start:end] @ theta
 
 
-def solve(program: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
+def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
           rho: float | None = None, over_relax: float = 1.6,
           acceleration: int = 10) -> Solution:
     """Solve a :class:`ConeProgram` to the requested residual tolerance.
@@ -701,7 +709,7 @@ def solve(program: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
     ``infeasible`` when the residuals stall far from feasibility (stagnation
     over a long window), and ``max_iters`` otherwise.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     n = program.num_vars
     A, b, block_sum = program.A, program.b, program.block_sum

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from qsdkit import SCHEME_NAMES, solve_scheme
 from qsdkit.cli import main
-from qsdkit.serialize import read_json, read_povm, read_sweep_csv, validate_bench_report
+from qsdkit.serialize import (read_json, read_povm, read_problem, read_sweep_csv,
+                              validate_bench_report)
 
 
 @pytest.fixture
@@ -99,6 +101,31 @@ class TestSolveCommand:
         code = main(["solve", "--problem", str(problem_file),
                      "--scheme", "telepathy", "--out", str(tmp_path / "o.json")])
         assert code == 1
+
+    @pytest.mark.parametrize("scheme, flags, message", [
+        ("med", ["--rate", "0.3"], "scheme 'med' takes no parameters; got rate"),
+        ("minl1", ["--ell", "2"], "scheme 'minl1' takes reference; got ell"),
+        ("crossqsd", ["--alpha", "nan"], "must lie in"),
+        ("crossqsd", ["--beta", "0.1,nan"], "must lie in"),
+        ("hybrid", ["--w", "nan"], "nonnegative"),
+        ("hybrid", ["--w", "inf"], "non-finite"),
+    ])
+    def test_bad_scheme_parameter_is_usage_error(self, pair_file, tmp_path, capsys,
+                                                 scheme, flags, message):
+        out = tmp_path / "o.json"
+        code = main(["solve", "--problem", str(pair_file), "--scheme", scheme,
+                     "--out", str(out)] + flags)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_defaults_match_the_library(self, pair_file, tmp_path, capsys, scheme):
+        code, report = run_json(capsys, ["solve", "--problem", str(pair_file),
+                                         "--scheme", scheme, "--out", str(tmp_path / "o.json")])
+        assert code == 0
+        want = solve_scheme(read_problem(pair_file), scheme).value
+        assert abs(report["objective_value"] - want) <= 1e-7
 
 
 class TestDilateCommand:

@@ -9,7 +9,9 @@ from qsdkit import (
     ProblemSpec,
     PureState,
     brute_force_qubit_povm,
+    SCHEME_NAMES,
     build_med,
+    build_scheme,
     confidences,
     decode_povm,
     density_of,
@@ -195,6 +197,21 @@ class TestCrossQsd:
             solve_scheme(zero_plus_spec(), "crossqsd", alpha=np.array([0.5]),
                          beta=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_nan_bound_rejected(self, key):
+        params = {"alpha": np.full(2, 0.1), "beta": np.full(2, 0.1)}
+        params[key][1] = np.nan
+        with pytest.raises(ValueError, match="must lie in"):
+            build_scheme(zero_plus_spec(), "crossqsd", **params)
+
+    def test_scalar_bounds_apply_to_every_state(self):
+        spec = bench2q_spec(0.01)
+        scalar = build_scheme(spec, "crossqsd", alpha=0.2, beta=0.05).program
+        vector = build_scheme(spec, "crossqsd", alpha=np.full(3, 0.2),
+                              beta=np.full(3, 0.05)).program
+        np.testing.assert_array_equal(scalar.A, vector.A)
+        np.testing.assert_array_equal(scalar.c, vector.c)
+
 
 class TestFitSchemes:
     def test_minl1_recovers_achievable_reference(self):
@@ -296,6 +313,45 @@ class TestHybrid:
         for a, b in zip(rows, rows[1:]):
             assert a[0] >= b[0] - 2e-8
             assert a[1] >= b[1] - 2e-8
+
+
+    @pytest.mark.parametrize("w, match", [(np.nan, "nonnegative"), (np.inf, "non-finite")])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_non_finite_weight_rejected(self, w, match, ell):
+        ref = uqsd_reference(zero_plus_spec())
+        with pytest.raises(ValueError, match=match):
+            build_scheme(zero_plus_spec(0.01), "hybrid", w=w, ell=ell, reference=ref)
+
+
+class TestSchemeTable:
+    def test_names_keep_their_order(self):
+        # qsd bench rows and the benchmark's operation order follow this order.
+        assert SCHEME_NAMES == ("med", "med_plus", "uqsd", "frio", "crossqsd",
+                                "minl1", "minss", "meco", "hybrid")
+
+    @pytest.mark.parametrize("name, params", [("minl1", {"ell": 2}),
+                                              ("med", {"alpha": [1, 2]}),
+                                              ("frio", {"rate": 0.2, "w": 0.3}),
+                                              ("uqsd", {"reference": None})])
+    def test_parameter_the_scheme_does_not_take_is_rejected(self, name, params):
+        spec = bench2q_spec()
+        with pytest.raises(ValueError, match=f"scheme '{name}' takes"):
+            build_scheme(spec, name, **params)
+        with pytest.raises(ValueError, match=f"scheme '{name}' takes"):
+            solve_scheme(spec, name, **params)
+
+    def test_defaults_fill_absent_parameters(self):
+        spec = bench2q_spec(0.01)
+        ref = uqsd_reference(spec)
+        cases = [("frio", {"rate": 0.1, "bound": "at_least"}),
+                 ("crossqsd", {"alpha": np.full(3, 0.1), "beta": np.full(3, 0.1)}),
+                 ("minl1", {"reference": ref}),
+                 ("hybrid", {"w": 0.3, "ell": 1, "reference": ref})]
+        for name, explicit in cases:
+            default = build_scheme(spec, name).program
+            given = build_scheme(spec, name, **explicit).program
+            for field in ("c", "A", "b"):
+                np.testing.assert_array_equal(getattr(default, field), getattr(given, field))
 
 
 class TestDecode:

@@ -257,6 +257,22 @@ class TestSolve:
                         A=np.zeros((1, 2)), b=np.zeros(1),
                         quad_diag=np.array([-1.0, 0.0]))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
+    def test_tol_must_be_positive(self, tol):
+        prog = ConeProgram(blocks=(NonNegCone(1),), c=np.ones(1),
+                           A=np.ones((1, 1)), b=np.ones(1))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(prog, tol=tol)
+
+    @pytest.mark.parametrize("field", ["c", "A", "b", "quad_diag"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, field, bad):
+        data = {"c": np.zeros(2), "A": np.ones((1, 2)), "b": np.ones(1),
+                "quad_diag": np.ones(2)}
+        data[field][0] = bad
+        with pytest.raises(ValueError, match=f"^{field} has non-finite entries"):
+            ConeProgram(blocks=(NonNegCone(2),), **data)
+
 
 def expand_block_sum(program):
     """The same program with its block-sum rows written as dense rows of A, first."""
