@@ -16,9 +16,8 @@ explicit :data:`RESIDUAL` outcome instead of being renormalized away.
 
 One outcome table (exact label probabilities for a batch of states) serves
 :func:`simulate_measurement`, :func:`verify_dilation` and
-:func:`dilated_joint_distribution`.  The table is linear in the state, so
-the table of a depolarized state is the same mix of the clean state's row
-and the maximally mixed state's row.
+:func:`dilated_joint_distribution`, which mixes the rows of the clean states
+and ``I / d`` per noise level the way :mod:`qsdkit.metrics` does.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import JointDistribution
-from .states import INCONCLUSIVE, DepolarizingChannel, Povm, ProblemSpec, PureState
+from .metrics import JointDistribution, _mix_and_fold
+from .states import INCONCLUSIVE, Povm, ProblemSpec, PureState
 
 #: Outcome label for target-basis states outside the decomposition's range
 #: (collects the truncation deficit).
@@ -154,8 +153,8 @@ def truncate(dec: Rank1Decomposition, delta: float) -> Rank1Decomposition:
     which case it simply never fires and the lost mass surfaces under the
     :data:`RESIDUAL` outcome of the dilated measurement.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     kept = tuple(t for t in dec.terms if not (t.sigma < delta))
     return Rank1Decomposition(dim=dec.dim, terms=kept, labels=dec.labels)
 
@@ -259,35 +258,22 @@ def dilated_joint_distribution(spec: ProblemSpec, dil: DilationResult,
     the measurement declined to identify any state.  A conclusive label
     ``>= k`` raises ``ValueError``; a label missing from the outcome map
     (all of its pieces truncated) leaves its column zero.  A noise level
-    outside [0, 1] raises ``ValueError``.
-
-    The outcome table is linear in the state, so the noisy states' rows
-    are ``(1 - lam)`` times the clean states' rows plus ``lam`` times the
-    row of ``I / d``; no depolarized state is built.
+    outside [0, 1] raises ``ValueError``.  No depolarized state is built.
     """
     return _joint_distributions(spec, dil, [spec.noise_lambda if lam is None else lam])[0]
 
 
 def _joint_distributions(spec: ProblemSpec, dil: DilationResult, lams) -> list:
-    """:func:`dilated_joint_distribution` at each noise level of ``lams``.
-
-    The clean states' outcome table is computed once and mixed per level.
-    """
+    """:func:`dilated_joint_distribution` at each noise level of ``lams``,
+    from one outcome table of the clean states and ``I / d``."""
     k = spec.num_states
-    channels = [DepolarizingChannel(lam, spec.dim) for lam in lams]
-    labels, clean = _outcome_table(dil, [*spec.states, np.eye(spec.dim) / spec.dim])
-    columns = [k if lbl in (INCONCLUSIVE, RESIDUAL) else lbl for lbl in labels]
+    labels, table = _outcome_table(dil, [*spec.states, np.eye(spec.dim) / spec.dim])
     for lbl in labels:
         if lbl not in (INCONCLUSIVE, RESIDUAL) and not 0 <= lbl < k:
             raise ValueError(f"isometry outcome label {lbl} does not identify "
                              f"one of the problem's {k} states")
-    out = []
-    for channel in channels:
-        table = (1.0 - channel.lam) * clean[:k] + channel.lam * clean[k]
-        entries = np.zeros((k, k + 1))
-        np.add.at(entries, (slice(None), columns), spec.priors[:, None] * table)
-        out.append(JointDistribution(entries))
-    return out
+    columns = [k if lbl in (INCONCLUSIVE, RESIDUAL) else lbl for lbl in labels]
+    return _mix_and_fold(spec.priors, table, columns, lams)
 
 
 def simulate_measurement(dil: DilationResult, state, shots: int = 0,

@@ -2,6 +2,11 @@
 
 Joint outcome distributions, success/error/inconclusive rates, conditional
 confidences, and entrywise L_p distances between distributions.
+
+Both readouts, :func:`joint_distribution` and the dilated one in
+:mod:`qsdkit.dilation`, tabulate outcome probabilities of the clean states
+and ``I / d`` once.  The table is linear in the state, so one helper mixes
+its rows per depolarizing level and folds them into the joint layout.
 """
 
 from __future__ import annotations
@@ -65,13 +70,31 @@ def joint_distribution(spec: ProblemSpec, povm: Povm, lam: float | None = None) 
     k = spec.num_states
     if povm.num_conclusive != k:
         raise ValueError(f"POVM identifies {povm.num_conclusive} states, instance has {k}")
-    noisy = spec.noisy_states(lam)
-    entries = np.zeros((k, k + 1))
-    columns = [povm.element(j) for j in range(k)] + [povm.element(INCONCLUSIVE)]
-    for i, (p_i, rho) in enumerate(zip(spec.priors, noisy)):
-        for j, elem in enumerate(columns):
-            entries[i, j] = p_i * float(np.trace(rho.matrix @ elem).real)
-    return JointDistribution(entries)
+    rhos = np.stack([s.matrix for s in spec.states] + [np.eye(spec.dim) / spec.dim])
+    elements = np.stack([povm.element(j) for j in range(k)] + [povm.element(INCONCLUSIVE)])
+    table = np.trace(rhos[:, None] @ elements[None], axis1=-2, axis2=-1).real
+    lam = spec.noise_lambda if lam is None else lam
+    return _mix_and_fold(spec.priors, table, list(range(k + 1)), [lam])[0]
+
+
+def _mix_and_fold(priors: np.ndarray, table: np.ndarray, columns, lams) -> list:
+    """Joint distributions of a state-linear outcome table at each level of ``lams``.
+
+    ``table`` holds a row per clean state, then the row of ``I / d``; at level
+    ``lam`` a state's row is ``(1 - lam) * clean + lam * table[k]``.  Table
+    column ``j`` adds, weighted by the prior, into joint column ``columns[j]``.
+    A level outside [0, 1] raises ``ValueError``.
+    """
+    k = len(priors)
+    out = []
+    for lam in lams:
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"noise level must be in [0, 1], got {lam}")
+        mixed = (1.0 - lam) * table[:k] + lam * table[k]
+        entries = np.zeros((k, k + 1))
+        np.add.at(entries, (slice(None), columns), priors[:, None] * mixed)
+        out.append(JointDistribution(entries))
+    return out
 
 
 def outcome_stats(jd: JointDistribution) -> OutcomeStats:

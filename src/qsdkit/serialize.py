@@ -23,7 +23,6 @@ from .states import (
     Povm,
     ProblemSpec,
     PureState,
-    density_of,
     make_benchmark_two_qubit_states,
     make_coherent_state,
 )
@@ -192,8 +191,8 @@ def expand_state_entry(entry: dict, num_qubits: int) -> list:
     raise ValueError(f"unknown state entry type {kind!r}")
 
 
-def read_problem(path, noise_lambda: float = 0.0) -> ProblemSpec:
-    """Load a problem file into a :class:`ProblemSpec`."""
+def read_problem(path) -> ProblemSpec:
+    """Load a problem file into a noiseless :class:`ProblemSpec`."""
     data = read_json(path)
     num_qubits = _scalar(data, "num_qubits")
     states = []
@@ -202,16 +201,13 @@ def read_problem(path, noise_lambda: float = 0.0) -> ProblemSpec:
             states.extend(expand_state_entry(entry, num_qubits))
         except ValueError as exc:
             raise ValueError(f"states[{i}]: {exc}") from exc
-    dim = 2 ** num_qubits
-    dms = [s if isinstance(s, DensityMatrix) else density_of(s) for s in states]
-    for s in dms:
-        if s.dim != dim:
+    for s in states:
+        if s.dim != 2 ** num_qubits:
             raise ValueError(f"state dimension {s.dim} does not match num_qubits {num_qubits}")
     priors = data.get("priors")
-    if priors is None:
-        priors = [1.0 / len(dms)] * len(dms)
-    return ProblemSpec(states=tuple(dms), priors=_finite_list(priors, "priors"),
-                       noise_lambda=noise_lambda)
+    if priors is not None:
+        priors = _finite_list(priors, "priors")
+    return ProblemSpec.from_states(states, priors)
 
 
 def problem_payload(spec: ProblemSpec) -> dict:

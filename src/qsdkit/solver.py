@@ -270,6 +270,11 @@ class ConeProgram:
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 200_000
 
+#: Initial ADMM penalty of :func:`solve` (rebalanced as it runs); a quadratic
+#: term starts it small, so the quadratic dominates the proximal step.
+_INITIAL_RHO, _INITIAL_RHO_QUAD = 1.0, 0.02
+_OVER_RELAX = 1.6  # over-relaxation factor of the splitting step
+
 OPTIMAL = "optimal"
 MAX_ITERS = "max_iters"
 INFEASIBLE = "infeasible"
@@ -692,7 +697,6 @@ class _AndersonMemory:
 
 
 def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
-          rho: float | None = None, over_relax: float = 1.6,
           acceleration: int = 10) -> Solution:
     """Solve a :class:`ConeProgram` to the requested residual tolerance.
 
@@ -700,10 +704,7 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     iterate, which satisfies ``Ax = b`` to factorization accuracy; its cone
     violation is bounded by the primal residual.
 
-    ``rho`` is the initial penalty (default 1.0, or 0.02 for programs with a
-    quadratic term, where a small penalty lets the quadratic dominate the
-    proximal step); it is rebalanced automatically.  ``acceleration`` is the
-    Anderson memory size (0 disables it).
+    ``acceleration`` is the Anderson memory size (0 disables it).
 
     Status is ``optimal`` when both normalized residuals fall below ``tol``,
     ``infeasible`` when the residuals stall far from feasibility (stagnation
@@ -711,6 +712,8 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = program.num_vars
     A, b, block_sum = program.A, program.b, program.block_sum
     if block_sum is not None and len(block_sum) == 3 and \
@@ -721,8 +724,7 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     A, b = _row_equilibrate(A, b)
     c = program.c
     quad = program.quad_diag
-    if rho is None:
-        rho = 0.02 if quad is not None else 1.0
+    rho = _INITIAL_RHO_QUAD if quad is not None else _INITIAL_RHO
     project_cone = _ConeProjector(program.blocks)
     affine = _AffineProjector(A, b, quad, block_sum)
     affine.set_rho(rho)
@@ -732,7 +734,7 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         """One splitting step from ``w = (z, u)``; returns ``x`` and ``F(w)``."""
         z, u = w[:n], w[n:]
         x = affine.project(z - u, c, penalty)
-        x_relaxed = over_relax * x + (1.0 - over_relax) * z
+        x_relaxed = _OVER_RELAX * x + (1.0 - _OVER_RELAX) * z
         fw = np.empty(2 * n)
         z_new = project_cone(x_relaxed + u, out=fw[:n])
         np.subtract(u + x_relaxed, z_new, out=fw[n:])

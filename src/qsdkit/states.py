@@ -116,9 +116,6 @@ class DepolarizingChannel:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return apply_depolarizing(self, rho)
-
 
 def apply_depolarizing(channel: DepolarizingChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a depolarizing channel to a density matrix.
@@ -200,14 +197,9 @@ class ProblemSpec:
         """Copy of this instance with a different assumed noise level."""
         return ProblemSpec(self.states, self.priors, noise_lambda)
 
-    def noisy_states(self, lam: float | None = None) -> list:
-        """The candidate states after depolarizing noise of level ``lam``.
-
-        Defaults to this instance's ``noise_lambda``.
-        """
-        if lam is None:
-            lam = self.noise_lambda
-        return [depolarize(s, lam) for s in self.states]
+    def noisy_states(self) -> list:
+        """The candidate states after this instance's depolarizing noise."""
+        return [depolarize(s, self.noise_lambda) for s in self.states]
 
 
 @dataclass(frozen=True)
@@ -255,10 +247,6 @@ class Povm:
     def num_conclusive(self) -> int:
         return sum(1 for l in self.labels if l != INCONCLUSIVE)
 
-    @property
-    def has_inconclusive(self) -> bool:
-        return any(l == INCONCLUSIVE for l in self.labels)
-
     def element(self, label) -> np.ndarray:
         """The element carrying ``label``; zero matrix for a missing inconclusive."""
         for l, e in zip(self.labels, self.elements):
@@ -267,10 +255,6 @@ class Povm:
         if label == INCONCLUSIVE:
             return np.zeros((self.dim, self.dim), dtype=complex)
         raise KeyError(label)
-
-    def conclusive_elements(self) -> list:
-        """Conclusive elements ordered by the state index they identify."""
-        return [self.element(i) for i in range(self.num_conclusive)]
 
 
 # --------------------------------------------------------------------------

@@ -119,6 +119,16 @@ class TestSolveCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_iters", ["0", "-5"])
+    def test_nonpositive_max_iters_is_usage_error(self, pair_file, tmp_path, capsys,
+                                                   max_iters):
+        out = tmp_path / "o.json"
+        code = main(["solve", "--problem", str(pair_file), "--scheme", "med",
+                     "--max-iters", max_iters, "--out", str(out)])
+        assert code == 1
+        assert "max_iters must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_defaults_match_the_library(self, pair_file, tmp_path, capsys, scheme):
         code, report = run_json(capsys, ["solve", "--problem", str(pair_file),
@@ -175,6 +185,14 @@ class TestDilateCommand:
         assert code == 0
         assert minimal["meta"]["generic"] is False
         assert minimal["total_rank"] <= 6
+
+    @pytest.mark.parametrize("delta", ["-0.001", "nan"])
+    def test_bad_delta_exits_1_without_output(self, tmp_path, povm_file, capsys, delta):
+        out = tmp_path / "iso.json"
+        code = main(["dilate", "--povm", str(povm_file), "--delta", delta, "--out", str(out)])
+        assert code == 1
+        assert "delta must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_povm_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

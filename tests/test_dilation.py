@@ -80,6 +80,14 @@ class TestTruncate:
         dec = decompose_rank1(trine_povm())
         assert truncate(dec, math.inf).total_rank == 0
 
+    @pytest.mark.parametrize("delta", [-1e-3, math.nan])
+    def test_negative_or_nan_delta_rejected(self, delta):
+        dec = decompose_rank1(trine_povm())
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            truncate(dec, delta)
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            dilate(trine_povm(), delta)
+
     def test_probability_shift_bounded_by_discarded_mass(self, rng):
         povm = random_povm(4, 3, rng)
         dec = decompose_rank1(povm)

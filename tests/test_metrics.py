@@ -10,6 +10,7 @@ from qsdkit import (
     ProblemSpec,
     PureState,
     confidences,
+    depolarize,
     error_to_success,
     joint_distribution,
     lp_distance,
@@ -53,6 +54,40 @@ class TestJointDistribution:
             povm = random_povm(d, k, rng, inconclusive=bool(rng.integers(0, 2)))
             jd = joint_distribution(spec, povm, float(rng.uniform(0, 1)))
             assert abs(jd.entries.sum() - 1.0) < 1e-8
+
+    def test_matches_depolarized_trace_loop(self, rng):
+        # The noise-linear table agrees with tracing each explicitly
+        # depolarized state against each element, exactly so when lam = 0
+        # or 1 leaves nothing to mix.
+        for d in (2, 4, 8, 16):
+            k = 3
+            spec = ProblemSpec.from_states([random_density(d, rng) for _ in range(k)],
+                                           priors=rng.dirichlet(np.ones(k)))
+            povm = random_povm(d, k, rng, inconclusive=True)
+            columns = [povm.element(j) for j in range(k)] + [povm.element(INCONCLUSIVE)]
+            for lam in (0.0, 1e-6, 1e-3, 0.3, 1.0):
+                want = np.zeros((k, k + 1))
+                for i, (p, rho) in enumerate(zip(spec.priors, spec.states)):
+                    noisy = depolarize(rho, lam).matrix
+                    for j, elem in enumerate(columns):
+                        want[i, j] = p * float(np.trace(noisy @ elem).real)
+                got = joint_distribution(spec, povm, lam).entries
+                if lam in (0.0, 1.0):
+                    np.testing.assert_array_equal(got, want)
+                else:
+                    assert np.max(np.abs(got - want)) < 1e-15
+
+    def test_default_level_is_the_instance_noise(self, rng):
+        spec = ProblemSpec.from_states([random_density(4, rng) for _ in range(2)],
+                                       noise_lambda=0.2)
+        povm = random_povm(4, 2, rng, inconclusive=True)
+        np.testing.assert_array_equal(joint_distribution(spec, povm).entries,
+                                      joint_distribution(spec, povm, 0.2).entries)
+
+    @pytest.mark.parametrize("lam", [-1e-3, 1.5, math.nan])
+    def test_noise_level_out_of_range_rejected(self, lam):
+        with pytest.raises(ValueError, match="noise level"):
+            joint_distribution(basis_problem(2), basis_povm(2), lam)
 
     def test_dimension_mismatch(self, rng):
         spec = basis_problem(2)

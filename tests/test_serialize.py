@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from qsdkit import (
+    DensityMatrix,
     ProblemSpec,
+    PureState,
     dilate,
     make_benchmark_two_qubit_states,
     make_coherent_state,
@@ -347,6 +349,32 @@ class TestProblemEntries:
                                                 "a": [0.1, 0.2, 0.3]}]}))
         with pytest.raises(ValueError):
             read_problem(path)
+
+    @pytest.mark.parametrize("dims", [(4, 4), (2, 4)])
+    def test_state_dimension_must_match_num_qubits(self, tmp_path, dims):
+        states = [{"type": "pure", "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (d - 1)}
+                  for d in dims]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"num_qubits": 1, "states": states}))
+        with pytest.raises(ValueError, match="state dimension 4 does not match num_qubits 1"):
+            read_problem(path)
+
+    def test_spec_matches_from_states(self, tmp_path):
+        payload = {"num_qubits": 1,
+                   "states": [{"type": "pure", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+                              {"type": "pure", "amplitudes": [[0.6, 0.0], [0.0, 0.8]]},
+                              {"type": "density", "matrix": [[[0.5, 0.0], [0.0, 0.0]],
+                                                             [[0.0, 0.0], [0.5, 0.0]]]}]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(payload))
+        spec = read_problem(path)
+        want = ProblemSpec.from_states([PureState(np.array([1.0, 0.0])),
+                                        PureState(np.array([0.6, 0.8j])),
+                                        DensityMatrix(np.eye(2) / 2)])
+        assert spec.noise_lambda == 0.0
+        np.testing.assert_array_equal(spec.priors, want.priors)
+        for got, s in zip(spec.states, want.states):
+            np.testing.assert_array_equal(got.matrix, s.matrix)
 
 
 class TestBenchSchema:

@@ -264,6 +264,18 @@ class TestSolve:
         with pytest.raises(ValueError, match="tol must be positive"):
             solve(prog, tol=tol)
 
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_max_iters_must_be_positive(self, max_iters):
+        prog = ConeProgram(blocks=(NonNegCone(1),), c=np.ones(1),
+                           A=np.ones((1, 1)), b=np.ones(1))
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            solve(prog, max_iters=max_iters)
+
+    def test_one_iteration_budget_runs(self):
+        prog = ConeProgram(blocks=(NonNegCone(1),), c=np.ones(1),
+                           A=np.ones((1, 1)), b=np.ones(1))
+        assert solve(prog, max_iters=1).iterations == 1
+
     @pytest.mark.parametrize("field", ["c", "A", "b", "quad_diag"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, field, bad):
