@@ -16,17 +16,19 @@ import numpy as np
 
 from . import __version__
 from .dilation import (
-    _joint_distributions,
+    _problem_table,
+    _sample,
     build_isometry,
     build_isometry_generic,
     complete_to_unitary,
     decompose_rank1,
     dilate,
-    simulate_measurement,
     verify_dilation,
 )
 from .metrics import (
-    confidences,
+    _conditionals,
+    _fold,
+    _mix,
     error_to_success,
     joint_distribution,
     outcome_stats,
@@ -52,7 +54,7 @@ from .serialize import (
     write_sweep_csv,
 )
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_TOL, OPTIMAL
-from .states import ProblemSpec, depolarize, make_coherent_state
+from .states import ProblemSpec, make_coherent_state
 
 
 class UsageError(Exception):
@@ -68,10 +70,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _meta(args, seed=None) -> dict:
-    meta = {"tool": "qsdkit", "version": __version__,
-            "tol": float(args.tol), "max_iters": int(args.max_iters)}
-    meta["seed"] = int(seed) if seed is not None else 0
+def _meta(args) -> dict:
+    """Tool, version, seed (0 without ``--seed``), and solver settings where a solve runs."""
+    meta = {"tool": "qsdkit", "version": __version__, "seed": int(getattr(args, "seed", 0))}
+    if hasattr(args, "tol"):
+        meta.update(tol=float(args.tol), max_iters=int(args.max_iters))
     return meta
 
 
@@ -107,14 +110,12 @@ def cmd_solve(args) -> int:
             f"primal residual {sol.primal_residual:.3e}, "
             f"dual residual {sol.dual_residual:.3e} (tol {args.tol:g})")
 
-    meta = _meta(args)
-    meta["scheme"] = args.scheme
-    meta["lambda_eval"] = float(lam_eval)
+    meta = {**_meta(args), "scheme": args.scheme, "lambda_eval": float(lam_eval)}
     write_povm(args.out, result.povm, meta)
 
     jd = joint_distribution(spec, result.povm, lam_metrics)
     stats = outcome_stats(jd)
-    given_state, given_outcome = confidences(spec, result.povm, lam_metrics)
+    given_state, given_outcome = _conditionals(jd)
     report = {
         "meta": meta,
         "lambda": float(lam_metrics),
@@ -145,14 +146,11 @@ def cmd_dilate(args) -> int:
         povm = read_povm(args.povm)
     except (ValueError, KeyError) as exc:
         raise NumericalError(f"invalid POVM file: {exc}") from exc
-    if args.generic:
-        dil = build_isometry_generic(povm)
-    else:
-        dil = dilate(povm, delta=args.delta)
+    if not args.delta >= 0:  # checked for --generic too: the file's meta records it
+        raise UsageError(f"delta must be nonnegative, got {args.delta}")
+    dil = build_isometry_generic(povm) if args.generic else dilate(povm, delta=args.delta)
     report = verify_dilation(dil, povm, seed=args.seed)
-    meta = _meta(args, seed=args.seed)
-    meta["delta"] = float(args.delta)
-    meta["generic"] = bool(args.generic)
+    meta = {**_meta(args), "delta": float(args.delta), "generic": bool(args.generic)}
     write_isometry(args.out, dil, meta)
     summary = {
         "meta": meta,
@@ -180,45 +178,38 @@ def cmd_simulate(args) -> int:
             raise UsageError("--lambda-sweep requires --out for the CSV")
     else:
         lams = [args.lam or 0.0]
-    if not all(0.0 <= lam <= 1.0 for lam in lams):
-        raise UsageError("noise levels must lie in [0, 1]")
     try:
-        jds = _joint_distributions(spec, dil, [float(lam) for lam in lams])
+        labels, table, columns = _problem_table(spec, dil)
     except ValueError as exc:
         raise NumericalError(f"isometry does not fit the problem: {exc}") from exc
 
     if args.lambda_sweep:
         rows = []
-        for lam, jd in zip(lams, jds):
+        for lam in lams:
+            jd = _fold(spec.priors, _mix(table, float(lam)), columns)
             stats = outcome_stats(jd)
             rows.append((float(lam), stats.p_succ, stats.p_err, stats.p_inc,
                          error_to_success(jd)))
         write_sweep_csv(args.out, rows)
-        _print_json({"meta": _meta(args, seed=args.seed), "rows": len(rows),
-                     "out": args.out})
+        _print_json({"meta": _meta(args), "rows": len(rows), "out": args.out})
         return 0
 
-    lam = lams[0]
-    meta = _meta(args, seed=args.seed)
-    meta["lambda"] = float(lam)
+    lam = float(lams[0])
+    meta = {**_meta(args), "lambda": lam}
+    indices = range(spec.num_states) if args.state_index is None else [args.state_index]
+    if not all(0 <= i < spec.num_states for i in indices):
+        raise UsageError(f"--state-index must be in [0, {spec.num_states - 1}]")
+    # Row i of the mixed table is state i's outcome distribution at this level.
+    mixed = _mix(table, lam)
     per_state = []
-    if args.state_index is None:
-        indices = range(spec.num_states)
-    else:
-        if not 0 <= args.state_index < spec.num_states:
-            raise UsageError(f"--state-index must be in [0, {spec.num_states - 1}]")
-        indices = [args.state_index]
     for i in indices:
-        noisy = depolarize(spec.states[i], lam)
-        result = simulate_measurement(dil, noisy, shots=args.shots, seed=args.seed)
-        entry = {
-            "state": int(i),
-            "probabilities": {str(l): float(p) for l, p in result.probabilities.items()},
-        }
+        result = _sample(labels, mixed[i], args.shots, args.seed)
+        entry = {"state": int(i),
+                 "probabilities": {str(l): float(p) for l, p in result.probabilities.items()}}
         if result.counts is not None:
             entry["counts"] = {str(l): int(c) for l, c in result.counts.items()}
         per_state.append(entry)
-    stats = outcome_stats(jds[0])
+    stats = outcome_stats(_fold(spec.priors, mixed, columns))
     report = {"meta": meta, "shots": int(args.shots), "per_state": per_state,
               "p_succ": stats.p_succ, "p_err": stats.p_err, "p_inc": stats.p_inc}
     if args.out:
@@ -272,7 +263,7 @@ def cmd_bench(args) -> int:
                          "seconds": time.perf_counter() - t0})
         if budget_hit:
             break
-    report = {"meta": _meta(args, seed=0), "rows": rows,
+    report = {"meta": _meta(args), "rows": rows,
               "budget_exhausted": budget_hit}
     validate_bench_report(report)
     if args.out:
@@ -326,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generic", action="store_true",
                    help="use the k*d baseline construction instead")
     p.add_argument("--seed", type=int, default=7, help="seed for verification states")
-    _add_common(p)
 
     p = sub.add_parser("simulate", help="measure states through a dilated POVM")
     p.add_argument("--isometry", required=True, help="isometry JSON file")
@@ -340,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-sweep", default=None,
                    help="log-spaced sweep start:stop:points; writes a CSV to --out")
     p.add_argument("--out", help="output file (JSON, or CSV for sweeps)")
-    _add_common(p)
 
     p = sub.add_parser("bench", help="time solve/decompose/dilate across qubit counts")
     p.add_argument("--min-qubits", type=int, default=2)

@@ -17,7 +17,10 @@ explicit :data:`RESIDUAL` outcome instead of being renormalized away.
 One outcome table (exact label probabilities for a batch of states) serves
 :func:`simulate_measurement`, :func:`verify_dilation` and
 :func:`dilated_joint_distribution`, which mixes the rows of the clean states
-and ``I / d`` per noise level the way :mod:`qsdkit.metrics` does.
+and ``I / d`` per noise level the way :mod:`qsdkit.metrics` does.  ``qsd
+simulate`` builds that table once per call: the mixed rows are each state's
+outcome probabilities, their shots come from the sampler behind
+:func:`simulate_measurement`, and the folded rows give the rates.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import JointDistribution, _mix_and_fold
+from .metrics import JointDistribution, _fold, _mix
 from .states import INCONCLUSIVE, Povm, ProblemSpec, PureState
 
 #: Outcome label for target-basis states outside the decomposition's range
@@ -260,12 +263,13 @@ def dilated_joint_distribution(spec: ProblemSpec, dil: DilationResult,
     (all of its pieces truncated) leaves its column zero.  A noise level
     outside [0, 1] raises ``ValueError``.  No depolarized state is built.
     """
-    return _joint_distributions(spec, dil, [spec.noise_lambda if lam is None else lam])[0]
+    _, table, columns = _problem_table(spec, dil)
+    return _fold(spec.priors, _mix(table, spec.noise_lambda if lam is None else lam), columns)
 
 
-def _joint_distributions(spec: ProblemSpec, dil: DilationResult, lams) -> list:
-    """:func:`dilated_joint_distribution` at each noise level of ``lams``,
-    from one outcome table of the clean states and ``I / d``."""
+def _problem_table(spec: ProblemSpec, dil: DilationResult) -> tuple:
+    """Labels, outcome table (rows: the clean states, then ``I / d``) and the
+    joint column of each label; a conclusive label ``>= k`` raises ``ValueError``."""
     k = spec.num_states
     labels, table = _outcome_table(dil, [*spec.states, np.eye(spec.dim) / spec.dim])
     for lbl in labels:
@@ -273,7 +277,20 @@ def _joint_distributions(spec: ProblemSpec, dil: DilationResult, lams) -> list:
             raise ValueError(f"isometry outcome label {lbl} does not identify "
                              f"one of the problem's {k} states")
     columns = [k if lbl in (INCONCLUSIVE, RESIDUAL) else lbl for lbl in labels]
-    return _mix_and_fold(spec.priors, table, columns, lams)
+    return labels, table, columns
+
+
+def _sample(labels, p: np.ndarray, shots: int, seed: int | None) -> MeasurementResult:
+    """Probabilities ``p`` of ``labels`` plus, for ``shots > 0``, a seeded
+    multinomial sample of them; negative ``shots`` raise ``ValueError``."""
+    if shots < 0:
+        raise ValueError(f"shots must be nonnegative, got {shots}")
+    counts = None
+    if shots > 0:
+        drawn = np.random.default_rng(seed).multinomial(shots, p / p.sum())
+        counts = {lbl: int(c) for lbl, c in zip(labels, drawn)}
+    return MeasurementResult(probabilities=dict(zip(labels, p.tolist())),
+                             counts=counts, shots=shots)
 
 
 def simulate_measurement(dil: DilationResult, state, shots: int = 0,
@@ -283,17 +300,11 @@ def simulate_measurement(dil: DilationResult, state, shots: int = 0,
     Exact outcome probabilities are ``<b| V rho V^+ |b>`` aggregated over the
     outcome map; :data:`RESIDUAL` additionally collects the truncation
     deficit ``1 - Tr(V rho V^+)``.  With ``shots > 0`` a multinomial sample
-    with the given seed is drawn (deterministic for a fixed seed).
+    with the given seed is drawn (deterministic for a fixed seed); negative
+    ``shots`` raise ``ValueError``.
     """
     labels, table = _outcome_table(dil, [state])
-    p = table[0]
-    probs = dict(zip(labels, p.tolist()))
-    counts = None
-    if shots > 0:
-        rng = np.random.default_rng(seed)
-        drawn = rng.multinomial(shots, p / p.sum())
-        counts = {lbl: int(c) for lbl, c in zip(labels, drawn)}
-    return MeasurementResult(probabilities=probs, counts=counts, shots=shots)
+    return _sample(labels, table[0], shots, seed)
 
 
 def verify_dilation(dil: DilationResult, povm: Povm, states=None,

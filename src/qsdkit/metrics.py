@@ -5,8 +5,8 @@ confidences, and entrywise L_p distances between distributions.
 
 Both readouts, :func:`joint_distribution` and the dilated one in
 :mod:`qsdkit.dilation`, tabulate outcome probabilities of the clean states
-and ``I / d`` once.  The table is linear in the state, so one helper mixes
-its rows per depolarizing level and folds them into the joint layout.
+and ``I / d`` once.  The table is linear in the state: :func:`_mix` mixes its
+rows per depolarizing level and :func:`_fold` adds them into the joint layout.
 """
 
 from __future__ import annotations
@@ -74,27 +74,28 @@ def joint_distribution(spec: ProblemSpec, povm: Povm, lam: float | None = None) 
     elements = np.stack([povm.element(j) for j in range(k)] + [povm.element(INCONCLUSIVE)])
     table = np.trace(rhos[:, None] @ elements[None], axis1=-2, axis2=-1).real
     lam = spec.noise_lambda if lam is None else lam
-    return _mix_and_fold(spec.priors, table, list(range(k + 1)), [lam])[0]
+    return _fold(spec.priors, _mix(table, lam), list(range(k + 1)))
 
 
-def _mix_and_fold(priors: np.ndarray, table: np.ndarray, columns, lams) -> list:
-    """Joint distributions of a state-linear outcome table at each level of ``lams``.
+def _mix(table: np.ndarray, lam: float) -> np.ndarray:
+    """Rows of the clean states of a state-linear outcome table at level ``lam``.
 
     ``table`` holds a row per clean state, then the row of ``I / d``; at level
-    ``lam`` a state's row is ``(1 - lam) * clean + lam * table[k]``.  Table
-    column ``j`` adds, weighted by the prior, into joint column ``columns[j]``.
-    A level outside [0, 1] raises ``ValueError``.
+    ``lam`` a state's row is ``(1 - lam) * clean + lam * table[k]``.  A level
+    outside [0, 1] raises ``ValueError``.
     """
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"noise level must be in [0, 1], got {lam}")
+    return (1.0 - lam) * table[:-1] + lam * table[-1]
+
+
+def _fold(priors: np.ndarray, rows: np.ndarray, columns) -> JointDistribution:
+    """Joint distribution of per-state outcome rows: row column ``j`` adds,
+    weighted by the prior, into joint column ``columns[j]``."""
     k = len(priors)
-    out = []
-    for lam in lams:
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"noise level must be in [0, 1], got {lam}")
-        mixed = (1.0 - lam) * table[:k] + lam * table[k]
-        entries = np.zeros((k, k + 1))
-        np.add.at(entries, (slice(None), columns), priors[:, None] * mixed)
-        out.append(JointDistribution(entries))
-    return out
+    entries = np.zeros((k, k + 1))
+    np.add.at(entries, (slice(None), columns), priors[:, None] * rows)
+    return JointDistribution(entries)
 
 
 def outcome_stats(jd: JointDistribution) -> OutcomeStats:
@@ -135,16 +136,16 @@ def confidences(spec: ProblemSpec, povm: Povm, lam: float | None = None):
     Both conditionals are taken over conclusive outcomes only.  Entries whose
     conditioning mass is below 1e-12 are reported as 1 (vacuously satisfied).
     """
-    jd = joint_distribution(spec, povm, lam)
+    return _conditionals(joint_distribution(spec, povm, lam))
+
+
+def _conditionals(jd: JointDistribution):
+    """:func:`confidences` of a joint distribution already computed."""
     e = jd.entries
     k = jd.num_states
+    hits = np.diagonal(e)
     row_mass = e[:, :k].sum(axis=1)
     col_mass = e[:, :k].sum(axis=0)
-    given_state = np.ones(k)
-    given_outcome = np.ones(k)
-    for i in range(k):
-        if row_mass[i] > 1e-12:
-            given_state[i] = e[i, i] / row_mass[i]
-        if col_mass[i] > 1e-12:
-            given_outcome[i] = e[i, i] / col_mass[i]
+    given_state = np.divide(hits, row_mass, out=np.ones(k), where=row_mass > 1e-12)
+    given_outcome = np.divide(hits, col_mass, out=np.ones(k), where=col_mass > 1e-12)
     return given_state, given_outcome

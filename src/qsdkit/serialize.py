@@ -375,35 +375,31 @@ BENCH_REPORT_SCHEMA = {
 }
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "number": (int, float)}
+
+
+def _check_schema(value, schema: dict, where: str) -> None:
+    """Raise ValueError naming ``where`` when ``value`` breaks ``schema`` (its ``type``,
+    ``required``, ``properties``, ``items``, ``enum``, ``minimum``); a bool is no number."""
+    kind = schema.get("type")
+    if kind is not None and (not isinstance(value, _JSON_TYPES[kind]) or (
+            isinstance(value, bool) and kind in ("integer", "number"))):
+        raise ValueError(f"{where} must be of type {kind}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ValueError(f"{where} must be one of {schema['enum']}, got {value!r}")
+    if "minimum" in schema and value < schema["minimum"]:
+        raise ValueError(f"{where} must be at least {schema['minimum']}, got {value!r}")
+    for key in schema.get("required", ()):
+        if key not in value:
+            raise ValueError(f"{where} is missing {key!r}")
+    for key, sub in schema.get("properties", {}).items():
+        if key in value:
+            _check_schema(value[key], sub, f"{where}.{key}")
+    if "items" in schema:
+        for i, item in enumerate(value):
+            _check_schema(item, schema["items"], f"{where}[{i}]")
+
+
 def validate_bench_report(report: dict) -> None:
     """Raise ValueError when a benchmark report does not match the schema."""
-    if not isinstance(report, dict):
-        raise ValueError("report must be an object")
-    for key in BENCH_REPORT_SCHEMA["required"]:
-        if key not in report:
-            raise ValueError(f"report is missing {key!r}")
-    meta = report["meta"]
-    if not isinstance(meta, dict):
-        raise ValueError("meta must be an object")
-    for key in BENCH_REPORT_SCHEMA["properties"]["meta"]["required"]:
-        if key not in meta:
-            raise ValueError(f"meta is missing {key!r}")
-    rows = report["rows"]
-    if not isinstance(rows, list):
-        raise ValueError("rows must be an array")
-    row_schema = BENCH_REPORT_SCHEMA["properties"]["rows"]["items"]
-    tasks = row_schema["properties"]["task"]["enum"]
-    for row in rows:
-        if not isinstance(row, dict):
-            raise ValueError("every row must be an object")
-        for key in row_schema["required"]:
-            if key not in row:
-                raise ValueError(f"row is missing {key!r}")
-        if not isinstance(row["scheme"], str):
-            raise ValueError("scheme must be a string")
-        if not isinstance(row["qubits"], int) or row["qubits"] < 1:
-            raise ValueError("qubits must be a positive integer")
-        if row["task"] not in tasks:
-            raise ValueError(f"task must be one of {tasks}")
-        if not isinstance(row["seconds"], (int, float)) or row["seconds"] < 0:
-            raise ValueError("seconds must be a nonnegative number")
+    _check_schema(report, BENCH_REPORT_SCHEMA, "report")

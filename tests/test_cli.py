@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from qsdkit import SCHEME_NAMES, solve_scheme
+from qsdkit import (SCHEME_NAMES, confidences, depolarize, dilation, simulate_measurement,
+                    solve_scheme)
 from qsdkit.cli import main
-from qsdkit.serialize import (read_json, read_povm, read_problem, read_sweep_csv,
-                              validate_bench_report)
+from qsdkit.serialize import (read_isometry, read_json, read_povm, read_problem,
+                              read_sweep_csv, validate_bench_report)
 
 
 @pytest.fixture
@@ -55,6 +56,29 @@ class TestSolveCommand:
         assert report["meta"]["tool"] == "qsdkit"
         assert "tol" in report["meta"] and "seed" in report["meta"]
         assert metrics.exists()
+
+    def test_meta_records_solver_settings(self, tmp_path, pair_file, capsys):
+        out = tmp_path / "povm.json"
+        code, report = run_json(capsys, ["solve", "--problem", str(pair_file), "--scheme", "med",
+                                         "--tol", "1e-7", "--max-iters", "5000",
+                                         "--out", str(out)])
+        assert code == 0
+        for meta in (report["meta"], read_json(out)["meta"]):
+            assert meta["tol"] == 1e-7 and meta["max_iters"] == 5000
+
+    @pytest.mark.parametrize("lam", ["0", "0.03"])
+    def test_confidences_match_the_library(self, tmp_path, problem_file, capsys, lam):
+        # The report's conditionals come from the joint distribution it
+        # already holds, bit for bit what metrics.confidences computes.
+        out = tmp_path / "povm.json"
+        code, report = run_json(capsys, [
+            "solve", "--problem", str(problem_file), "--scheme", "frio",
+            "--lambda", lam, "--out", str(out)])
+        assert code == 0
+        spec = read_problem(problem_file).with_noise(float(lam))
+        given_state, given_outcome = confidences(spec, read_povm(out), float(lam))
+        assert report["confidence_given_state"] == given_state.tolist()
+        assert report["confidence_given_outcome"] == given_outcome.tolist()
 
     def test_hybrid_w_zero_matches_med(self, tmp_path, pair_file, capsys):
         out_med = tmp_path / "med.json"
@@ -194,6 +218,26 @@ class TestDilateCommand:
         assert "delta must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("delta", ["-1", "nan"])
+    def test_generic_bad_delta_exits_1_without_output(self, tmp_path, povm_file, capsys,
+                                                      delta):
+        out = tmp_path / "gen.json"
+        code = main(["dilate", "--povm", str(povm_file), "--generic", "--delta", delta,
+                     "--out", str(out)])
+        assert code == 1
+        assert "delta must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_solver_settings(self, tmp_path, povm_file, capsys):
+        out = tmp_path / "iso.json"
+        code, report = run_json(capsys, ["dilate", "--povm", str(povm_file), "--out", str(out)])
+        assert code == 0
+        for meta in (report["meta"], read_json(out)["meta"]):
+            assert "tol" not in meta and "max_iters" not in meta
+        code = main(["dilate", "--povm", str(povm_file), "--tol", "1e-6", "--out", str(out)])
+        assert code == 1
+        assert "--tol" in capsys.readouterr().err
+
     def test_invalid_povm_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -252,6 +296,65 @@ class TestSimulateCommand:
         code, second = run_json(capsys, argv)
         assert code == 0
         assert first["per_state"] == second["per_state"]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.03])
+    def test_per_state_matches_simulate_measurement(self, problem_file, isometry_file,
+                                                    capsys, lam):
+        # Each state's row of the mixed outcome table is its noisy state's
+        # outcome distribution; at lambda = 0 the rows and the seeded counts
+        # are exactly those of a direct measurement.
+        code, report = run_json(capsys, [
+            "simulate", "--isometry", str(isometry_file), "--problem", str(problem_file),
+            "--lambda", repr(lam), "--shots", "4096", "--seed", "11"])
+        assert code == 0
+        dil = read_isometry(isometry_file)
+        spec = read_problem(problem_file)
+        assert len(report["per_state"]) == spec.num_states
+        for entry in report["per_state"]:
+            want = simulate_measurement(dil, depolarize(spec.states[entry["state"]], lam),
+                                        shots=4096, seed=11)
+            got = entry["probabilities"]
+            assert got.keys() == {str(l) for l in want.probabilities}
+            for label, p in want.probabilities.items():
+                assert abs(got[str(label)] - p) <= 1e-14
+            if lam == 0.0:
+                assert got == {str(l): p for l, p in want.probabilities.items()}
+                assert entry["counts"] == {str(l): c for l, c in want.counts.items()}
+
+    def test_one_outcome_table_per_call(self, problem_file, isometry_file, capsys,
+                                        monkeypatch):
+        calls = []
+        table = dilation._outcome_table
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(dilation, "_outcome_table", counted)
+        assert main(["simulate", "--isometry", str(isometry_file), "--problem",
+                     str(problem_file), "--lambda", "0.03", "--shots", "64"]) == 0
+        assert len(calls) == 1
+
+    def test_negative_shots_exits_1_without_output(self, tmp_path, problem_file,
+                                                   isometry_file, capsys):
+        out = tmp_path / "sim.json"
+        code = main(["simulate", "--isometry", str(isometry_file), "--problem",
+                     str(problem_file), "--shots", "-5", "--out", str(out)])
+        assert code == 1
+        assert "shots must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_solver_settings(self, tmp_path, problem_file, isometry_file, capsys):
+        out = tmp_path / "sim.json"
+        code, report = run_json(capsys, ["simulate", "--isometry", str(isometry_file),
+                                         "--problem", str(problem_file), "--out", str(out)])
+        assert code == 0
+        assert "tol" not in report["meta"] and "max_iters" not in report["meta"]
+        assert "tol" not in read_json(isometry_file)["meta"]
+        code = main(["simulate", "--isometry", str(isometry_file), "--problem",
+                     str(problem_file), "--max-iters", "5"])
+        assert code == 1
+        assert "--max-iters" in capsys.readouterr().err
 
     def test_sweep_csv(self, tmp_path, problem_file, isometry_file, capsys):
         out = tmp_path / "sweep.csv"
@@ -400,6 +503,12 @@ class TestBenchCommand:
         validate_bench_report(report)
         assert len(report["rows"]) == 9  # 3 schemes x 3 tasks
         assert {r["task"] for r in report["rows"]} == {"solve", "rank_one", "isometry"}
+
+    def test_meta_records_solver_settings(self, capsys):
+        code, report = run_json(capsys, ["bench", "--max-qubits", "2", "--schemes", "med",
+                                         "--max-iters", "5000"])
+        assert code == 0
+        assert report["meta"]["max_iters"] == 5000 and report["meta"]["tol"] == 1e-8
 
     def test_unknown_scheme_rejected(self):
         assert main(["bench", "--schemes", "med,warp"]) == 1

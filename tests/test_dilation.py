@@ -249,6 +249,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_measurement(dil, PureState(np.array([1.0, 0, 0, 0])))
 
+    def test_negative_shots_rejected(self):
+        dil = build_isometry(decompose_rank1(trine_povm()))
+        with pytest.raises(ValueError, match="shots must be nonnegative"):
+            simulate_measurement(dil, DensityMatrix(np.eye(2) / 2.0), shots=-5)
+
 
 class TestCompleteToUnitary:
     def test_identity_embedding_gives_identity(self):

@@ -390,6 +390,17 @@ class TestBenchSchema:
         assert "solve" in (BENCH_REPORT_SCHEMA["properties"]["rows"]["items"]
                            ["properties"]["task"]["enum"])
 
+    # A JSON boolean is no number, although Python's bool is an int.
+    @pytest.mark.parametrize("field", ["qubits", "seconds"])
+    def test_boolean_number_rejected(self, field):
+        report = {"meta": {"tool": "qsdkit", "version": "0.1.0", "tol": 1e-8,
+                           "seed": 0},
+                  "rows": [{"scheme": "med", "qubits": 2, "task": "solve",
+                            "seconds": 0.5}]}
+        report["rows"][0][field] = True
+        with pytest.raises(ValueError, match=field):
+            validate_bench_report(report)
+
     @pytest.mark.parametrize("mutation", [
         lambda r: r.pop("rows"),
         lambda r: r["meta"].pop("tol"),
