@@ -34,8 +34,6 @@ from .metrics import (
     outcome_stats,
 )
 from .schemes import (
-    AT_LEAST,
-    AT_MOST,
     SCHEME_NAMES,
     SCHEMES,
     DecodeError,
@@ -78,29 +76,40 @@ def _meta(args) -> dict:
     return meta
 
 
-def _parse_vector(raw: str, k: int, name: str) -> np.ndarray:
+def _numbers(raw: str):
+    """One number, or a comma-separated list of them (one value per state)."""
     parts = [float(p) for p in raw.split(",")]
-    if len(parts) == 1:
-        return np.full(k, parts[0])
-    if len(parts) != k:
-        raise UsageError(f"{name} needs 1 or {k} comma-separated values")
-    return np.asarray(parts)
+    return parts[0] if len(parts) == 1 else np.asarray(parts)
+
+
+#: Each parameter of :data:`SCHEMES` with its table default; ``qsd solve``
+#: has one flag per key (see :func:`_add_scheme_flags`).
+_SCHEME_PARAMS = {key: default for _, params in SCHEMES.values()
+                  for key, default in params.items()}
+
+#: How a scheme flag reads its value, by the type of the table default, and
+#: what the value is.  A ``None`` default reads a POVM file.
+_FLAG_FORMS = {
+    float: (_numbers, "a number or a comma list of numbers"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    type(None): (str, "a POVM file whose noiseless outcome distribution is the "
+                      "reference; None: the problem's noiseless uqsd optimum"),
+}
 
 
 def cmd_solve(args) -> int:
-    spec = read_problem(args.problem)
+    problem = read_problem(args.problem)
     lam_eval = args.lambda_eval if args.lambda_eval is not None else (args.lam or 0.0)
     lam_metrics = args.lam if args.lam is not None else lam_eval
-    spec = spec.with_noise(lam_eval)
-    # The scheme parameters given on the command line; the scheme fills in the rest.
-    names = {key for _, defaults in SCHEMES.values() for key in defaults}
-    params = {key: value for key, value in vars(args).items() if key in names}
-    for key in ("alpha", "beta"):
-        if key in params:
-            params[key] = _parse_vector(params[key], spec.num_states, "--" + key)
-    if "reference" in params:
-        ref_povm = read_povm(params["reference"])
-        params["reference"] = joint_distribution(spec.with_noise(0.0), ref_povm, 0.0)
+    # Both noise levels are checked here, before the solve writes anything.
+    spec, reported = problem.with_noise(lam_eval), problem.with_noise(lam_metrics)
+    # The scheme parameters given on the command line; the scheme fills in
+    # the rest and checks every value.
+    params = {key: getattr(args, key) for key in _SCHEME_PARAMS if key in args}
+    for key, value in params.items():
+        if _SCHEME_PARAMS[key] is None:
+            params[key] = joint_distribution(problem, read_povm(value), 0.0)
     result = solve_scheme(spec, args.scheme, tol=args.tol,
                           max_iters=args.max_iters, **params)
     sol = result.solution
@@ -113,7 +122,7 @@ def cmd_solve(args) -> int:
     meta = {**_meta(args), "scheme": args.scheme, "lambda_eval": float(lam_eval)}
     write_povm(args.out, result.povm, meta)
 
-    jd = joint_distribution(spec, result.povm, lam_metrics)
+    jd = joint_distribution(reported, result.povm)
     stats = outcome_stats(jd)
     given_state, given_outcome = _conditionals(jd)
     report = {
@@ -169,6 +178,10 @@ def cmd_simulate(args) -> int:
     dil = read_isometry(args.isometry)
     spec = read_problem(args.problem)
     if args.lambda_sweep:
+        # A sweep reports rates only: per-state flags would go unused.
+        unused = [name for name in ("shots", "seed", "state_index") if name in args]
+        if unused:
+            raise UsageError(f"--lambda-sweep takes no --{unused[0].replace('_', '-')}")
         try:
             start, stop, points = args.lambda_sweep.split(":")
             lams = np.geomspace(float(start), float(stop), int(points))
@@ -196,21 +209,23 @@ def cmd_simulate(args) -> int:
 
     lam = float(lams[0])
     meta = {**_meta(args), "lambda": lam}
-    indices = range(spec.num_states) if args.state_index is None else [args.state_index]
+    shots, seed = getattr(args, "shots", 0), getattr(args, "seed", 0)
+    index = getattr(args, "state_index", None)
+    indices = range(spec.num_states) if index is None else [index]
     if not all(0 <= i < spec.num_states for i in indices):
         raise UsageError(f"--state-index must be in [0, {spec.num_states - 1}]")
     # Row i of the mixed table is state i's outcome distribution at this level.
     mixed = _mix(table, lam)
     per_state = []
     for i in indices:
-        result = _sample(labels, mixed[i], args.shots, args.seed)
+        result = _sample(labels, mixed[i], shots, seed)
         entry = {"state": int(i),
                  "probabilities": {str(l): float(p) for l, p in result.probabilities.items()}}
         if result.counts is not None:
             entry["counts"] = {str(l): int(c) for l, c in result.counts.items()}
         per_state.append(entry)
     stats = outcome_stats(_fold(spec.priors, mixed, columns))
-    report = {"meta": meta, "shots": int(args.shots), "per_state": per_state,
+    report = {"meta": meta, "shots": int(shots), "per_state": per_state,
               "p_succ": stats.p_succ, "p_err": stats.p_err, "p_inc": stats.p_inc}
     if args.out:
         write_json(args.out, report)
@@ -239,28 +254,23 @@ def cmd_bench(args) -> int:
             if time.perf_counter() - started > args.budget_seconds:
                 budget_hit = True
                 break
-            params = {}
-            if "reference" in SCHEMES[name][1]:
-                if reference is None:
-                    reference = uqsd_reference(spec, tol=args.tol)
-                params["reference"] = reference
-
-            t0 = time.perf_counter()
-            result = solve_scheme(spec, name, tol=args.tol,
-                                  max_iters=args.max_iters, **params)
-            rows.append({"scheme": name, "qubits": num_qubits, "task": "solve",
-                         "seconds": time.perf_counter() - t0})
-
-            t0 = time.perf_counter()
-            dec = decompose_rank1(result.povm)
-            rows.append({"scheme": name, "qubits": num_qubits, "task": "rank_one",
-                         "seconds": time.perf_counter() - t0})
-
-            t0 = time.perf_counter()
-            dil = build_isometry(dec)
-            complete_to_unitary(dil)
-            rows.append({"scheme": name, "qubits": num_qubits, "task": "isometry",
-                         "seconds": time.perf_counter() - t0})
+            # A None table default stands for the uqsd reference, solved once per instance.
+            takes = [key for key, default in SCHEMES[name][1].items() if default is None]
+            if takes and reference is None:
+                reference = uqsd_reference(spec, tol=args.tol)
+            params = dict.fromkeys(takes, reference)
+            stages = (
+                ("solve", lambda _: solve_scheme(spec, name, tol=args.tol,
+                                                 max_iters=args.max_iters, **params).povm),
+                ("rank_one", decompose_rank1),
+                ("isometry", lambda dec: complete_to_unitary(build_isometry(dec))),
+            )
+            value = None
+            for task, stage in stages:
+                t0 = time.perf_counter()
+                value = stage(value)
+                rows.append({"scheme": name, "qubits": num_qubits, "task": task,
+                             "seconds": time.perf_counter() - t0})
         if budget_hit:
             break
     report = {"meta": _meta(args), "rows": rows,
@@ -282,6 +292,18 @@ def _add_common(p):
                    help="solver iteration budget")
 
 
+def _add_scheme_flags(p) -> None:
+    """One ``--<key>`` flag per :data:`SCHEMES` parameter, read by the type of
+    its table default.  An absent flag takes the scheme's default, and a flag
+    the scheme does not take is a usage error (see ``build_scheme``)."""
+    group = p.add_argument_group("scheme parameters (from schemes.SCHEMES)")
+    for key, default in _SCHEME_PARAMS.items():
+        takers = [name for name, (_, params) in SCHEMES.items() if key in params]
+        read, what = _FLAG_FORMS[type(default)]
+        group.add_argument("--" + key, type=read, default=argparse.SUPPRESS,
+                           help=f"{', '.join(takers)}: {what} (default: {default})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qsd", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qsdkit {__version__}")
@@ -296,17 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise level for the reported metrics (default: lambda-eval)")
     p.add_argument("--lambda-eval", dest="lambda_eval", type=float, default=None,
                    help="noise level assumed while solving (default: --lambda or 0)")
-    # Scheme parameters: an absent flag takes the scheme's default, and a
-    # flag the scheme does not take is a usage error (see schemes.SCHEMES).
-    p.add_argument("--rate", type=float, default=argparse.SUPPRESS, help="frio inconclusive rate")
-    p.add_argument("--bound", choices=(AT_LEAST, AT_MOST), default=argparse.SUPPRESS)
-    p.add_argument("--alpha", default=argparse.SUPPRESS, help="crossqsd false-positive bounds")
-    p.add_argument("--beta", default=argparse.SUPPRESS, help="crossqsd false-negative bounds")
-    p.add_argument("--w", type=float, default=argparse.SUPPRESS, help="hybrid trade-off weight")
-    p.add_argument("--ell", type=int, choices=(1, 2), default=argparse.SUPPRESS,
-                   help="deviation norm")
-    p.add_argument("--reference", default=argparse.SUPPRESS,
-                   help="POVM file defining the reference distribution")
+    _add_scheme_flags(p)
     _add_common(p)
 
     p = sub.add_parser("dilate", help="build a projective dilation of a POVM")
@@ -321,10 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="measure states through a dilated POVM")
     p.add_argument("--isometry", required=True, help="isometry JSON file")
     p.add_argument("--problem", required=True, help="problem JSON file")
-    p.add_argument("--state-index", type=int, default=None,
-                   help="simulate only this prepared state")
-    p.add_argument("--shots", type=int, default=0, help="0 = exact probabilities")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    # No defaults in the namespace, so a sweep can reject these flags.
+    p.add_argument("--state-index", type=int, default=argparse.SUPPRESS,
+                   help="simulate only this prepared state (default: all)")
+    p.add_argument("--shots", type=int, default=argparse.SUPPRESS,
+                   help="shots per state (default 0: exact probabilities only)")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="sampling seed (default 0)")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="depolarizing level applied to the input states")
     p.add_argument("--lambda-sweep", default=None,

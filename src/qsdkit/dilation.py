@@ -50,7 +50,9 @@ class Rank1Term:
 
 @dataclass(frozen=True)
 class Rank1Decomposition:
-    """Rank-1 decomposition of a labeled POVM, grouped by element."""
+    """Rank-1 decomposition of a labeled POVM; term ``t`` fills basis slot
+    ``t`` of :func:`build_isometry`.  :func:`decompose_rank1` groups the terms
+    by element."""
 
     dim: int
     terms: tuple
@@ -200,25 +202,18 @@ def build_isometry_generic(povm: Povm) -> DilationResult:
     """Baseline dilation ``V = sum_i sqrt(Pi_i) (x) |i>`` for comparison.
 
     Targets dimension ``k * d`` (padded to the next power of two), against
-    which the rank-based construction is usually much smaller.
+    which the rank-based construction is usually much smaller.  The conjugate
+    of row ``r`` of ``sqrt(Pi_i)`` is a rank-1 piece of element ``i``, and
+    :func:`build_isometry` puts that row in basis slot ``r * k + i``.
     """
-    d = povm.dim
-    k = len(povm.elements)
-    raw_dim = k * d
-    m = max(_domain_qubits(d), (raw_dim - 1).bit_length())
-    target = 2 ** m
-    v = np.zeros((target, d), dtype=complex)
-    outcome_map = [RESIDUAL] * target
-    for i, elem in enumerate(povm.elements):
-        h = 0.5 * (elem + elem.conj().T)
-        w, u = np.linalg.eigh(h)
-        root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-        for r in range(d):
-            idx = r * k + i
-            v[idx, :] = root[r, :]
-            outcome_map[idx] = povm.labels[i]
-    return DilationResult(domain_dim=d, total_rank=raw_dim, target_qubits=m,
-                          isometry=v, outcome_map=tuple(outcome_map), delta=0.0)
+    roots = []
+    for elem in povm.elements:
+        w, u = np.linalg.eigh(0.5 * (elem + elem.conj().T))
+        roots.append((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T)
+    terms = tuple(Rank1Term(element=i, sigma=float(np.vdot(root[r], root[r]).real),
+                            vector=root[r].conj())
+                  for r in range(povm.dim) for i, root in enumerate(roots))
+    return build_isometry(Rank1Decomposition(dim=povm.dim, terms=terms, labels=povm.labels))
 
 
 def _densities(states) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Closed forms and brute-force searches for two-state qubit discrimination.
 Nothing in this module calls the conic solver, so these values can vouch for
-it.  The brute-force searches return the best candidate found on a finite
-grid and are therefore one-sided (lower) bounds on the true optimum.
+it.  :func:`helstrom_two_state` and :func:`uqsd_two_pure` are exact.
+:func:`brute_force_qubit_povm` returns the best candidate found on a finite
+grid and is therefore a one-sided (lower) bound on the true optimum.
 """
 
 from __future__ import annotations
@@ -27,56 +28,24 @@ def helstrom_two_state(rho1: DensityMatrix, rho2: DensityMatrix, p1: float) -> f
     return 0.5 * (1.0 + trace_norm)
 
 
-def _max_psd_weight(m: np.ndarray, v: np.ndarray) -> float:
-    """Largest ``a >= 0`` such that ``m - a |v><v|`` stays PSD (``m`` PSD)."""
-    w, u = np.linalg.eigh(m)
-    overlaps = np.abs(u.conj().T @ v) ** 2
-    quad = 0.0
-    for w_i, ov in zip(w, overlaps):
-        if w_i < 1e-12:
-            if ov > 1e-18:
-                return 0.0
-        else:
-            quad += ov / w_i
-    return 1.0 / quad if quad > 1e-14 else math.inf
-
-
-def uqsd_two_pure(psi1: PureState, psi2: PureState, p1: float,
-                  grid: int = 20_000) -> float:
+def uqsd_two_pure(psi1: PureState, psi2: PureState, p1: float) -> float:
     """Optimal unambiguous success probability for two pure states.
 
-    For equal priors this is the closed form ``1 - |<psi1|psi2>|``.  For
-    general priors the optimum is found by a one-dimensional scan over the
-    known optimal family: rank-1 conclusive elements ``a_i |phi_i><phi_i|``
-    with ``phi_i`` orthogonal to the opposite state, where for each weight
-    ``a1`` the largest ``a2`` keeping the inconclusive element PSD has a
-    closed form.
+    The Jaeger-Shimony closed form (Phys. Lett. A 197, 83 (1995)): with
+    overlap ``s = |<psi1|psi2>|`` and priors ``lo <= hi`` it is
+    ``1 - 2 sqrt(lo hi) s`` when ``s**2 hi <= lo``, where both conclusive
+    outcomes fire, and ``hi (1 - s**2)`` otherwise, where only the likelier
+    state is ever identified.  Equal priors give ``1 - s``.
     """
     if psi1.dim != psi2.dim:
         raise ValueError("dimension mismatch")
     if not 0.0 <= p1 <= 1.0:
         raise ValueError("p1 must be in [0, 1]")
     s = abs(psi1.overlap(psi2))
-    if abs(p1 - 0.5) < 1e-15:
-        return 1.0 - s
-    if s >= 1.0 - 1e-14:
-        return 0.0
-    if s <= 1e-14:
-        return 1.0
-    p2 = 1.0 - p1
-    # Work in the 2-dim span with a real overlap: psi1 = (1, 0),
-    # psi2 = (s, sqrt(1-s^2)); phi_i is the unit vector orthogonal to the
-    # opposite state, so |<phi_i|psi_i>|^2 = 1 - s^2.
-    c = math.sqrt(1.0 - s * s)
-    v1 = np.array([c, -s])          # orthogonal to psi2
-    v2 = np.array([0.0, 1.0])       # orthogonal to psi1
-    proj1 = np.outer(v1, v1)
-    best = 0.0
-    for a1 in np.linspace(0.0, 1.0, grid + 1):
-        a2 = min(_max_psd_weight(np.eye(2) - a1 * proj1, v2), 1.0)
-        value = (1.0 - s * s) * (p1 * a1 + p2 * a2)
-        best = max(best, value)
-    return best
+    lo, hi = sorted((p1, 1.0 - p1))
+    if s * s * hi <= lo:
+        return 1.0 - 2.0 * math.sqrt(lo * hi) * s
+    return hi * (1.0 - s * s)
 
 
 def brute_force_qubit_povm(spec: ProblemSpec, scheme: str = "med",

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from qsdkit import (SCHEME_NAMES, confidences, depolarize, dilation, simulate_measurement,
-                    solve_scheme)
+from qsdkit import (SCHEME_NAMES, cli, confidences, depolarize, dilation,
+                    simulate_measurement, solve_scheme)
 from qsdkit.cli import main
+from qsdkit.schemes import SCHEMES
 from qsdkit.serialize import (read_isometry, read_json, read_povm, read_problem,
                               read_sweep_csv, validate_bench_report)
 
@@ -160,6 +161,44 @@ class TestSolveCommand:
         assert code == 0
         want = solve_scheme(read_problem(pair_file), scheme).value
         assert abs(report["objective_value"] - want) <= 1e-7
+
+    @pytest.mark.parametrize("key", sorted({key for _, params in SCHEMES.values()
+                                            for key in params}))
+    def test_help_lists_every_scheme_parameter(self, capsys, key):
+        with pytest.raises(SystemExit) as exit_:
+            main(["solve", "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        entry = text.split(f"--{key} {key.upper()} ")[1].split(" --")[0]
+        takers = [name for name, (_, params) in SCHEMES.items() if key in params]
+        assert entry.startswith(", ".join(takers) + ":")
+        assert all(f"(default: {SCHEMES[name][1][key]})" in entry for name in takers)
+
+    @pytest.mark.parametrize("scheme, flags, message", [
+        ("crossqsd", ["--alpha", "0.1,0.2"], "one alpha and one beta per state"),
+        ("frio", ["--bound", "sideways"], "bound must be"),
+    ])
+    def test_builder_rejects_value(self, problem_file, tmp_path, capsys, scheme, flags,
+                                   message):
+        out = tmp_path / "o.json"
+        code = main(["solve", "--problem", str(problem_file), "--scheme", scheme,
+                     "--out", str(out)] + flags)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_lambda_checked_before_the_solve(self, pair_file, tmp_path, capsys,
+                                                     monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("solve_scheme ran")
+
+        monkeypatch.setattr(cli, "solve_scheme", fail)
+        out = tmp_path / "o.json"
+        code = main(["solve", "--problem", str(pair_file), "--scheme", "med",
+                     "--lambda-eval", "0", "--lambda", "1.5", "--out", str(out)])
+        assert code == 1
+        assert "[0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDilateCommand:
@@ -369,6 +408,17 @@ class TestSimulateCommand:
         assert lams == sorted(lams)
         ratios = [r[4] for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
+
+    @pytest.mark.parametrize("flag", [["--shots", "0"], ["--seed", "0"],
+                                      ["--state-index", "1"]])
+    def test_sweep_rejects_per_state_flags(self, tmp_path, problem_file, isometry_file,
+                                           capsys, flag):
+        out = tmp_path / "sweep.csv"
+        code = main(["simulate", "--isometry", str(isometry_file), "--problem",
+                     str(problem_file), "--lambda-sweep", "1e-6:1:7", "--out", str(out)] + flag)
+        assert code == 1
+        assert f"--lambda-sweep takes no {flag[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dim_mismatch_exits_2(self, tmp_path, isometry_file, capsys):
         other = tmp_path / "p1.json"

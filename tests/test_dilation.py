@@ -163,6 +163,21 @@ class TestGenericDilation:
         report = verify_dilation(gen, povm, num_states=5)
         assert report.max_probability_deviation < 1e-10
 
+    def test_slot_layout(self, rng):
+        # Row r of sqrt(Pi_i) fills basis slot r*k + i; slots past k*d are residual.
+        povm = random_povm(2, 3, rng)
+        gen = build_isometry_generic(povm)
+        k = len(povm.elements)
+        assert gen.total_rank == 6 and gen.target_qubits == 3
+        assert gen.outcome_map[6:] == (RESIDUAL, RESIDUAL)
+        assert not gen.isometry[6:].any()
+        for i, elem in enumerate(povm.elements):
+            w, u = np.linalg.eigh(elem)
+            root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+            for r in range(povm.dim):
+                np.testing.assert_allclose(gen.isometry[r * k + i], root[r], atol=1e-12)
+                assert gen.outcome_map[r * k + i] == povm.labels[i]
+
     def test_strictly_smaller_register_for_low_rank_optimum(self):
         # The optimal minimum-error POVM for the two-qubit benchmark ensemble
         # has rank-2 elements, so the rank-based register is strictly smaller

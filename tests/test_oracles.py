@@ -79,6 +79,28 @@ class TestUqsdTwoPure:
             assert scan <= sdp.value + 1e-6
             assert abs(scan - sdp.value) < 1e-6
 
+    @staticmethod
+    def overlap_pair(s):
+        return PureState(np.array([1.0, 0.0])), PureState(np.array([s, math.sqrt(1 - s * s)]))
+
+    def test_one_sided_branch_matches_sdp(self):
+        # s**2 * hi > lo: only the likelier state is ever identified.
+        psi1, psi2 = self.overlap_pair(0.9)
+        value = uqsd_two_pure(psi1, psi2, 0.2)
+        assert value == pytest.approx(0.8 * (1 - 0.81), abs=1e-15)
+        spec = ProblemSpec.from_states([psi1, psi2], priors=[0.2, 0.8])
+        assert abs(value - solve_scheme(spec, "uqsd").value) < 1e-6
+
+    @pytest.mark.parametrize("lo", [0.05, 0.2, 0.45])
+    def test_branches_meet_at_the_boundary(self, lo):
+        # At s**2 = lo / hi both forms equal 1 - 2 lo.
+        s = math.sqrt(lo / (1 - lo))
+        for step in (-1e-9, 1e-9):
+            assert uqsd_two_pure(*self.overlap_pair(s + step), lo) == pytest.approx(
+                1 - 2 * lo, abs=1e-8)
+            assert uqsd_two_pure(*self.overlap_pair(s + step), 1 - lo) == pytest.approx(
+                1 - 2 * lo, abs=1e-8)
+
 
 class TestBruteForce:
     def test_med_orthogonal_tiny_grid(self):
