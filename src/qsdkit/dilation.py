@@ -147,7 +147,6 @@ def decompose_rank1(povm: Povm, rank_tol: float | None = 1e-7) -> Rank1Decomposi
             sigma = max(sigma, 0.0)
             vec = math.sqrt(sigma) * u[:, pos]
             terms.append(Rank1Term(element=idx, sigma=sigma, vector=vec))
-    terms.sort(key=lambda t: t.element)  # stable: keeps descending sigma per element
     return Rank1Decomposition(dim=povm.dim, terms=tuple(terms), labels=povm.labels)
 
 

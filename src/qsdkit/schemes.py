@@ -3,9 +3,10 @@
 Each ``build_*`` function turns a :class:`~qsdkit.states.ProblemSpec` into a
 :class:`~qsdkit.solver.ConeProgram` whose variables are the POVM elements
 (one complex PSD block per element, plus slack blocks for inequality
-constraints).  :func:`decode_povm` maps a solution back to a cleaned-up
-:class:`~qsdkit.states.Povm`, and :func:`solve_scheme` bundles the whole
-round trip.
+constraints).  The program's block-sum rows (POVM completeness) list the
+element blocks, and :func:`decode_povm` reads the elements from there back
+into a cleaned-up :class:`~qsdkit.states.Povm`; :func:`solve_scheme` bundles
+the whole round trip.
 
 Supported strategies
 --------------------
@@ -65,11 +66,12 @@ class DecodeError(RuntimeError):
 class SchemeProgram:
     """A conic program together with the metadata needed to decode it.
 
-    ``element_blocks[j]`` is the program block holding POVM element ``j``
-    (``None`` when the element is identically zero by construction), and
-    ``carriers[j]`` is an optional column-orthonormal matrix ``N`` such that
-    the element is ``N M N^+`` for the block variable ``M`` (used when a
-    scheme confines an element to a subspace).
+    The program's ``block_sum`` (the completeness rows) is the one record of
+    where each POVM element lives: entry ``t`` is the block at
+    ``offsets[t]``, entering the element as ``N M N^+`` when it has a
+    carrier ``N``.  ``labels[t]`` is the outcome label of entry ``t``.  A
+    conclusive label without an entry is an element that is identically
+    zero by construction.
     """
 
     program: ConeProgram
@@ -77,9 +79,6 @@ class SchemeProgram:
     num_states: int
     labels: tuple
     maximize: bool
-    name: str
-    element_blocks: tuple
-    carriers: tuple
 
 
 @dataclass(frozen=True)
@@ -172,24 +171,23 @@ def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool
     return asm, svecs, offs
 
 
-def _make_scheme(asm, spec, offs, name, maximize=True) -> SchemeProgram:
+def _make_scheme(asm, spec, offs, maximize=True) -> SchemeProgram:
     """Finish a program of :func:`_element_program` with element offsets ``offs``."""
-    k, count = spec.num_states, len(offs)
-    return SchemeProgram(asm.build(), spec.dim, k, tuple(range(k)) + (INCONCLUSIVE,) * (count - k),
-                         maximize=maximize, name=name,
-                         element_blocks=tuple(range(count)), carriers=(None,) * count)
+    k = spec.num_states
+    return SchemeProgram(asm.build(), spec.dim, k,
+                         tuple(range(k)) + (INCONCLUSIVE,) * (len(offs) - k), maximize)
 
 
 def build_med(spec: ProblemSpec) -> SchemeProgram:
     """Minimum-error discrimination: maximize the success probability."""
     asm, _, offs = _element_program(spec, inconclusive=False)
-    return _make_scheme(asm, spec, offs, "med")
+    return _make_scheme(asm, spec, offs)
 
 
 def build_med_plus(spec: ProblemSpec) -> SchemeProgram:
     """Minimum-error discrimination with an (always redundant) inconclusive element."""
     asm, _, offs = _element_program(spec)
-    return _make_scheme(asm, spec, offs, "med_plus")
+    return _make_scheme(asm, spec, offs)
 
 
 def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
@@ -214,32 +212,21 @@ def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
     noisy = spec.noisy_states()
     svecs = [svec(rho.matrix) for rho in noisy]
 
-    carriers = []
+    labels, offsets, carriers = [], [], []
     for j in range(k):
         others = sum(svecs[i] for i in range(k) if i != j)
         w, u = np.linalg.eigh(smat(others, d))
-        kernel = u[:, w < 1e-9]
-        carriers.append(kernel if kernel.shape[1] > 0 else None)
-
-    offsets = []
-    element_blocks = []
-    for j, n_j in enumerate(carriers):
-        if n_j is None:
-            element_blocks.append(None)
+        n_j = u[:, w < 1e-9]
+        if n_j.shape[1] == 0:
             continue
-        element_blocks.append(len(offsets))
+        labels.append(j)
         offsets.append(asm.add_psd(n_j.shape[1]))
+        carriers.append(n_j)
         reduced = n_j.conj().T @ noisy[j].matrix @ n_j
         asm.add_objective(offsets[-1], -spec.priors[j] * svec(reduced))
-    element_blocks.append(len(offsets))
     offsets.append(asm.add_psd(d))
-    block_carriers = tuple(n_j for n_j in carriers if n_j is not None) + (None,)
-    asm.block_sum = (tuple(offsets), svec(np.eye(d)), block_carriers)
-
-    return SchemeProgram(asm.build(), d, k, tuple(range(k)) + (INCONCLUSIVE,),
-                         maximize=True, name="uqsd",
-                         element_blocks=tuple(element_blocks),
-                         carriers=tuple(carriers) + (None,))
+    asm.block_sum = (tuple(offsets), svec(np.eye(d)), tuple(carriers) + (None,))
+    return SchemeProgram(asm.build(), d, k, tuple(labels) + (INCONCLUSIVE,), maximize=True)
 
 
 def build_frio(spec: ProblemSpec, rate: float, bound: str = AT_LEAST) -> SchemeProgram:
@@ -248,8 +235,8 @@ def build_frio(spec: ProblemSpec, rate: float, bound: str = AT_LEAST) -> SchemeP
     ``bound`` selects whether ``P_inc >= rate`` (``"at_least"``, the default)
     or ``P_inc <= rate`` (``"at_most"``).
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be in [0, 1]")
+    if np.ndim(rate) != 0 or not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must be a number in [0, 1]")
     if bound not in (AT_LEAST, AT_MOST):
         raise ValueError(f"bound must be '{AT_LEAST}' or '{AT_MOST}'")
     asm, svecs, offs = _element_program(spec)
@@ -257,7 +244,7 @@ def build_frio(spec: ProblemSpec, rate: float, bound: str = AT_LEAST) -> SchemeP
     slack = asm.add_nonneg()
     sign = -1.0 if bound == AT_LEAST else 1.0
     asm.add_row([(offs[-1], inc_vec), (slack, [sign])], rate)
-    return _make_scheme(asm, spec, offs, "frio")
+    return _make_scheme(asm, spec, offs)
 
 
 def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
@@ -291,7 +278,7 @@ def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
         vec = priors[i] * svecs[i] - (1.0 - beta[i]) * sum(
             priors[j] * svecs[j] for j in range(k))
         asm.add_row([(offs[i], vec), (slack, [-1.0])], 0.0)
-    return _make_scheme(asm, spec, offs, "crossqsd")
+    return _make_scheme(asm, spec, offs)
 
 
 def _check_reference(spec: ProblemSpec, reference: JointDistribution) -> np.ndarray:
@@ -339,7 +326,7 @@ def build_fit_min_lp(spec: ProblemSpec, ell: int, reference: JointDistribution) 
     ref = _check_reference(spec, reference)
     asm, svecs, offs = _element_program(spec, success=False)
     _deviation_terms(asm, spec, offs, svecs, ref, ell, weight=1.0)
-    return _make_scheme(asm, spec, offs, "minl1" if ell == 1 else "minss", maximize=False)
+    return _make_scheme(asm, spec, offs, maximize=False)
 
 
 def build_fit_meco(spec: ProblemSpec, reference: JointDistribution) -> SchemeProgram:
@@ -362,7 +349,7 @@ def build_fit_meco(spec: ProblemSpec, reference: JointDistribution) -> SchemePro
                 asm.add_row([(offs[j], w_vec), (slack, [1.0])], ref[i, j])
             else:
                 asm.add_row([(offs[j], w_vec), (slack, [-1.0])], ref[i, j])
-    return _make_scheme(asm, spec, offs, "meco")
+    return _make_scheme(asm, spec, offs)
 
 
 def build_hybrid(spec: ProblemSpec, w: float, ell: int,
@@ -373,15 +360,15 @@ def build_hybrid(spec: ProblemSpec, w: float, ell: int,
     ``w = 0`` recovers plain success maximization; large ``w`` forces the
     distribution onto the reference.
     """
-    if not w >= 0:
-        raise ValueError("w must be nonnegative")
+    if np.ndim(w) != 0 or not w >= 0:
+        raise ValueError("w must be a nonnegative number")
     if ell not in (1, 2):
         raise ValueError("ell must be 1 or 2")
     ref = _check_reference(spec, reference)
     asm, svecs, offs = _element_program(spec)
     if w > 0:
         _deviation_terms(asm, spec, offs, svecs, ref, ell, weight=w)
-    return _make_scheme(asm, spec, offs, "hybrid")
+    return _make_scheme(asm, spec, offs)
 
 
 # --------------------------------------------------------------------------
@@ -397,20 +384,31 @@ def scheme_value(scheme: SchemeProgram, solution: Solution) -> float:
 def decode_povm(scheme: SchemeProgram, solution: Solution) -> Povm:
     """Extract, clean up, and label the POVM from a solved program.
 
-    Each element block is symmetrized and projected onto the PSD cone; the
-    set is then rescaled by ``S^(-1/2) Pi S^(-1/2)`` with ``S`` the element
-    sum so completeness holds exactly.  Rescaling is refused (DecodeError)
-    when ``||S - I||_F > 1e-3``, which signals an unconverged solve.
+    The elements are read from the program's block-sum entries, each under
+    its label in ``scheme.labels``, and come out in the order ``0..k-1``
+    followed by the inconclusive element when the scheme has one; a
+    conclusive label without an entry gets a zero element.  Each block is
+    symmetrized and projected onto the PSD cone (and mapped through its
+    carrier); the set is then rescaled by ``S^(-1/2) Pi S^(-1/2)`` with
+    ``S`` the element sum so completeness holds exactly.  Rescaling is
+    refused (DecodeError) when ``||S - I||_F > 1e-3``, which signals an
+    unconverged solve.
     """
     if solution.status not in (OPTIMAL, MAX_ITERS):
         raise DecodeError(f"cannot decode a solution with status {solution.status!r}")
     d = scheme.dim
+    offsets, _, *carriers = scheme.program.block_sum
+    carriers = carriers[0] if carriers else (None,) * len(offsets)
+    entries = dict(zip(scheme.labels, zip(offsets, carriers)))
+    labels = tuple(range(scheme.num_states)) + ((INCONCLUSIVE,) if INCONCLUSIVE in entries else ())
     elements = []
-    for idx, carrier in zip(scheme.element_blocks, scheme.carriers):
-        if idx is None:
+    for label in labels:
+        if label not in entries:
             elements.append(np.zeros((d, d), dtype=complex))
             continue
-        block = psd_project(solution.block(scheme.program, idx))
+        off, carrier = entries[label]
+        r = d if carrier is None else carrier.shape[1]
+        block = psd_project(smat(solution.x[off:off + r * r], r))
         if carrier is not None:
             block = carrier @ block @ carrier.conj().T
         elements.append(block)
@@ -424,7 +422,7 @@ def decode_povm(scheme: SchemeProgram, solution: Solution) -> Povm:
     for e in elements:
         m = inv_sqrt @ e @ inv_sqrt
         cleaned.append(0.5 * (m + m.conj().T))
-    return Povm(dim=d, elements=tuple(cleaned), labels=scheme.labels)
+    return Povm(dim=d, elements=tuple(cleaned), labels=labels)
 
 
 def uqsd_reference(spec: ProblemSpec, tol: float = DEFAULT_TOL,
@@ -436,9 +434,7 @@ def uqsd_reference(spec: ProblemSpec, tol: float = DEFAULT_TOL,
     noise-free states.
     """
     noiseless = spec.with_noise(0.0)
-    scheme = build_uqsd(noiseless)
-    solution = solve(scheme.program, tol=tol, max_iters=max_iters)
-    povm = decode_povm(scheme, solution)
+    povm = solve_scheme(noiseless, "uqsd", tol=tol, max_iters=max_iters).povm
     return joint_distribution(noiseless, povm, 0.0)
 
 

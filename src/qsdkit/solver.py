@@ -289,18 +289,6 @@ class Solution:
     objective: float
     iterations: int
 
-    def block(self, program: ConeProgram, index: int) -> np.ndarray:
-        """Extract one block of the solution; PSD blocks come back as matrices."""
-        off = 0
-        for i, blk in enumerate(program.blocks):
-            if i == index:
-                seg = self.x[off:off + blk.size]
-                if isinstance(blk, PsdCone):
-                    return smat(seg, blk.dim)
-                return seg
-            off += blk.size
-        raise IndexError(index)
-
 
 # --------------------------------------------------------------------------
 # The solver

@@ -177,6 +177,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("scheme, flags, message", [
         ("crossqsd", ["--alpha", "0.1,0.2"], "one alpha and one beta per state"),
         ("frio", ["--bound", "sideways"], "bound must be"),
+        ("frio", ["--rate", "0.1,0.2"], "rate must be a number"),
     ])
     def test_builder_rejects_value(self, problem_file, tmp_path, capsys, scheme, flags,
                                    message):

@@ -6,6 +6,7 @@ import pytest
 from qsdkit import (
     INCONCLUSIVE,
     DecodeError,
+    DensityMatrix,
     ProblemSpec,
     PureState,
     brute_force_qubit_povm,
@@ -107,6 +108,30 @@ class TestUqsd:
         spec = zero_plus_spec(lam=0.05)
         res = solve_scheme(spec, "uqsd")
         assert res.value == pytest.approx(0.0, abs=1e-9)
+
+    def test_empty_kernels_decode_as_zero_elements(self):
+        # Two pure states and a rank-3 mixed state in d=4: only the mixed
+        # state's element has a kernel to live in (rank 2), so the program
+        # holds two block-sum entries and decode fills in elements 0 and 1.
+        e = np.eye(4)
+        mixed = DensityMatrix(np.diag([0.0, 1.0, 1.0, 1.0]) / 3.0)
+        spec = ProblemSpec((density_of(PureState(e[0])),
+                            density_of(PureState((e[0] + e[1]) / math.sqrt(2.0))), mixed),
+                           np.full(3, 1.0 / 3.0))
+        scheme = build_scheme(spec, "uqsd")
+        offsets, _, carriers = scheme.program.block_sum
+        assert len(offsets) == 2
+        assert carriers[0].shape == (4, 2) and carriers[1] is None
+        assert scheme.labels == (2, INCONCLUSIVE)
+        povm = decode_povm(scheme, solve(scheme.program))
+        assert povm.labels == (0, 1, 2, INCONCLUSIVE)
+        assert not povm.elements[0].any() and not povm.elements[1].any()
+        np.testing.assert_allclose(sum(povm.elements), np.eye(4), atol=1e-10)
+        jd = joint_distribution(spec, povm, 0.0).entries
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    assert jd[i, j] < 1e-9
 
 
 class TestFrio:
@@ -321,6 +346,11 @@ class TestHybrid:
         ref = uqsd_reference(zero_plus_spec())
         with pytest.raises(ValueError, match=match):
             build_scheme(zero_plus_spec(0.01), "hybrid", w=w, ell=ell, reference=ref)
+
+    def test_non_scalar_weight_rejected(self):
+        ref = uqsd_reference(zero_plus_spec())
+        with pytest.raises(ValueError, match="w must be a nonnegative number"):
+            build_scheme(zero_plus_spec(0.01), "hybrid", w=np.array([0.1, 0.2]), reference=ref)
 
 
 class TestSchemeTable:
