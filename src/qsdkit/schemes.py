@@ -282,6 +282,13 @@ def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
 
 
 def _check_reference(spec: ProblemSpec, reference: JointDistribution) -> np.ndarray:
+    """The entries of ``reference``, checked against ``spec``.
+
+    A callable ``reference`` (the default of :func:`build_scheme`) is called
+    here, once the builder has checked its other parameters.
+    """
+    if callable(reference):
+        reference = reference()
     if not isinstance(reference, JointDistribution):
         reference = JointDistribution(np.asarray(reference, dtype=float))
     if reference.num_states != spec.num_states:
@@ -473,7 +480,7 @@ def build_scheme(spec: ProblemSpec, name: str, *, tol: float = DEFAULT_TOL,
     parameter the scheme does not take raises ``ValueError``.  A scalar
     ``alpha`` or ``beta`` applies to every state.  A fitting scheme without
     a ``reference`` fits :func:`uqsd_reference` of ``spec``, solved to
-    ``tol``.
+    ``tol`` only after the builder has checked the other parameters.
     """
     if name not in SCHEMES:
         raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
@@ -484,7 +491,7 @@ def build_scheme(spec: ProblemSpec, name: str, *, tol: float = DEFAULT_TOL,
         raise ValueError(f"scheme {name!r} takes {takes}; got {', '.join(unknown)}")
     params = {**defaults, **params}
     if "reference" in params and params["reference"] is None:
-        params["reference"] = uqsd_reference(spec, tol=tol)
+        params["reference"] = lambda: uqsd_reference(spec, tol=tol)
     return call(spec, params)
 
 

@@ -23,9 +23,12 @@ The method is ADMM on the splitting ``f(x) = c'x + q-term + indicator{Ax=b}``,
 ``g(z) = indicator{z in K}``: an affine projection (block-sum rows solved
 through a diagonal or a cached factorization, the other rows through a cached
 Cholesky factorization of their Schur complement), a cone projection per
-block (eigenvalue clipping for PSD blocks), and a scaled dual update, with
-residual balancing of the penalty parameter.  Everything is deterministic:
-fixed zero initialization, no randomized internals.
+block (eigenvalue clipping for PSD blocks), and a scaled dual update.  Every
+100 iterations residual balancing scales the penalty parameter by the square
+root of the residual ratio (OSQP's rule).  Safeguarded Anderson acceleration
+takes its weights from the normal equations of a Gram matrix that each
+iteration updates by one matrix-vector product.  Everything is
+deterministic: fixed zero initialization, no randomized internals.
 """
 
 from __future__ import annotations
@@ -382,10 +385,13 @@ class _CarrierMaps:
             o = q[:, :, cs].transpose(2, 1, 0) @ qh[:, :, es].transpose(2, 0, 1)
             return o[:, diag, diag], o[:, rows, cols], o[:, cols, rows]
 
-        out = np.empty((d * d, d * d))
+        # Fortran order lets the affine step factor it in place (_make_solver).
+        # A chunk of rows then touches every column of it, so the chunks of
+        # temporaries are kept small.
+        out = np.empty((d * d, d * d), order="F")
         od, ou, _ = outer(diag, diag)
         out[:d] = np.concatenate([od.real, _SQRT2 * ou.real, _SQRT2 * ou.imag], axis=1)
-        step = max(1, (1 << 20) // (d * d))
+        step = max(1, (1 << 18) // (d * d))
         for lo in range(0, t, step):
             hi = min(t, lo + step)
             od, ou, ol = outer(rows[lo:hi], cols[lo:hi])
@@ -455,12 +461,17 @@ class _AffineProjector:
             self._factor()
 
     @staticmethod
-    def _make_solver(gram):
-        """Solver for ``gram @ mu = r``; ``r`` is a temporary it may overwrite."""
+    def _make_solver(build):
+        """Solver for ``m @ mu = r`` with ``m = build()``; ``r`` is a temporary it may overwrite.
+
+        ``m`` is factored in place, with no copy when it is in Fortran order,
+        so it is built a second time only for the pseudoinverse fallback.
+        """
         try:
-            factor, lower = scipy.linalg.cho_factor(gram, check_finite=False)
+            factor, lower = scipy.linalg.cho_factor(build(), overwrite_a=True,
+                                                    check_finite=False)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-            pinv = np.linalg.pinv(gram, rcond=1e-12)
+            pinv = np.linalg.pinv(build(), rcond=1e-12)
             return lambda r: pinv @ r
         # The LAPACK routine scipy.linalg.cho_solve ends in, without its
         # per-call argument checks.
@@ -476,12 +487,7 @@ class _AffineProjector:
     def _factor(self):
         """Set up the multiplier solve for the current metric."""
         d_inv = self._d_inv
-        if d_inv is None:
-            a_dinv = self.A
-            gram = self.A @ self.A.T
-        else:
-            a_dinv = self.A * d_inv[None, :]
-            gram = a_dinv @ self.AT
+        a_dinv = self.A if d_inv is None else self.A * d_inv[None, :]
         if self.index is not None:
             self._k = self.scale * self._block_sums(a_dinv)
             if self.carriers is None:
@@ -490,21 +496,35 @@ class _AffineProjector:
                     self._delta = np.full(self.index.shape[1], self.scale * self.scale * m)
                 else:
                     self._delta = self.scale * self.scale * d_inv[self.index].sum(axis=0)
-                gram = gram - (self._k / self._delta) @ self._k.T
             else:
-                if d_inv is None:
-                    # Factored once, for every rho: the Gram matrix is not needed again.
-                    delta, self._carrier_gram = self._carrier_gram, None
-                    delta[np.diag_indices_from(delta)] += self.index.shape[0]
-                else:
-                    delta = self._carrier_gram / self._rho
-                    delta[np.diag_indices_from(delta)] += d_inv[self.index].sum(axis=0)
-                delta *= self.scale[:, None]
-                delta *= self.scale
-                self._delta_solve = self._make_solver(delta)
-                if self.b.size:
-                    gram = gram - self._k @ self._delta_solve(self._k.T.copy())
-        self._solve = self._make_solver(gram) if self.b.size else None
+                self._delta_solve = self._make_solver(self._carrier_delta)
+        self._solve = self._make_solver(lambda: self._schur(a_dinv)) if self.b.size else None
+
+    def _carrier_delta(self):
+        """``Delta`` of the carrier rows for the current metric, in Fortran order."""
+        d_inv = self._d_inv
+        if d_inv is None:
+            # Factored once, for every rho: the Gram matrix is not needed again,
+            # except to build Delta afresh for the pseudoinverse fallback.
+            delta, self._carrier_gram = self._carrier_gram, None
+            if delta is None:
+                delta = self.carriers.gram()
+            delta[np.diag_indices_from(delta)] += self.index.shape[0]
+        else:
+            delta = self._carrier_gram / self._rho
+            delta[np.diag_indices_from(delta)] += d_inv[self.index].sum(axis=0)
+        delta *= self.scale[:, None]
+        delta *= self.scale
+        return delta
+
+    def _schur(self, a_dinv):
+        """The Schur complement ``S`` of the rows of ``A`` for the current metric."""
+        gram = self.A @ self.A.T if self._d_inv is None else a_dinv @ self.AT
+        if self.index is None:
+            return gram
+        if self.carriers is None:
+            return gram - (self._k / self._delta) @ self._k.T
+        return gram - self._k @ self._delta_solve(self._k.T.copy())
 
     def set_rho(self, rho):
         if self.quad is not None:
@@ -621,8 +641,7 @@ class _AndersonMemory:
     ``w = (z, u) -> F(w)`` and proposes the residual-minimizing affine
     combination of the images.  Candidates are only adopted when their own
     fixed-point residual beats the plain step's, so acceleration can never
-    drive the iteration away from the solution.  Everything is least-squares
-    based and deterministic.
+    drive the iteration away from the solution.  Everything is deterministic.
 
     The history lives in two preallocated row-major buffers of ``size``
     rows and ``2 * mem`` columns: ``images`` holds the images ``F(w_j)``,
@@ -632,17 +651,25 @@ class _AndersonMemory:
     ``mem`` slots, and each column is written twice, to its slot ``s`` and
     to ``s + mem``, so the newest ``k`` columns are always one slice of the
     buffer in chronological order, oldest first, and a push shifts nothing.
-    The order matters: ``lstsq`` then gets the matrix that stacking the
-    history afresh gives, and the image combination is the same row-major
-    matrix-vector product with only a longer row stride.  A ring read in
-    rotated order would permute the columns, which changes the rounding of
-    both and, through it, the iterates.
+
+    The least-squares weights solve the normal equations of the window,
+    ``(G + r I) gamma = D' r_last`` for the window's differences ``D``, as
+    in SCS 3 (Zhang, O'Donoghue, Boyd, SIAM J. Optim. 2020).  ``gram`` holds
+    ``G + r I`` in chronological order: a push shifts out the oldest row and
+    column when the window is full and writes the inner products of its
+    difference with the window's, one matrix-vector product, so a candidate
+    costs O(size * mem) rather than an SVD.  The ridge ``r = RIDGE`` only
+    keeps a window of zero differences solvable; a singular window gives no
+    candidate.
     """
+
+    RIDGE = 1e-300
 
     def __init__(self, mem: int, size: int):
         self.mem = mem
         self.images = np.empty((size, 2 * mem))
         self.diffs = np.empty((size, 2 * mem))
+        self.gram = np.empty((mem - 1, mem - 1))
         self.last = None  # newest residual
         self.count = 0
         self.slot = -1  # slot of the newest pair
@@ -657,11 +684,21 @@ class _AndersonMemory:
         j = (self.slot + 1) % self.mem
         self.images[:, j] = fw
         self.images[:, j + self.mem] = fw
-        if self.count > 0:
-            diff = np.subtract(residual, self.last, out=self.diffs[:, j])
-            self.diffs[:, j + self.mem] = diff
-        self.count = min(self.count + 1, self.mem)
+        had = self.count
+        self.count = min(had + 1, self.mem)
         self.slot = j
+        m = self.count - 1  # differences in the window
+        if m > 0:
+            diff = residual - self.last
+            self.diffs[:, j] = diff
+            self.diffs[:, j + self.mem] = diff
+            if had == self.mem:
+                self.gram[:m - 1, :m - 1] = self.gram[1:m, 1:m]
+            end = j + self.mem + 1
+            products = diff @ self.diffs[:, end - m:end]
+            self.gram[m - 1, :m] = products
+            self.gram[:m, m - 1] = products
+            self.gram[m - 1, m - 1] += self.RIDGE
         self.last = residual
         return residual
 
@@ -670,18 +707,33 @@ class _AndersonMemory:
         if k < 3:
             return None
         end = self.slot + self.mem + 1
-        start = end - k
         try:
-            gamma, *_ = np.linalg.lstsq(self.diffs[:, start + 1:end], self.last, rcond=None)
+            gamma = np.linalg.solve(self.gram[:k - 1, :k - 1],
+                                    self.last @ self.diffs[:, end - k + 1:end])
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(gamma)):
+        if not np.isfinite(gamma).all():
             return None
         theta = np.zeros(k)
         theta[-1] = 1.0
         theta[1:] -= gamma
         theta[:-1] += gamma
-        return self.images[:, start:end] @ theta
+        return self.images[:, end - k:end] @ theta
+
+
+def _penalty_factor(pri_res: float, dual_res: float) -> float:
+    """Factor by which residual balancing scales the penalty ``rho``.
+
+    When one residual exceeds five times the other the factor is
+    ``sqrt(pri_res / dual_res)`` (the square-root rule of OSQP, Stellato et
+    al. 2020), clipped to ``[1e-3, 1e3]``; a zero dual residual takes the
+    upper clip.  Otherwise it is 1.
+    """
+    if not (pri_res > 5.0 * dual_res or dual_res > 5.0 * pri_res):
+        return 1.0
+    if dual_res == 0.0:
+        return 1e3
+    return min(max(math.sqrt(pri_res / dual_res), 1e-3), 1e3)
 
 
 def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
@@ -775,20 +827,15 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         if not accepted:
             w = fw
 
-        # Residual balancing keeps the primal and dual residuals within a
-        # factor of ten of each other; u is rescaled so the unscaled dual
-        # variable rho*u is untouched.  The fixed-point map changes with the
-        # penalty, so the acceleration memory is flushed.
+        # Residual balancing every 100 iterations (_penalty_factor); u is
+        # rescaled so the unscaled dual variable rho*u is untouched.  The
+        # fixed-point map changes with the penalty, so the acceleration
+        # memory is flushed.
         if it % 100 == 0:
-            if pri_res > 10.0 * dual_res:
-                rho *= 2.0
-                w[n:] *= 0.5
-                affine.set_rho(rho)
-                if anderson is not None:
-                    anderson.clear()
-            elif dual_res > 10.0 * pri_res:
-                rho *= 0.5
-                w[n:] *= 2.0
+            factor = _penalty_factor(pri_res, dual_res)
+            if factor != 1.0:
+                rho *= factor
+                w[n:] /= factor
                 affine.set_rho(rho)
                 if anderson is not None:
                     anderson.clear()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qsdkit import (SCHEME_NAMES, cli, confidences, depolarize, dilation,
+from qsdkit import (SCHEME_NAMES, cli, confidences, depolarize, dilation, schemes,
                     simulate_measurement, solve_scheme)
 from qsdkit.cli import main
 from qsdkit.schemes import SCHEMES
@@ -186,6 +186,19 @@ class TestSolveCommand:
                      "--out", str(out)] + flags)
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("w", ["nan", "0.1,0.2"])
+    def test_weight_checked_before_the_reference_solve(self, problem_file, tmp_path, capsys,
+                                                       monkeypatch, w):
+        calls = []
+        monkeypatch.setattr(schemes, "uqsd_reference", lambda *a, **k: calls.append(a))
+        out = tmp_path / "h.json"
+        code = main(["solve", "--problem", str(problem_file), "--scheme", "hybrid",
+                     "--w", w, "--out", str(out)])
+        assert code == 1
+        assert "w must be a nonnegative number" in capsys.readouterr().err
+        assert calls == []
         assert not out.exists()
 
     def test_metrics_lambda_checked_before_the_solve(self, pair_file, tmp_path, capsys,

@@ -26,6 +26,7 @@ from qsdkit import (
     solve_scheme,
     uqsd_reference,
 )
+from qsdkit import schemes
 from qsdkit.solver import Solution
 from conftest import random_problem
 
@@ -351,6 +352,22 @@ class TestHybrid:
         ref = uqsd_reference(zero_plus_spec())
         with pytest.raises(ValueError, match="w must be a nonnegative number"):
             build_scheme(zero_plus_spec(0.01), "hybrid", w=np.array([0.1, 0.2]), reference=ref)
+
+    def test_default_reference_solved_after_the_weight_check(self, monkeypatch):
+        calls = []
+        solve_reference = schemes.uqsd_reference
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_reference(*args, **kwargs)
+
+        monkeypatch.setattr(schemes, "uqsd_reference", counting)
+        for w in ([0.1, 0.2], np.nan, -1.0):
+            with pytest.raises(ValueError, match="w must be a nonnegative number"):
+                solve_scheme(zero_plus_spec(0.01), "hybrid", w=w)
+        assert calls == []
+        build_scheme(zero_plus_spec(0.01), "hybrid", w=0.5)
+        assert len(calls) == 1
 
 
 class TestSchemeTable:

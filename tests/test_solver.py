@@ -121,12 +121,18 @@ class ListAnderson:
             self.ws.pop(0)
             self.fws.pop(0)
 
-    def candidate(self):
+    def candidate(self, lstsq=False):
+        """The memory's ridge solve on the stacked history, or ``lstsq``'s minimizer."""
         if len(self.ws) < 3:
             return None
         residuals = np.stack([w - f for w, f in zip(self.ws, self.fws)], axis=1)
         diffs = residuals[:, 1:] - residuals[:, :-1]
-        gamma, *_ = np.linalg.lstsq(diffs, residuals[:, -1], rcond=None)
+        if lstsq:
+            gamma, *_ = np.linalg.lstsq(diffs, residuals[:, -1], rcond=None)
+        else:
+            gram = diffs.T @ diffs
+            gram[np.diag_indices_from(gram)] += _AndersonMemory.RIDGE
+            gamma = np.linalg.solve(gram, diffs.T @ residuals[:, -1])
         theta = np.zeros(residuals.shape[1])
         theta[-1] = 1.0
         theta[1:] -= gamma
@@ -134,22 +140,59 @@ class ListAnderson:
         return np.stack(self.fws, axis=1) @ theta
 
 
+def check_against_list_reference(rng, lstsq, tol):
+    size, mem = 40, 5
+    memory = _AndersonMemory(mem, size)
+    for pushes in (2 * mem + 3, mem + 1):  # wraps the buffer, then refills after clear()
+        reference = ListAnderson(mem)
+        memory.clear()
+        for _ in range(pushes):
+            w, fw = rng.standard_normal(size), rng.standard_normal(size)
+            assert np.array_equal(memory.push(w, fw), w - fw)
+            reference.push(w, fw)
+            expected, got = reference.candidate(lstsq), memory.candidate()
+            if expected is None:
+                assert got is None
+            else:
+                np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+
+
 class TestAndersonMemory:
     def test_candidates_match_list_reference(self, rng):
-        size, mem = 40, 5
-        memory = _AndersonMemory(mem, size)
-        for pushes in (2 * mem + 3, mem + 1):  # wraps the buffer, then refills after clear()
-            reference = ListAnderson(mem)
-            memory.clear()
-            for _ in range(pushes):
-                w, fw = rng.standard_normal(size), rng.standard_normal(size)
-                assert np.array_equal(memory.push(w, fw), w - fw)
-                reference.push(w, fw)
-                expected, got = reference.candidate(), memory.candidate()
-                if expected is None:
-                    assert got is None
-                else:
-                    assert np.array_equal(got, expected)
+        # The Gram matrix kept push by push gives the stacked history's
+        # ridge solve to rounding.
+        check_against_list_reference(rng, lstsq=False, tol=1e-12)
+
+    def test_candidates_match_lstsq_minimizer(self, rng):
+        # On well-conditioned histories the ridge solve is the least-squares
+        # minimizer.
+        check_against_list_reference(rng, lstsq=True, tol=1e-9)
+
+    @pytest.mark.parametrize("mem", [1, 2])
+    def test_short_memory_gives_no_candidate(self, rng, mem):
+        memory = _AndersonMemory(mem, 4)
+        for _ in range(5):
+            w, fw = rng.standard_normal(4), rng.standard_normal(4)
+            assert np.array_equal(memory.push(w, fw), w - fw)
+            assert memory.candidate() is None
+
+    def test_parallel_differences_give_no_candidate(self):
+        memory = _AndersonMemory(5, 4)
+        v = np.arange(1.0, 5.0)
+        for j in range(4):
+            memory.push(j * v, np.zeros(4))
+        assert memory.candidate() is None
+
+
+class TestPenaltyFactor:
+    @pytest.mark.parametrize("pri, dual, factor", [
+        (1.0, 1.0, 1.0), (4.9, 1.0, 1.0), (1.0, 4.9, 1.0), (0.0, 0.0, 1.0),
+        (9.0, 1.0, 3.0), (1.0, 16.0, 0.25),
+        (1.0, 0.0, 1e3), (0.0, 1.0, 1e-3),
+        (1e9, 1.0, 1e3), (1.0, 1e9, 1e-3),
+    ])
+    def test_square_root_rule(self, pri, dual, factor):
+        assert solver_module._penalty_factor(pri, dual) == factor
 
 
 def max_eig_program(c_matrix):

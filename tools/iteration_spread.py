@@ -1,0 +1,100 @@
+"""Spread of the solver's iteration counts under 1-ulp changes of the objective.
+
+With Anderson acceleration the iteration count of a solve depends on the
+last bits of its input, so one count is one draw.  For each instance and
+scheme this script solves the scheme's program as built, then five copies
+whose nonzero objective entries are each moved by one ulp in a random
+direction (fixed seeds), and prints one JSON report: the unperturbed count,
+the median and maximum over the copies, and the largest deviation of a
+copy's objective from the unperturbed one.
+
+The instances are the coherent triple of ``qsd bench`` (λ = 0.01) at 2 to
+``--max-qubits`` qubits and the two-qubit benchmark ensemble at λ = 0,
+each under all nine schemes with their default parameters; the fit schemes
+fit the instance's uqsd reference.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tools/iteration_spread.py [--max-qubits 4]
+
+Set ``OPENBLAS_NUM_THREADS=1``: the counts also change with the BLAS
+thread count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import os
+import sys
+
+import numpy as np
+import scipy
+
+from qsdkit import (ProblemSpec, SCHEME_NAMES, build_scheme, make_benchmark_two_qubit_states,
+                    solve, uqsd_reference)
+from qsdkit.cli import _bench_spec
+from qsdkit.schemes import SCHEMES
+
+COPIES = 5
+
+
+def instances(max_qubits: int) -> list:
+    """(label, spec) of every instance the report covers."""
+    out = [(f"tri{n}", _bench_spec(n, 0.01)) for n in range(2, max_qubits + 1)]
+    out.append(("ens", ProblemSpec.from_states(make_benchmark_two_qubit_states())))
+    return out
+
+
+def perturbed(program, rng):
+    """``program`` with each nonzero entry of ``c`` moved one ulp up or down."""
+    c = program.c
+    direction = np.where(rng.random(c.size) < 0.5, -np.inf, np.inf)
+    return dataclasses.replace(program, c=np.where(c != 0.0, np.nextafter(c, direction), c))
+
+
+def spread(program) -> dict:
+    base = solve(program)
+    iterations, deviation, statuses = [], 0.0, [base.status]
+    for copy in range(COPIES):
+        sol = solve(perturbed(program, np.random.default_rng(copy)))
+        iterations.append(sol.iterations)
+        deviation = max(deviation, abs(sol.objective - base.objective))
+        statuses.append(sol.status)
+    median = float(np.median(iterations))
+    return {"iterations": base.iterations, "median": median, "max": max(iterations),
+            "objective_deviation": deviation,
+            "statuses": {s: statuses.count(s) for s in sorted(set(statuses))}}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--max-qubits", type=int, default=4, help="largest triple (from 2 qubits)")
+    args = p.parse_args(argv)
+    rows = []
+    for label, spec in instances(args.max_qubits):
+        reference = uqsd_reference(spec)
+        for name in SCHEME_NAMES:
+            params = {"reference": reference} if "reference" in SCHEMES[name][1] else {}
+            program = build_scheme(spec, name, **params).program
+            rows.append({"instance": label, "scheme": name, **spread(program)})
+    report = {
+        "meta": {"numpy": np.__version__, "scipy": scipy.__version__,
+                 "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+                 "copies": COPIES},
+        "rows": rows,
+        "total": {"iterations": sum(r["iterations"] for r in rows),
+                  "median": sum(r["median"] for r in rows),
+                  "max": sum(r["max"] for r in rows),
+                  "objective_deviation": max(r["objective_deviation"] for r in rows)},
+        "max_over_twice_median": [f"{r['instance']}:{r['scheme']}" for r in rows
+                                  if r["max"] > 2 * r["median"]],
+    }
+    json.dump(report, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
