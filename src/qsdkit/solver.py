@@ -118,21 +118,11 @@ def smat(v: np.ndarray, dim: int) -> np.ndarray:
     return _smat_batch(v.reshape(1, dim * dim), dim)[0]
 
 
-def _smat_batch(v: np.ndarray, dim: int, symmetrize: bool = False) -> np.ndarray:
-    """(nb, dim**2) stacked svec coordinates -> (nb, dim, dim) Hermitian matrices.
-
-    With ``symmetrize`` the entries are those of ``0.5 * (M + M^H)`` for the
-    unsymmetrized ``M``, computed bit for bit on the triangle vectors only.
-    That step changes no value but can flip the sign of zero imaginary parts,
-    which ``eigh`` passes on to the signs of zeros in its output.
-    """
+def _smat_batch(v: np.ndarray, dim: int) -> np.ndarray:
+    """(nb, dim**2) stacked svec coordinates -> (nb, dim, dim) Hermitian matrices."""
     t = dim * (dim - 1) // 2
     upper = (v[:, dim:dim + t] + 1j * v[:, dim + t:]) / _SQRT2
-    lower = upper.conj()
-    if symmetrize:
-        upper = 0.5 * (upper + upper)
-        lower = 0.5 * (lower + lower)
-    rows = np.concatenate((v[:, :dim], upper, lower), axis=1)
+    rows = np.concatenate((v[:, :dim], upper, upper.conj()), axis=1)
     return rows[:, _index_plan(dim)[1]].reshape(-1, dim, dim)
 
 
@@ -325,7 +315,7 @@ class _ConeProjector:
         out[...] = v
         np.maximum(out, 0.0, where=self.nonneg_mask, out=out)
         for dim, index in self.psd_groups:
-            out[index] = _svec_batch(_psd_clip(_smat_batch(v[index], dim, symmetrize=True)))
+            out[index] = _svec_batch(_psd_clip(_smat_batch(v[index], dim)))
         return out
 
 
@@ -405,13 +395,14 @@ class _CarrierMaps:
 class _AffineProjector:
     """Projection onto the constraint system in the metric ``D = diag(q) + rho*I``.
 
-    The rows are the block-sum rows ``C``, then the equilibrated rows ``R``
-    of ``A``.  Row ``t`` of ``C`` is scaled to unit norm, as
-    :func:`_row_equilibrate` scales ``A``: by ``s_t = 1/sqrt(sum_j P_j[t,t])``,
-    where ``P_j`` is the identity for a plain block and the svec matrix of
-    ``Z -> Q_j Z Q_j``, ``Q_j = N_j N_j^+``, for a carrier block, so
-    ``s_t = 1/sqrt(m)`` for ``m`` plain blocks.  The multipliers ``mu`` of a
-    point ``t`` solve ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  With
+    The rows are the ``L`` block-sum rows ``C``, then the equilibrated rows
+    ``R`` of ``A``.  Row ``t`` of ``C`` is scaled to unit norm by the rule
+    that :func:`_row_equilibrate` applies to ``A`` (:func:`_row_scale`): by
+    ``s_t = 1/sqrt(sum_j P_j[t,t])``, where ``P_j`` is the identity for a
+    plain block and the svec matrix of ``Z -> Q_j Z Q_j``,
+    ``Q_j = N_j N_j^+``, for a carrier block, so ``s_t = 1/sqrt(m)`` for
+    ``m`` plain blocks; a zero row gets ``s_t = 0``.  The multipliers
+    ``mu`` of a point ``t`` solve ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  With
     ``K = R D^-1 C'`` and ``Delta = C D^-1 C'`` only the Schur complement
     ``S = R D^-1 R' - K Delta^-1 K'``, one row and column per row of ``A``,
     is factored beside ``Delta``.  Without carriers the rows of ``C`` have
@@ -419,8 +410,10 @@ class _AffineProjector:
     ``C x`` is a gather-sum over the blocks and ``C' mu`` a scatter.  With
     carriers ``Delta = s (sum_plain D^-1 + sum_j P_j / rho) s`` is dense,
     built from :meth:`_CarrierMaps.gram` and factored once per metric, and
-    ``C x`` and ``C' mu`` add the batched carrier products.  Without
-    block-sum rows ``C`` is empty and ``S = R D^-1 R'``.
+    ``C x`` and ``C' mu`` add the batched carrier products.  A program
+    without ``block_sum`` takes the same path with ``L = 0``: the plain
+    blocks' index array has shape ``(0, 0)``, ``rhs`` and ``Delta`` are
+    empty, and ``S = R D^-1 R'``; with no rows at all the step moves nothing.
 
     For ``q = 0`` the step is Euclidean (``D = I``) and one factorization
     serves every rho; with a quadratic term ``S`` and ``Delta`` depend on
@@ -433,30 +426,22 @@ class _AffineProjector:
         self.AT = A.T.copy()
         self.b = b
         self.quad = quad
-        self.index = None
         self.carriers = None
-        rhs_norm2 = b @ b
-        if block_sum is not None:
-            offsets, rhs, *carriers = block_sum
-            if carriers:
-                self.carriers = _CarrierMaps(offsets, carriers[0], math.isqrt(rhs.size))
-                offsets = [o for o, n in zip(offsets, carriers[0]) if n is None]
-                self._carrier_gram = self.carriers.gram()
-                norms = np.sqrt(len(offsets) + np.diagonal(self._carrier_gram))
-                keep = norms > 1e-14
-                if np.any(np.abs(rhs[~keep]) > 1e-12):
-                    raise ValueError("constraint system contains an inconsistent zero row")
-                self.scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=keep)
-            else:
-                self.scale = 1.0 / math.sqrt(len(offsets))
-            # (m, L) coordinates of the plain summed blocks: column t is row t's support.
-            self.index = np.asarray(offsets, dtype=np.intp)[:, None] + np.arange(rhs.size)
-            self.rhs = rhs * self.scale
-            rhs_norm2 += self.rhs @ self.rhs
-        self.rhs_norm = math.sqrt(rhs_norm2)
+        offsets, rhs, *carriers = block_sum or ((), np.zeros(0))
+        if carriers:
+            self.carriers = _CarrierMaps(offsets, carriers[0], math.isqrt(rhs.size))
+            offsets = [o for o, n in zip(offsets, carriers[0]) if n is None]
+            self._carrier_gram = self.carriers.gram()
+            norms2 = len(offsets) + np.diagonal(self._carrier_gram)
+        else:
+            norms2 = np.full(rhs.size, float(len(offsets)))
+        self.scale = _row_scale(np.sqrt(norms2), rhs)
+        # (m, L) coordinates of the plain summed blocks: column t is row t's support.
+        self.index = np.asarray(offsets, dtype=np.intp)[:, None] + np.arange(rhs.size)
+        self.rhs = rhs * self.scale
+        self.rhs_norm = math.sqrt(b @ b + self.rhs @ self.rhs)
         self._d_inv = None
         self._rho = None
-        self._solve = None
         if quad is None:
             self._factor()
 
@@ -485,34 +470,35 @@ class _AffineProjector:
         return solve
 
     def _factor(self):
-        """Set up the multiplier solve for the current metric."""
+        """Set up ``Delta^-1`` and the Schur complement solve for the current metric.
+
+        ``_delta_inv(r)`` is ``Delta^-1 r`` for ``r`` of shape (L,) or, without
+        carriers, for each row of ``r`` (nb, L); ``r`` is a temporary it may
+        overwrite.
+        """
         d_inv = self._d_inv
         a_dinv = self.A if d_inv is None else self.A * d_inv[None, :]
-        if self.index is not None:
-            self._k = self.scale * self._block_sums(a_dinv)
-            if self.carriers is None:
-                m = self.index.shape[0]
-                if d_inv is None:
-                    self._delta = np.full(self.index.shape[1], self.scale * self.scale * m)
-                else:
-                    self._delta = self.scale * self.scale * d_inv[self.index].sum(axis=0)
-            else:
-                self._delta_solve = self._make_solver(self._carrier_delta)
+        # Per row, D^-1 summed over the plain blocks: their share of Delta's diagonal.
+        plain = self.index.shape[0] if d_inv is None else d_inv[self.index].sum(axis=0)
+        self._k = self.scale * self._block_sums(a_dinv)
+        if self.carriers is None:
+            delta = self.scale * self.scale * plain
+            self._delta_inv = lambda r: r / delta
+        else:
+            self._delta_inv = self._make_solver(lambda: self._carrier_delta(plain))
         self._solve = self._make_solver(lambda: self._schur(a_dinv)) if self.b.size else None
 
-    def _carrier_delta(self):
+    def _carrier_delta(self, plain):
         """``Delta`` of the carrier rows for the current metric, in Fortran order."""
-        d_inv = self._d_inv
-        if d_inv is None:
+        if self._d_inv is None:
             # Factored once, for every rho: the Gram matrix is not needed again,
             # except to build Delta afresh for the pseudoinverse fallback.
             delta, self._carrier_gram = self._carrier_gram, None
             if delta is None:
                 delta = self.carriers.gram()
-            delta[np.diag_indices_from(delta)] += self.index.shape[0]
         else:
             delta = self._carrier_gram / self._rho
-            delta[np.diag_indices_from(delta)] += d_inv[self.index].sum(axis=0)
+        delta[np.diag_indices_from(delta)] += plain
         delta *= self.scale[:, None]
         delta *= self.scale
         return delta
@@ -520,11 +506,9 @@ class _AffineProjector:
     def _schur(self, a_dinv):
         """The Schur complement ``S`` of the rows of ``A`` for the current metric."""
         gram = self.A @ self.A.T if self._d_inv is None else a_dinv @ self.AT
-        if self.index is None:
-            return gram
         if self.carriers is None:
-            return gram - (self._k / self._delta) @ self._k.T
-        return gram - self._k @ self._delta_solve(self._k.T.copy())
+            return gram - self._delta_inv(self._k) @ self._k.T
+        return gram - self._k @ self._delta_inv(self._k.T.copy())
 
     def set_rho(self, rho):
         if self.quad is not None:
@@ -539,22 +523,13 @@ class _AffineProjector:
             sums = sums + self.carriers.forward(v)
         return sums
 
-    def _delta_inv(self, r):
-        """``Delta^-1 r``; ``r`` is a temporary it may overwrite."""
-        if self.carriers is None:
-            return r / self._delta
-        return self._delta_solve(r)
-
     def _multiplier_image(self, t):
         """``[C; R]' mu`` for the multipliers ``mu`` of the point ``t``.
 
-        With block-sum rows: ``mu_C = Delta^-1 (C t - rhs - K' mu_R)``, where
-        ``mu_R`` solves ``S mu_R = R t - b - K Delta^-1 (C t - rhs)``.
+        ``mu_C = Delta^-1 (C t - rhs - K' mu_R)``, where ``mu_R`` solves
+        ``S mu_R = R t - b - K Delta^-1 (C t - rhs)``.
         """
-        if self.index is None:
-            return self.AT @ self._solve(self.A @ t - self.b)
-        r_c = self.scale * self._block_sums(t) - self.rhs
-        mu_c = self._delta_inv(r_c)
+        mu_c = self._delta_inv(self.scale * self._block_sums(t) - self.rhs)
         if self._solve is None:
             out = np.zeros_like(t)
         else:
@@ -571,22 +546,15 @@ class _AffineProjector:
         """argmin c'x + q-term + (rho/2)||x - v||^2 subject to the constraints."""
         if self.quad is None:
             w = v - c / rho
-            if self.b.size == 0 and self.index is None:
-                return w
             return w - self._multiplier_image(w)
         t = self._d_inv * (rho * v - c)
-        if self.b.size == 0 and self.index is None:
-            return t
         return t - self._d_inv * self._multiplier_image(t)
 
     def residual(self, x) -> float:
         """Norm of the equilibrated constraint residual at ``x``, all rows."""
-        res2 = 0.0
-        if self.index is not None:
-            r_c = self.scale * self._block_sums(x) - self.rhs
-            res2 = r_c @ r_c
+        r_c = self.scale * self._block_sums(x) - self.rhs
         r = self.A @ x - self.b
-        return math.sqrt(res2 + r @ r)
+        return math.sqrt(r_c @ r_c + r @ r)
 
 
 # Carrier rows of at most this many dense entries (every uqsd program up to
@@ -595,7 +563,12 @@ class _AffineProjector:
 # the structured step is faster by about 13 ms per solve, but dense rows keep
 # the arithmetic, and so the last bits, of the 4-qubit uqsd references that
 # the fit schemes take as data; their Anderson-accelerated iteration counts
-# are chaotic in those bits (ROADMAP F1).
+# are chaotic in those bits (ROADMAP F1).  Measured on the benchmark's
+# scheme_grid, seed 101 pass 0, one BLAS thread, with this limit set to 0:
+# 10 189 iterations in place of 9035 (hybrid: tri4 107 -> 3142, tri3
+# 1621 -> 331, tri2 746 -> 153, whose objective moved by 1.09e-8), noiseless
+# uqsd at d=4-8 about 1.5-2x slower at equal counts (ens 7.2 -> 12.6 ms), and
+# the summed op time up from about 3.8 to 5.2 s.
 _MAX_DENSE_CARRIER_ROWS = 1 << 18
 
 
@@ -617,15 +590,20 @@ def _block_sum_rows(program: ConeProgram) -> np.ndarray:
     return rows
 
 
-def _row_equilibrate(A, b):
-    """Scale constraint rows to unit norm; drop zero rows (inconsistent ones fail)."""
-    norms = np.linalg.norm(A, axis=1)
+def _row_scale(norms, rhs):
+    """``1 / norms``, with 0 for a zero row (norm <= 1e-14), whose rhs must vanish."""
     keep = norms > 1e-14
+    if np.any(np.abs(rhs[~keep]) > 1e-12):
+        raise ValueError("constraint system contains an inconsistent zero row")
+    return np.divide(1.0, norms, out=np.zeros_like(norms), where=keep)
+
+
+def _row_equilibrate(A, b):
+    """Scale constraint rows to unit norm (:func:`_row_scale`); drop zero rows."""
+    scale = _row_scale(np.linalg.norm(A, axis=1), b)
+    keep = scale != 0.0
     if not np.all(keep):
-        if np.any(np.abs(b[~keep]) > 1e-12):
-            raise ValueError("constraint system contains an inconsistent zero row")
-        A, b, norms = A[keep], b[keep], norms[keep]
-    scale = 1.0 / norms
+        A, b, scale = A[keep], b[keep], scale[keep]
     return A * scale[:, None], b * scale
 
 
@@ -846,13 +824,12 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
                 break
             prev_window_best = best_res
 
-    x_out = best_x if status != OPTIMAL else x
-    obj = float(c @ x_out)
+    obj = float(c @ best_x)
     if quad is not None:
-        obj += 0.5 * float(x_out @ (quad * x_out))
+        obj += 0.5 * float(best_x @ (quad * best_x))
     if status == OPTIMAL:
         out_pri, out_dual = pri_res, dual_res
     else:
         out_pri = out_dual = best_res
-    return Solution(x=x_out, status=status, primal_residual=out_pri,
+    return Solution(x=best_x, status=status, primal_residual=out_pri,
                     dual_residual=out_dual, objective=obj, iterations=it)

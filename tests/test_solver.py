@@ -97,6 +97,24 @@ def project_blockwise(blocks, v):
     return np.concatenate(out)
 
 
+def with_exact_zeros(blocks, v, part):
+    """``v`` with the ``part`` coordinates of every PSD block set to zeros of ``v``'s signs.
+
+    ``part`` is ``"imag"`` (imaginary parts), ``"offdiag"`` (off-diagonal
+    entries) or ``"block"`` (the whole block).
+    """
+    v = v.copy()
+    off = 0
+    for blk in blocks:
+        if isinstance(blk, PsdCone):
+            d, t = blk.dim, blk.dim * (blk.dim - 1) // 2
+            lo = {"imag": d + t, "offdiag": d, "block": 0}[part]
+            seg = slice(off + lo, off + blk.size)
+            v[seg] = np.copysign(0.0, v[seg])
+        off += blk.size
+    return v
+
+
 class TestConeProjector:
     def test_matches_blockwise_reference(self, rng):
         blocks = (PsdCone(3), NonNegCone(4), PsdCone(1), PsdCone(3), FreeCone(2),
@@ -106,6 +124,9 @@ class TestConeProjector:
         for _ in range(20):
             v = rng.standard_normal(n)
             assert np.array_equal(project(v, np.empty(n)), project_blockwise(blocks, v))
+            for part in ("imag", "offdiag", "block"):
+                z = with_exact_zeros(blocks, v, part)
+                assert np.array_equal(project(z, np.empty(n)), project_blockwise(blocks, z))
 
 
 class ListAnderson:
@@ -284,6 +305,30 @@ class TestSolve:
                            A=np.array([[1.0]]), b=np.array([-1.0]))
         sol = solve(prog, tol=1e-8, max_iters=60_000)
         assert sol.status == INFEASIBLE
+
+    @pytest.mark.parametrize("quad", [np.array([2.0]), None], ids=["quadratic", "linear"])
+    def test_no_constraint_rows(self, quad):
+        # minimize x^2 - 2x, x >= 0, has its optimum at x = 1; minimize x, at x = 0.
+        c = np.array([-2.0]) if quad is not None else np.array([1.0])
+        prog = ConeProgram(blocks=(NonNegCone(1),), c=c, A=np.zeros((0, 1)), b=np.zeros(0),
+                           quad_diag=quad)
+        sol = solve(prog)
+        assert sol.status == OPTIMAL
+        expected = 1.0 if quad is not None else 0.0
+        assert abs(sol.x[0] - expected) <= 1e-8
+        assert abs(sol.objective - (-expected)) <= 1e-8
+
+    def test_consistent_zero_row_is_dropped(self):
+        # minimize x1 + 2 x2 + 3 x3 s.t. x1 + x2 + x3 = 1, x >= 0, with and without 0 = 0.
+        c, row = np.array([1.0, 2.0, 3.0]), np.ones((1, 3))
+        prog = ConeProgram(blocks=(NonNegCone(3),), c=c, A=row, b=np.ones(1))
+        with_zero = ConeProgram(blocks=(NonNegCone(3),), c=c, A=np.vstack([row, np.zeros(3)]),
+                                b=np.array([1.0, 0.0]))
+        sol, sol_zero = solve(prog), solve(with_zero)
+        assert sol.status == sol_zero.status == OPTIMAL
+        assert sol.iterations == sol_zero.iterations
+        assert np.array_equal(sol.x, sol_zero.x)
+        np.testing.assert_allclose(sol.x, [1.0, 0.0, 0.0], atol=1e-6)
 
     def test_inconsistent_zero_row(self):
         prog = ConeProgram(blocks=(NonNegCone(1),), c=np.zeros(1),
