@@ -29,6 +29,18 @@ root of the residual ratio (OSQP's rule).  Safeguarded Anderson acceleration
 takes its weights from the normal equations of a Gram matrix that each
 iteration updates by one matrix-vector product.  Everything is
 deterministic: fixed zero initialization, no randomized internals.
+
+Over a region of its domain the fixed-point map can be a translation: for
+hundreds of iterations ``z`` then moves by the same step while ``u`` stays
+put, the residuals stay frozen, and Anderson sees only zero differences.  A
+ray step detects such a drift from two equal consecutive residuals and jumps
+along it by doubling multiples of the residual while the point reached is
+still on it, so a drift of N steps ends in about log2 N of them (N / 1024
+past the cap on a jump).  A drift of ``z`` that never ends is Banjac,
+Goulart, Stellato and Boyd's certificate of an unbounded program
+("Infeasibility detection in the alternating direction method of
+multipliers for convex optimization", JOTA 2019); there the iterate
+diverges, and the solve stops as ``infeasible`` before its norm overflows.
 """
 
 from __future__ import annotations
@@ -267,6 +279,16 @@ DEFAULT_MAX_ITERS = 200_000
 #: term starts it small, so the quadratic dominates the proximal step.
 _INITIAL_RHO, _INITIAL_RHO_QUAD = 1.0, 0.02
 _OVER_RELAX = 1.6  # over-relaxation factor of the splitting step
+# The ray step of :func:`solve`: the relative tolerance of a drift's repeated
+# residual and vanishing u half, the relative growth of the residual that a
+# point tried along the drift may show and still be on it, and the longest
+# jump in multiples of the residual.
+_DRIFT_RTOL = 1e-6
+_RAY_RTOL = 1e-6
+_RAY_MAX_STEP = 1024.0
+# An iterate this long only arises on a divergent run (an unbounded or
+# infeasible program); stopping there keeps its squares finite.
+_MAX_ITERATE_NORM = 1e100
 
 OPTIMAL = "optimal"
 MAX_ITERS = "max_iters"
@@ -656,9 +678,8 @@ class _AndersonMemory:
         self.count = 0
         self.last = None
 
-    def push(self, w, fw):
-        """Record the pair ``(w, F(w))``; returns its residual ``w - F(w)``."""
-        residual = w - fw
+    def push(self, fw, residual):
+        """Record the pair ``(w, F(w))`` as ``F(w)`` and its residual ``w - F(w)``."""
         j = (self.slot + 1) % self.mem
         self.images[:, j] = fw
         self.images[:, j + self.mem] = fw
@@ -678,7 +699,6 @@ class _AndersonMemory:
             self.gram[:m, m - 1] = products
             self.gram[m - 1, m - 1] += self.RIDGE
         self.last = residual
-        return residual
 
     def candidate(self):
         k = self.count
@@ -714,6 +734,22 @@ def _penalty_factor(pri_res: float, dual_res: float) -> float:
     return min(max(math.sqrt(pri_res / dual_res), 1e-3), 1e3)
 
 
+def _primal_drift(residual, residual_norm: float, previous, n: int) -> bool:
+    """Whether the fixed-point residual ``residual`` of ``w = (z, u)`` is a drift of ``z``.
+
+    It is when it is nonzero, repeats ``previous`` (the residual of the
+    iteration before, or ``None``), and its ``u`` half ``residual[n:]``
+    vanishes, each to within ``_DRIFT_RTOL`` of ``residual_norm``: the
+    iteration then moves ``z`` along a straight line by equal steps while
+    ``u`` stays put.  A primal-infeasible program drifts in ``u`` instead.
+    """
+    bound = _DRIFT_RTOL * residual_norm
+    # The u half is tested first: it is the cheaper test, and the one that
+    # fails on most iterations that are not a drift.
+    return (previous is not None and residual_norm > 0.0
+            and _norm(residual[n:]) <= bound and _norm(residual - previous) <= bound)
+
+
 def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
           acceleration: int = 10) -> Solution:
     """Solve a :class:`ConeProgram` to the requested residual tolerance.
@@ -724,9 +760,24 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
 
     ``acceleration`` is the Anderson memory size (0 disables it).
 
+    Each iteration forms the fixed-point residual ``r = w - F(w)`` of the
+    iterate ``w = (z, u)``.  When ``r`` repeats the previous iteration's and
+    its ``u`` half vanishes, each to within ``_DRIFT_RTOL`` of ``|r|``
+    (:func:`_primal_drift`), the iteration is drifting along a straight
+    line, and a ray step tries ``w - t r`` at the cost of one more splitting
+    step.  If that point's residual norm is at most ``(1 + _RAY_RTOL) |r|``
+    it is still on the drift (past the region where the map is a
+    translation the residual grows): its image becomes the next iterate,
+    ``t`` doubles up to ``_RAY_MAX_STEP`` and the Anderson memory is
+    cleared.  Otherwise ``t`` returns to 2, its starting value, and the
+    iteration takes its usual step.  Iterations that never drift take
+    exactly the path they take without the ray step; a primal-infeasible
+    program drifts in ``u`` and is left to the stall test below.
+
     Status is ``optimal`` when both normalized residuals fall below ``tol``,
     ``infeasible`` when the residuals stall far from feasibility (stagnation
-    over a long window), and ``max_iters`` otherwise.
+    over a long window) or the iterate's norm exceeds ``_MAX_ITERATE_NORM``
+    (it diverges, as on an unbounded program), and ``max_iters`` otherwise.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -771,13 +822,20 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     prev_window_best = math.inf
 
     pri_res = dual_res = math.inf
+    previous = None  # the last iteration's residual w - F(w)
+    ray = 2.0  # length of the next ray step, in residuals
     it = 0
     status = MAX_ITERS
     for it in range(1, max_iters + 1):
         x, fw = step(w, rho)
         z_new, u_new = fw[:n], fw[n:]
-        pri_res = _norm(x - z_new) / (1.0 + max(_norm(x), _norm(z_new)))
-        dual_res = rho * _norm(z_new - w[:n]) / (1.0 + rho * _norm(u_new))
+        z_norm, u_norm = _norm(z_new), _norm(u_new)
+        if not z_norm + u_norm <= _MAX_ITERATE_NORM:
+            status = INFEASIBLE
+            break
+        residual = w - fw
+        pri_res = _norm(x - z_new) / (1.0 + max(_norm(x), z_norm))
+        dual_res = rho * _norm(residual[:n]) / (1.0 + rho * u_norm)
 
         combined = max(pri_res, dual_res)
         if combined < best_res:
@@ -793,28 +851,41 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
                 best_x = x
                 break
 
-        accepted = False
-        if anderson is not None:
-            residual = anderson.push(w, fw)
+        residual_norm = _norm(residual)
+        # The ray step (see above): a jump that lands on the drift doubles
+        # the next; one that overshoots its end is dropped, and the next
+        # starts again at 2.
+        on_ray = False
+        if _primal_drift(residual, residual_norm, previous, n):
+            cand = w - ray * residual
+            _, fw_cand = step(cand, rho)
+            on_ray = _norm(cand - fw_cand) <= (1.0 + _RAY_RTOL) * residual_norm
+            ray = min(2.0 * ray, _RAY_MAX_STEP) if on_ray else 2.0
+        previous = residual
+        if on_ray:
+            fw = fw_cand
+            if anderson is not None:
+                anderson.clear()
+        elif anderson is not None:
+            anderson.push(fw, residual)
             cand = anderson.candidate()
             if cand is not None and _norm(cand) <= 1e4 * (1.0 + _norm(w)):
                 _, fw_cand = step(cand, rho)
-                if _norm(cand - fw_cand) < _norm(residual):
-                    w = fw_cand
-                    accepted = True
-        if not accepted:
-            w = fw
+                if _norm(cand - fw_cand) < residual_norm:
+                    fw = fw_cand
+        w = fw
 
         # Residual balancing every 100 iterations (_penalty_factor); u is
         # rescaled so the unscaled dual variable rho*u is untouched.  The
         # fixed-point map changes with the penalty, so the acceleration
-        # memory is flushed.
+        # memory and the last residual are flushed.
         if it % 100 == 0:
             factor = _penalty_factor(pri_res, dual_res)
             if factor != 1.0:
                 rho *= factor
                 w[n:] /= factor
                 affine.set_rho(rho)
+                previous = None
                 if anderson is not None:
                     anderson.clear()
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,7 @@ def check_against_list_reference(rng, lstsq, tol):
         memory.clear()
         for _ in range(pushes):
             w, fw = rng.standard_normal(size), rng.standard_normal(size)
-            assert np.array_equal(memory.push(w, fw), w - fw)
+            memory.push(fw, w - fw)
             reference.push(w, fw)
             expected, got = reference.candidate(lstsq), memory.candidate()
             if expected is None:
@@ -194,14 +196,14 @@ class TestAndersonMemory:
         memory = _AndersonMemory(mem, 4)
         for _ in range(5):
             w, fw = rng.standard_normal(4), rng.standard_normal(4)
-            assert np.array_equal(memory.push(w, fw), w - fw)
+            memory.push(fw, w - fw)
             assert memory.candidate() is None
 
     def test_parallel_differences_give_no_candidate(self):
         memory = _AndersonMemory(5, 4)
         v = np.arange(1.0, 5.0)
         for j in range(4):
-            memory.push(j * v, np.zeros(4))
+            memory.push(np.zeros(4), j * v)
         assert memory.candidate() is None
 
 
@@ -214,6 +216,46 @@ class TestPenaltyFactor:
     ])
     def test_square_root_rule(self, pri, dual, factor):
         assert solver_module._penalty_factor(pri, dual) == factor
+
+
+def primal_drift(residual, previous, n):
+    return solver_module._primal_drift(residual, np.linalg.norm(residual), previous, n)
+
+
+class TestPrimalDrift:
+    def test_fires_on_a_z_drift(self):
+        r = np.array([1.0, -2.0, 0.5, 0.0, 0.0, 0.0])
+        assert primal_drift(r, r, 3)
+        assert primal_drift(r, r + 1e-8, 3)
+
+    def test_not_on_a_u_drift(self):
+        r = np.array([1.0, -2.0, 0.5, 0.0, 0.0, 1e-3])
+        assert not primal_drift(r, r, 3)
+
+    def test_not_on_a_changing_residual(self):
+        r = np.array([1.0, -2.0, 0.5, 0.0, 0.0, 0.0])
+        assert not primal_drift(r, 1.001 * r, 3)
+        assert not primal_drift(r, None, 3)
+
+    def test_not_on_a_zero_residual(self):
+        assert not primal_drift(np.zeros(6), np.zeros(6), 3)
+
+    def test_primal_infeasible_program_drifts_in_u(self, monkeypatch):
+        # x >= 0 with x = -1: the residuals repeat, but in u, so no ray step fires.
+        calls, drift = [], solver_module._primal_drift
+
+        def record(residual, residual_norm, previous, n):
+            repeats = previous is not None and \
+                np.linalg.norm(residual - previous) <= 1e-6 * residual_norm
+            calls.append((repeats, drift(residual, residual_norm, previous, n)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(solver_module, "_primal_drift", record)
+        prog = ConeProgram(blocks=(NonNegCone(1),), c=np.zeros(1),
+                           A=np.array([[1.0]]), b=np.array([-1.0]))
+        solve(prog, max_iters=1000)
+        assert sum(repeats for repeats, _ in calls) > 900
+        assert not any(fired for _, fired in calls)
 
 
 def max_eig_program(c_matrix):
@@ -305,6 +347,31 @@ class TestSolve:
                            A=np.array([[1.0]]), b=np.array([-1.0]))
         sol = solve(prog, tol=1e-8, max_iters=60_000)
         assert sol.status == INFEASIBLE
+
+    @pytest.mark.parametrize("prog", [
+        ConeProgram(blocks=(NonNegCone(1),), c=-np.ones(1), A=np.zeros((0, 1)), b=np.zeros(0)),
+        ConeProgram(blocks=(NonNegCone(2),), c=-np.ones(2), A=np.array([[1.0, -1.0]]),
+                    b=np.zeros(1)),
+        ConeProgram(blocks=(PsdCone(2),), c=-svec(np.eye(2)), A=np.zeros((0, 4)), b=np.zeros(0)),
+    ], ids=["no_rows", "equal_entries", "psd_trace"])
+    def test_unbounded_program_stops_infeasible(self, prog):
+        # The objective decreases without bound along a ray of the cone; the
+        # iterate diverges and the solve stops before its norm overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(prog)
+        assert sol.status == INFEASIBLE
+        assert np.isfinite(sol.x).all()
+
+    def test_med_plus_plateau_ends(self):
+        # tri4 med_plus has med's optimum, but its iterates drift along a
+        # straight line for about a thousand steps unless the ray step cuts
+        # the drift short.
+        spec = _bench_spec(4, 0.01)
+        med, sol = (solve(build_scheme(spec, name).program) for name in ("med", "med_plus"))
+        assert med.status == sol.status == OPTIMAL
+        assert sol.iterations <= 500
+        assert abs(sol.objective - med.objective) <= 1e-7
 
     @pytest.mark.parametrize("quad", [np.array([2.0]), None], ids=["quadratic", "linear"])
     def test_no_constraint_rows(self, quad):
