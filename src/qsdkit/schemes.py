@@ -8,6 +8,12 @@ element blocks, and :func:`decode_povm` reads the elements from there back
 into a cleaned-up :class:`~qsdkit.states.Povm`; :func:`solve_scheme` bundles
 the whole round trip.
 
+Every program is built over the rank-``r`` support of the noiseless states
+plus one lumped coordinate for its complement when that makes it smaller
+(:func:`_program_states`): the 3- to 6-qubit coherent triple gets 4x4 blocks
+in place of 8x8 to 64x64 ones, with the same solve in exact arithmetic.
+:func:`decode_povm` lifts each element back to ``d x d``.
+
 Supported strategies
 --------------------
 - ``med``        maximize the success probability (no inconclusive outcome)
@@ -32,6 +38,7 @@ The noise level assumed while solving is ``spec.noise_lambda``; use
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +59,8 @@ from .solver import (
     solve,
     svec,
 )
-from .states import INCONCLUSIVE, Povm, ProblemSpec
+from .states import (COMPLEMENT_TOL, INCONCLUSIVE, SUPPORT_TOL, UNREACHABLE_POSTERIOR_EIG,
+                     UQSD_KERNEL_TOL, Povm, ProblemSpec)
 
 AT_LEAST = "at_least"
 AT_MOST = "at_most"
@@ -71,7 +79,8 @@ class SchemeProgram:
     ``offsets[t]``, entering the element as ``N M N^+`` when it has a
     carrier ``N``.  ``labels[t]`` is the outcome label of entry ``t``.  A
     conclusive label without an entry is an element that is identically
-    zero by construction.
+    zero by construction.  ``basis`` is ``None`` when the blocks are ``dim``
+    wide, else the ``dim x r`` support basis ``V`` of :func:`_program_states`.
     """
 
     program: ConeProgram
@@ -79,6 +88,7 @@ class SchemeProgram:
     num_states: int
     labels: tuple
     maximize: bool
+    basis: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,7 @@ class _Assembler:
         self._obj = []
         self._quad = []
         self.block_sum = None
+        self.basis = None
 
     def _add_block(self, block) -> int:
         off = sum(self._sizes)
@@ -152,30 +163,96 @@ class _Assembler:
                            block_sum=self.block_sum)
 
 
-def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool = True):
+def _program_states(spec: ProblemSpec):
+    """``(basis, identity, states)``: the noisy states in the program's coordinates.
+
+    Let ``V`` (``d x r``) be an orthonormal basis of the range of the
+    noiseless states' sum (eigenvalues above ``SUPPORT_TOL``) and ``m = d - r``.
+    Depolarizing noise leaves each noisy state ``mu_i I`` on the complement
+    ``P = I - V V^+``, so every scheme program is invariant under unitaries on
+    ``P``, and its blocks can be built over ``V`` plus one lumped coordinate
+    standing for all of ``P``: state ``i`` enters as
+    ``diag(V^+ rho_i V, mu_i sqrt(m))`` and the identity as
+    ``diag(I_r, sqrt(m))``.  The ``sqrt(m)`` weight makes these coordinates an
+    isometry of the subspace that the full-space iterates never leave, so the
+    reduced solve is the full one.  When ``r + 1 >= d`` nothing is gained and
+    the states are returned as they are, with ``basis`` ``None``.
+    """
+    noisy = [rho.matrix for rho in spec.noisy_states()]
+    d = spec.dim
+    w, u = np.linalg.eigh(sum(s.matrix for s in spec.states))
+    r = int(np.count_nonzero(w > SUPPORT_TOL))
+    if r + 1 >= d:
+        return None, np.eye(d), noisy
+    return _reduce(noisy, u[:, d - r:], u[:, :d - r])
+
+
+def _reduce(mats, basis, complement):
+    """:func:`_program_states` for the given support ``basis`` and its ``complement``.
+
+    Raises ``ValueError`` when a state's block on the complement is more than
+    ``COMPLEMENT_TOL`` from a multiple of the identity.
+    """
+    r, m = basis.shape[1], complement.shape[1]
+    lumped = math.sqrt(m)
+    states = []
+    for rho in mats:
+        off = complement.conj().T @ rho @ complement
+        mu = np.trace(off).real / m
+        dev = float(np.linalg.norm(off - mu * np.eye(m)))
+        if not dev <= COMPLEMENT_TOL:
+            raise ValueError(f"state is not a multiple of the identity off the support: "
+                             f"deviation {dev:.3e}")
+        reduced = np.zeros((r + 1, r + 1), dtype=complex)
+        reduced[:r, :r] = basis.conj().T @ rho @ basis
+        reduced[r, r] = mu * lumped
+        states.append(reduced)
+    return basis, np.diag(np.append(np.ones(r), lumped)), states
+
+
+def _lift(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``V X_SS V^+ + (X_ll / sqrt(m)) (I - V V^+)`` of a reduced block ``X``.
+
+    The cross entries between the support and the lumped coordinate vanish
+    by symmetry and are dropped.
+    """
+    d, r = basis.shape
+    flat = block[r, r].real / math.sqrt(d - r)
+    return basis @ block[:r, :r] @ basis.conj().T + flat * (np.eye(d) - basis @ basis.conj().T)
+
+
+def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool = True,
+                     states=None, zero=()):
     """POVM element blocks at ``offs``; returns ``(asm, svecs, offs)``.
 
-    ``svecs`` are the noisy states' svecs.  Completeness, ``sum_j Pi_j = I``,
-    is recorded as the program's block-sum rows rather than as ``d**2`` rows
-    of ``A``.  With ``success`` the objective is minus the success probability.
+    ``states`` is :func:`_program_states` of ``spec`` (computed when not
+    given), and ``svecs`` are the svecs of its noisy states.  Conclusive
+    elements listed in ``zero`` are identically zero and get no block: their
+    entry of ``offs`` is ``None``.  Completeness, ``sum_j Pi_j = I``, is
+    recorded as the program's block-sum rows rather than as rows of ``A``.
+    With ``success`` the objective is minus the success probability.
     """
     asm = _Assembler()
-    svecs = [svec(rho.matrix) for rho in spec.noisy_states()]
-    d = spec.dim
-    count = spec.num_states + (1 if inconclusive else 0)
-    offs = [asm.add_psd(d) for _ in range(count)]
-    asm.block_sum = (tuple(offs), svec(np.eye(d)))
+    asm.basis, identity, mats = states or _program_states(spec)
+    svecs = [svec(m) for m in mats]
+    n = identity.shape[0]
+    offs = [None if j in zero else asm.add_psd(n) for j in range(spec.num_states)]
+    if inconclusive:
+        offs.append(asm.add_psd(n))
+    asm.block_sum = (tuple(o for o in offs if o is not None), svec(identity))
     if success:
         for i in range(spec.num_states):
-            asm.add_objective(offs[i], -spec.priors[i] * svecs[i])
+            if offs[i] is not None:
+                asm.add_objective(offs[i], -spec.priors[i] * svecs[i])
     return asm, svecs, offs
 
 
 def _make_scheme(asm, spec, offs, maximize=True) -> SchemeProgram:
     """Finish a program of :func:`_element_program` with element offsets ``offs``."""
     k = spec.num_states
-    return SchemeProgram(asm.build(), spec.dim, k,
-                         tuple(range(k)) + (INCONCLUSIVE,) * (len(offs) - k), maximize)
+    labels = tuple(j for j in range(k) if offs[j] is not None)
+    return SchemeProgram(asm.build(), spec.dim, k, labels + (INCONCLUSIVE,) * (len(offs) - k),
+                         maximize, asm.basis)
 
 
 def build_med(spec: ProblemSpec) -> SchemeProgram:
@@ -199,7 +276,9 @@ def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
     is ``N_j M_j N_j^+`` with ``N_j`` an orthonormal kernel basis and
     ``M_j >= 0`` the reduced variable.  (Writing the conditions as equality
     rows instead leaves the feasible set with an empty conic interior, which
-    the first-order solver handles poorly.)  Completeness is recorded as the
+    the first-order solver handles poorly.)  The kernels are those of the
+    states in the coordinates of :func:`_program_states`, so the carriers
+    have ``r + 1`` rows over a reduced support.  Completeness is recorded as the
     program's block-sum rows with ``N_j`` as the carrier of block ``j``, so
     the rows read ``sum_j N_j M_j N_j^+ + Pi_inc = I`` and ``A`` has no
     rows.  Elements whose kernel is empty, which happens for any full-rank
@@ -207,26 +286,27 @@ def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
     independent states; the program stays feasible regardless.
     """
     asm = _Assembler()
-    d = spec.dim
     k = spec.num_states
-    noisy = spec.noisy_states()
-    svecs = [svec(rho.matrix) for rho in noisy]
+    basis, identity, mats = _program_states(spec)
+    n = identity.shape[0]
+    svecs = [svec(m) for m in mats]
 
     labels, offsets, carriers = [], [], []
     for j in range(k):
         others = sum(svecs[i] for i in range(k) if i != j)
-        w, u = np.linalg.eigh(smat(others, d))
-        n_j = u[:, w < 1e-9]
+        w, u = np.linalg.eigh(smat(others, n))
+        n_j = u[:, w < UQSD_KERNEL_TOL]
         if n_j.shape[1] == 0:
             continue
         labels.append(j)
         offsets.append(asm.add_psd(n_j.shape[1]))
         carriers.append(n_j)
-        reduced = n_j.conj().T @ noisy[j].matrix @ n_j
+        reduced = n_j.conj().T @ mats[j] @ n_j
         asm.add_objective(offsets[-1], -spec.priors[j] * svec(reduced))
-    offsets.append(asm.add_psd(d))
-    asm.block_sum = (tuple(offsets), svec(np.eye(d)), tuple(carriers) + (None,))
-    return SchemeProgram(asm.build(), d, k, tuple(labels) + (INCONCLUSIVE,), maximize=True)
+    offsets.append(asm.add_psd(n))
+    asm.block_sum = (tuple(offsets), svec(identity), tuple(carriers) + (None,))
+    return SchemeProgram(asm.build(), spec.dim, k, tuple(labels) + (INCONCLUSIVE,),
+                         maximize=True, basis=basis)
 
 
 def build_frio(spec: ProblemSpec, rate: float, bound: str = AT_LEAST) -> SchemeProgram:
@@ -254,7 +334,11 @@ def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
     outcomes must reach ``1 - alpha_i`` and the posterior ``p(rho_i | Pi_i)``
     must reach ``1 - beta_i``.  Both fractional constraints are linearized by
     clearing their (nonnegative) denominators, so a zero denominator
-    satisfies them vacuously.
+    satisfies them vacuously.  The posterior row reads
+    ``Tr(M_i Pi_i) >= 0`` with ``M_i = p_i rho_i' - (1 - beta_i) sum_j p_j rho_j'``;
+    when ``M_i`` has no eigenvalue above ``UNREACHABLE_POSTERIOR_EIG`` only
+    ``Pi_i = 0`` satisfies it, and element ``i`` gets no block and no
+    posterior row.
     """
     k = spec.num_states
     alpha = np.asarray(alpha, dtype=float).ravel()
@@ -263,16 +347,23 @@ def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
         raise ValueError("need one alpha and one beta per state")
     if not np.all((0 <= alpha) & (alpha <= 1) & (0 <= beta) & (beta <= 1)):
         raise ValueError("alpha and beta entries must lie in [0, 1]")
-    asm, svecs, offs = _element_program(spec)
-    priors = spec.priors
+    states = _program_states(spec)
+    mats, priors = states[2], spec.priors
+    mixture = sum(p * m for p, m in zip(priors, mats))
+    zero = [i for i in range(k) if np.linalg.eigvalsh(
+        priors[i] * mats[i] - (1.0 - beta[i]) * mixture)[-1] < UNREACHABLE_POSTERIOR_EIG]
+    asm, svecs, offs = _element_program(spec, states=states, zero=zero)
     for i in range(k):
         # Tr(rho_i' Pi_i) >= (1 - alpha_i) * sum_j Tr(rho_i' Pi_j)
         slack = asm.add_nonneg()
         entries = [(slack, [-1.0])]
         for j in range(k):
-            coeff = (1.0 if j == i else 0.0) - (1.0 - alpha[i])
-            entries.append((offs[j], coeff * svecs[i]))
+            if offs[j] is not None:
+                coeff = (1.0 if j == i else 0.0) - (1.0 - alpha[i])
+                entries.append((offs[j], coeff * svecs[i]))
         asm.add_row(entries, 0.0)
+        if offs[i] is None:
+            continue
         # p_i Tr(rho_i' Pi_i) >= (1 - beta_i) * sum_j p_j Tr(rho_j' Pi_i)
         slack = asm.add_nonneg()
         vec = priors[i] * svecs[i] - (1.0 - beta[i]) * sum(
@@ -397,14 +488,17 @@ def decode_povm(scheme: SchemeProgram, solution: Solution) -> Povm:
     conclusive label without an entry gets a zero element.  Each block is
     symmetrized and projected onto the PSD cone (and mapped through its
     carrier); the set is then rescaled by ``S^(-1/2) Pi S^(-1/2)`` with
-    ``S`` the element sum so completeness holds exactly.  Rescaling is
+    ``S`` the element sum so completeness holds exactly.  A program built
+    over a support basis ``V`` lifts each element first, as
+    ``V X_SS V^+ + (X_ll / sqrt(m)) (I - V V^+)``.  Rescaling is
     refused (DecodeError) when ``||S - I||_F > 1e-3``, which signals an
     unconverged solve.
     """
     if solution.status not in (OPTIMAL, MAX_ITERS):
         raise DecodeError(f"cannot decode a solution with status {solution.status!r}")
     d = scheme.dim
-    offsets, _, *carriers = scheme.program.block_sum
+    offsets, rhs, *carriers = scheme.program.block_sum
+    n = math.isqrt(rhs.size)
     carriers = carriers[0] if carriers else (None,) * len(offsets)
     entries = dict(zip(scheme.labels, zip(offsets, carriers)))
     labels = tuple(range(scheme.num_states)) + ((INCONCLUSIVE,) if INCONCLUSIVE in entries else ())
@@ -414,10 +508,12 @@ def decode_povm(scheme: SchemeProgram, solution: Solution) -> Povm:
             elements.append(np.zeros((d, d), dtype=complex))
             continue
         off, carrier = entries[label]
-        r = d if carrier is None else carrier.shape[1]
+        r = n if carrier is None else carrier.shape[1]
         block = psd_project(smat(solution.x[off:off + r * r], r))
         if carrier is not None:
             block = carrier @ block @ carrier.conj().T
+        if scheme.basis is not None:
+            block = _lift(block, scheme.basis)
         elements.append(block)
     total = sum(elements)
     dev = float(np.linalg.norm(total - np.eye(d)))

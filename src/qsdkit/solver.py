@@ -580,17 +580,12 @@ class _AffineProjector:
 
 
 # Carrier rows of at most this many dense entries (every uqsd program up to
-# d=16) are solved as rows of ``A``.  Up to d=8 the batched carrier products
-# cost more in numpy call overhead than dense products with the rows.  At d=16
-# the structured step is faster by about 13 ms per solve, but dense rows keep
-# the arithmetic, and so the last bits, of the 4-qubit uqsd references that
-# the fit schemes take as data; their Anderson-accelerated iteration counts
-# are chaotic in those bits (ROADMAP F1).  Measured on the benchmark's
-# scheme_grid, seed 101 pass 0, one BLAS thread, with this limit set to 0:
-# 10 189 iterations in place of 9035 (hybrid: tri4 107 -> 3142, tri3
-# 1621 -> 331, tri2 746 -> 153, whose objective moved by 1.09e-8), noiseless
-# uqsd at d=4-8 about 1.5-2x slower at equal counts (ens 7.2 -> 12.6 ms), and
-# the summed op time up from about 3.8 to 5.2 s.
+# d=16) are solved as rows of ``A``, larger ones through the structured step.
+# For small blocks the dense rows are cheaper: the batched carrier products
+# cost more in numpy call overhead than dense products with the rows.  The
+# scheme builders work over the states' support plus one lumped coordinate,
+# so a uqsd program of k pure states has L = (k + 1)**2 rows at any d, and
+# the structured step serves only states whose joint support is wide.
 _MAX_DENSE_CARRIER_ROWS = 1 << 18
 
 

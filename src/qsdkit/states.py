@@ -26,6 +26,17 @@ PSD_TOL = 1e-9
 POVM_PSD_TOL = 1e-7
 POVM_COMPLETENESS_TOL = 1e-7
 CARRIER_ISOMETRY_TOL = 1e-10
+#: Eigenvalues of the noiseless states' sum at or below this lie off their
+#: support; the scheme programs lump that complement into one coordinate.
+SUPPORT_TOL = 1e-12
+#: Largest Frobenius distance of a noisy state's block off that support from
+#: a multiple of the identity (depolarizing noise always gives a multiple).
+COMPLEMENT_TOL = 1e-10
+#: Eigenvalues below this span the common kernel a uqsd element lives on.
+UQSD_KERNEL_TOL = 1e-9
+#: A crossqsd posterior matrix with no eigenvalue above this (negative)
+#: level admits only a zero conclusive element.
+UNREACHABLE_POSTERIOR_EIG = -1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,8 +28,11 @@ from qsdkit import (
     uqsd_reference,
 )
 from qsdkit import schemes
-from qsdkit.solver import Solution
+from qsdkit.cli import _bench_spec
+from qsdkit.solver import ConeProgram, PsdCone, Solution, smat, svec
+from qsdkit.states import COMPLEMENT_TOL, SUPPORT_TOL, UQSD_KERNEL_TOL
 from conftest import random_problem
+from test_solver import mixed_spec
 
 HELSTROM_ZERO_PLUS = 0.5 * (1.0 + 1.0 / math.sqrt(2.0))
 UQSD_ZERO_PLUS = 1.0 - 1.0 / math.sqrt(2.0)
@@ -217,6 +221,49 @@ class TestCrossQsd:
         # Confidence bounds are only meaningful above the conditioning-mass
         # floor; nothing exceeds it here.
         assert float(jd.entries[:, :3].sum()) <= 1e-8 * 3
+
+    def test_unreachable_posterior_copies_stay_inconclusive(self):
+        # The same program and seven copies with each nonzero entry of c moved
+        # one ulp (the perturbation of tools/iteration_spread.py).  Every
+        # posterior matrix p_i rho_i - (1 - beta_i) sum_j p_j rho_j is negative
+        # definite, so no conclusive element gets a block and every draw has
+        # exactly zero conclusive mass.
+        spec = _bench_spec(3, 0.01)
+        scheme = build_scheme(spec, "crossqsd", alpha=0.2, beta=1e-3)
+        assert scheme.labels == (INCONCLUSIVE,)
+        program = scheme.program
+        for seed in [None] + list(range(7)):
+            copy = program
+            if seed is not None:
+                rng = np.random.default_rng(seed)
+                direction = np.where(rng.random(program.c.size) < 0.5, -np.inf, np.inf)
+                c = np.where(program.c != 0.0, np.nextafter(program.c, direction), program.c)
+                copy = dataclasses.replace(program, c=c)
+            solution = solve(copy)
+            assert solution.status == "optimal"
+            jd = joint_distribution(spec, decode_povm(scheme, solution), 0.01)
+            assert float(jd.entries[:, :3].sum()) <= 1e-8 * 3
+            assert outcome_stats(jd).p_succ == 0.0
+
+    @pytest.mark.parametrize("inst", ["ens", "tri2", "tri3", "tri4"])
+    def test_reachable_elements_keep_their_blocks(self, inst):
+        spec = bench2q_spec() if inst == "ens" else _bench_spec(int(inst[-1]), 0.01)
+        scheme = build_scheme(spec, "crossqsd", alpha=0.1, beta=0.1)
+        assert scheme.labels == (0, 1, 2, INCONCLUSIVE)
+        assert len(scheme.program.A) == 6
+
+    @pytest.mark.parametrize("top, blocks", [(-1.5e-9, 0), (-0.5e-9, 1)])
+    def test_unreachable_posterior_threshold(self, top, blocks):
+        # rho_0 = |0><0| and rho_1 = I/2 at equal priors: the posterior matrix
+        # of element 0 has top eigenvalue (3 beta - 1) / 4.
+        spec = ProblemSpec((density_of(PureState(np.array([1.0, 0.0]))),
+                            DensityMatrix(np.eye(2) / 2.0)), np.array([0.5, 0.5]))
+        beta = (4.0 * top + 1.0) / 3.0
+        scheme = build_scheme(spec, "crossqsd", alpha=1.0, beta=[beta, 1.0])
+        assert scheme.labels.count(0) == blocks
+        assert scheme.labels[-2:] == (1, INCONCLUSIVE)
+        assert solve_scheme(spec, "crossqsd", alpha=1.0, beta=[beta, 1.0]).solution.status \
+            == "optimal"
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -457,3 +504,173 @@ class TestOracleBounds:
             hel = helstrom_two_state(r1, r2, float(spec.priors[0]))
             assert med.value <= hel + 1e-6
             assert med.value >= hel - 1e-6
+
+
+def lift_map(basis):
+    """The ``(d**2, (r+1)**2)`` map from support coordinates to full svec coordinates.
+
+    Column ``t`` is ``svec(V X_SS V^+ + (X_ll / sqrt(m)) (I - V V^+))`` for the
+    basis matrix ``X = smat(e_t)``; cross entries map to zero.
+    """
+    d, r = basis.shape
+    n = r + 1
+    comp = np.eye(d) - basis @ basis.conj().T
+    cols = []
+    for t in range(n * n):
+        x = smat(np.eye(n * n)[t], n)
+        cols.append(svec(basis @ x[:r, :r] @ basis.conj().T
+                         + x[r, r].real / math.sqrt(d - r) * comp))
+    return np.array(cols).T
+
+
+def full_space_program(scheme):
+    """The program of a carrier-free scheme over full ``d x d`` element blocks.
+
+    This is the program as built without the support reduction: each element
+    block's part of ``c`` and of every row of ``A`` is the full svec of the
+    lifted coefficient matrix, and completeness reads ``svec(I)``.
+    """
+    program = scheme.program
+    offsets, rhs = program.block_sum
+    d = scheme.dim
+    lift = lift_map(scheme.basis)
+    quad_diag = np.zeros(program.num_vars) if program.quad_diag is None else program.quad_diag
+    blocks, c, A, quad, new_offsets = [], [], [], [], []
+    off = new_off = 0
+    for blk in program.blocks:
+        cols = slice(off, off + blk.size)
+        off += blk.size
+        if cols.start in offsets:
+            new_offsets.append(new_off)
+            blk = PsdCone(d)
+            c.append(lift @ program.c[cols])
+            A.append(program.A[:, cols] @ lift.T)
+            quad.append(np.zeros(d * d))
+        else:
+            c.append(program.c[cols])
+            A.append(program.A[:, cols])
+            quad.append(quad_diag[cols])
+        blocks.append(blk)
+        new_off += blk.size
+    return ConeProgram(blocks=tuple(blocks), c=np.concatenate(c), A=np.hstack(A), b=program.b,
+                       quad_diag=None if program.quad_diag is None else np.concatenate(quad),
+                       block_sum=(tuple(new_offsets), svec(np.eye(d))))
+
+
+def full_space_uqsd(spec):
+    """The uqsd program with kernels and carriers of the full ``d x d`` noisy states."""
+    d, k = spec.dim, spec.num_states
+    mats = [rho.matrix for rho in spec.noisy_states()]
+    blocks, c, offsets, carriers, off = [], [], [], [], 0
+    for j in range(k):
+        w, u = np.linalg.eigh(sum(mats[i] for i in range(k) if i != j))
+        n_j = u[:, w < UQSD_KERNEL_TOL]
+        if n_j.shape[1] == 0:
+            continue
+        r = n_j.shape[1]
+        blocks.append(PsdCone(r))
+        offsets.append(off)
+        carriers.append(n_j)
+        c.append(-spec.priors[j] * svec(n_j.conj().T @ mats[j] @ n_j))
+        off += r * r
+    blocks.append(PsdCone(d))
+    offsets.append(off)
+    c.append(np.zeros(d * d))
+    n = off + d * d
+    return ConeProgram(blocks=tuple(blocks), c=np.concatenate(c), A=np.zeros((0, n)),
+                       b=np.zeros(0),
+                       block_sum=(tuple(offsets), svec(np.eye(d)), tuple(carriers) + (None,)))
+
+
+def flat_mixed_spec(eps):
+    """d=8: |0> and (1 - eps)|1><1| + eps|2><2|, so the states' sum has eigenvalue eps."""
+    e = np.eye(8)
+    mixed = DensityMatrix((1.0 - eps) * np.outer(e[1], e[1]) + eps * np.outer(e[2], e[2]))
+    return ProblemSpec((density_of(PureState(e[0])), mixed), np.array([0.5, 0.5]))
+
+
+class TestSupportReduction:
+    @pytest.mark.parametrize("name, params", [("med", {}), ("frio", {"rate": 0.1}),
+                                              ("crossqsd", {"alpha": 0.1, "beta": 0.1})])
+    def test_matches_full_space_program(self, name, params):
+        scheme = build_scheme(_bench_spec(3, 0.01), name, **params)
+        assert scheme.basis.shape == (8, 3)
+        assert all(blk.dim == 4 for blk in scheme.program.blocks if isinstance(blk, PsdCone))
+        reduced = solve(scheme.program, acceleration=0)
+        full = solve(full_space_program(scheme), acceleration=0)
+        assert reduced.status == full.status == "optimal"
+        assert reduced.iterations == full.iterations
+        assert abs(reduced.objective - full.objective) <= 1e-12
+
+    def test_uqsd_matches_full_space_program(self):
+        spec = _bench_spec(3, 0.0)
+        scheme = build_scheme(spec, "uqsd")
+        _, _, carriers = scheme.program.block_sum
+        assert [None if n is None else n.shape for n in carriers] == [(4, 2)] * 3 + [None]
+        reduced = solve(scheme.program, acceleration=0)
+        full = solve(full_space_uqsd(spec), acceleration=0)
+        assert reduced.status == full.status == "optimal"
+        assert reduced.iterations == full.iterations
+        assert abs(reduced.objective - full.objective) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["med", "uqsd", "frio", "crossqsd", "hybrid"])
+    @pytest.mark.parametrize("lam", [0.0, 0.01])
+    def test_decoded_elements_are_flat_off_the_support(self, name, lam):
+        spec = _bench_spec(3, lam)
+        result = solve_scheme(spec, name)
+        basis = result.scheme.basis
+        comp = np.eye(8) - basis @ basis.conj().T
+        for e in result.povm.elements:
+            flat = np.trace(comp @ e).real / 5
+            np.testing.assert_allclose(comp @ e @ comp, flat * comp, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(basis.conj().T @ e @ comp, 0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec_of", [lambda: _bench_spec(2, 0.01), lambda: bench2q_spec(),
+                                         lambda: bench2q_spec(1e-3), lambda: mixed_spec()],
+                             ids=["tri2", "ens", "ens-noisy", "mixed4"])
+    def test_small_programs_keep_the_full_basis(self, spec_of, monkeypatch):
+        # r + 1 >= d: every program is built from the noisy states as they are.
+        spec = spec_of()
+        params = {name: {"reference": np.full((3, 4), 1.0 / 12.0)}
+                  if "reference" in schemes.SCHEMES[name][1] else {} for name in SCHEME_NAMES}
+        ours = {name: build_scheme(spec, name, **params[name]) for name in SCHEME_NAMES}
+        monkeypatch.setattr(schemes, "_program_states", lambda spec: (
+            None, np.eye(spec.dim), [rho.matrix for rho in spec.noisy_states()]))
+        for name in SCHEME_NAMES:
+            today = build_scheme(spec, name, **params[name])
+            assert ours[name].basis is None
+            for field in ("c", "A", "b"):
+                np.testing.assert_array_equal(getattr(ours[name].program, field),
+                                              getattr(today.program, field))
+            np.testing.assert_array_equal(ours[name].program.block_sum[1],
+                                          today.program.block_sum[1])
+
+    @pytest.mark.parametrize("eps, width", [(2.0 * SUPPORT_TOL, 4), (0.5 * SUPPORT_TOL, 3)])
+    def test_support_cut(self, eps, width):
+        scheme = build_scheme(flat_mixed_spec(eps), "med")
+        assert scheme.program.blocks == (PsdCone(width),) * 2
+        assert scheme.basis.shape == (8, width - 1)
+
+    @pytest.mark.parametrize("scale, raises", [(0.5, False), (2.0, True)])
+    def test_complement_must_be_flat(self, scale, raises):
+        e = np.eye(4)
+        rho = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
+        rho[1, 2] = rho[2, 1] = scale * COMPLEMENT_TOL / math.sqrt(2.0)
+        args = ([rho], e[:, :1], e[:, 1:])
+        if raises:
+            with pytest.raises(ValueError, match="multiple of the identity off the support"):
+                schemes._reduce(*args)
+        else:
+            _, identity, (reduced,) = schemes._reduce(*args)
+            np.testing.assert_allclose(identity, np.diag([1.0, math.sqrt(3.0)]))
+            np.testing.assert_allclose(reduced, np.diag([0.7, 0.1 * math.sqrt(3.0)]))
+
+    @pytest.mark.parametrize("eps, labels", [(0.5 * UQSD_KERNEL_TOL, (0, 1, INCONCLUSIVE)),
+                                             (2.0 * UQSD_KERNEL_TOL, (1, INCONCLUSIVE))])
+    def test_uqsd_kernel_cut(self, eps, labels):
+        # rho_0 = |0><0| and rho_1 = (1 - eps)|1><1| + eps|0><0|: element 1
+        # lives on |1>, and element 0 on |0>, the kernel of rho_1 below the cut.
+        mixed = DensityMatrix(np.diag([eps, 1.0 - eps]))
+        spec = ProblemSpec((density_of(PureState(np.array([1.0, 0.0]))), mixed),
+                           np.array([0.5, 0.5]))
+        assert build_scheme(spec, "uqsd").labels == labels

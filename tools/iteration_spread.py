@@ -6,9 +6,10 @@ scheme this script solves the scheme's program as built, then five copies
 whose nonzero objective entries are each moved by one ulp in a random
 direction (fixed seeds), and prints one JSON report: the unperturbed count,
 the median and maximum over the copies, the largest deviation of a copy's
-objective from the unperturbed one, and a SHA-1 digest of the unperturbed
-solution's ``x.tobytes()``, so that two reports can be diffed to check that
-a change keeps every unperturbed solve byte-identical.
+objective from the unperturbed one, the program's variable count, and a
+SHA-1 digest of the unperturbed solution's ``x.tobytes()``, so that two
+reports can be diffed to check that a change keeps every unperturbed solve
+byte-identical.
 
 The instances are the coherent triple of ``qsd bench`` (λ = 0.01) at 2 to
 ``--max-qubits`` qubits and the two-qubit benchmark ensemble at λ = 0,
@@ -67,7 +68,7 @@ def spread(program) -> dict:
         statuses.append(sol.status)
     median = float(np.median(iterations))
     return {"iterations": base.iterations, "median": median, "max": max(iterations),
-            "objective_deviation": deviation, "x_sha1": hashlib.sha1(base.x.tobytes()).hexdigest(),
+            "objective_deviation": deviation, "num_vars": program.num_vars, "x_sha1": hashlib.sha1(base.x.tobytes()).hexdigest(),
             "statuses": {s: statuses.count(s) for s in sorted(set(statuses))}}
 
 
