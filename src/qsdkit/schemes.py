@@ -59,8 +59,8 @@ from .solver import (
     solve,
     svec,
 )
-from .states import (COMPLEMENT_TOL, INCONCLUSIVE, SUPPORT_TOL, UNREACHABLE_POSTERIOR_EIG,
-                     UQSD_KERNEL_TOL, Povm, ProblemSpec)
+from .states import (COMPLEMENT_TOL, DECODE_COMPLETENESS_TOL, INCONCLUSIVE, SUPPORT_TOL,
+                     UNREACHABLE_POSTERIOR_EIG, UQSD_KERNEL_TOL, Povm, ProblemSpec)
 
 AT_LEAST = "at_least"
 AT_MOST = "at_most"
@@ -517,7 +517,7 @@ def decode_povm(scheme: SchemeProgram, solution: Solution) -> Povm:
         elements.append(block)
     total = sum(elements)
     dev = float(np.linalg.norm(total - np.eye(d)))
-    if dev > 1e-3:
+    if dev > DECODE_COMPLETENESS_TOL:
         raise DecodeError(f"element sum is {dev:.3e} from identity; solve did not converge")
     w, u = np.linalg.eigh(total)
     inv_sqrt = (u * (1.0 / np.sqrt(w))) @ u.conj().T

@@ -14,10 +14,12 @@ A program may also carry block-sum rows ``sum_j x[o_j : o_j + L] = r``
 (the completeness constraint of a POVM is one such set of rows).  A block may
 enter them through a column-orthonormal carrier ``N_j``, as
 ``svec(N_j smat(x_j) N_j^+)``, which confines a POVM element to a subspace.
-Without carriers the supports of the rows are disjoint and the affine step
-eliminates them in closed form; with carriers it factors their ``L x L``
-Gram matrix once.  Either way only the small Schur complement of the
-remaining rows of ``A`` is factored beside them.
+The carrier blocks' part of the rows is one stored real matrix, column
+``t`` of block ``j`` being ``svec(N_j smat(e_t) N_j^+)``.  Without carriers
+the supports of the rows are disjoint and the affine step eliminates them in
+closed form; with carriers it factors their ``L x L`` Gram matrix once.
+Either way only the small Schur complement of the remaining rows of ``A``
+is factored beside them.
 
 The method is ADMM on the splitting ``f(x) = c'x + q-term + indicator{Ax=b}``,
 ``g(z) = indicator{z in K}``: an affine projection (block-sum rows solved
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .states import CARRIER_ISOMETRY_TOL
+from .states import CARRIER_ISOMETRY_TOL, ZERO_ROW_NORM, ZERO_ROW_RHS_TOL
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -342,76 +344,37 @@ class _ConeProjector:
 
 
 class _CarrierMaps:
-    """The block-sum maps ``x_j -> svec(N_j smat(x_j) N_j^+)`` of carrier blocks.
+    """The block-sum rows of the carrier blocks as one real ``(L, sum_j r_j**2)`` matrix.
 
-    Carriers of equal rank ``r`` form one group: a ``(g, r*r)`` index array
-    of their coordinates and their ``(g, d, r)`` stacked matrices, so the sum
-    of the maps and its adjoint ``y -> svec(N_j^+ smat(y) N_j)`` take one
-    batched product per group.
+    ``index`` lists the carrier blocks' coordinates in the variable vector,
+    block after block, and ``rows`` the matching columns: column ``t`` of
+    block ``j`` is ``svec(N_j smat(e_t) N_j^+)``, the image of the basis
+    matrix ``smat(e_t)``, built in one batched product per block.  The sum
+    of the maps ``x_j -> svec(N_j smat(x_j) N_j^+)``, its adjoint and their
+    Gram matrix are then products with ``rows``.
     """
 
-    def __init__(self, offsets, carriers, dim):
-        self.dim = dim
-        by_rank = {}
+    def __init__(self, offsets, carriers):
+        index, parts = [], []
         for off, n in zip(offsets, carriers):
             if n is not None:
-                by_rank.setdefault(n.shape[1], []).append((off, n))
-        self.groups = []
-        for r, members in by_rank.items():
-            index = np.asarray([off for off, _ in members])[:, None] + np.arange(r * r)
-            n = np.stack([n for _, n in members])
-            self.groups.append((r, index, n, np.ascontiguousarray(n.conj().transpose(0, 2, 1))))
+                r = n.shape[1]
+                index.append(off + np.arange(r * r))
+                parts.append(_svec_batch(n @ _smat_batch(np.eye(r * r), r) @ n.conj().T))
+        self.index = np.concatenate(index)
+        self.rows = np.ascontiguousarray(np.concatenate(parts).T)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         """Sum of the maps applied to ``v`` (n,) or to each row of ``v`` (nb, n)."""
-        total = 0.0
-        for r, index, n, nh in self.groups:
-            m = _smat_batch(v[..., index].reshape(-1, r * r), r)
-            total = total + (n @ m.reshape(-1, len(index), r, r) @ nh).sum(axis=1)
-        return _svec_batch(total).reshape(v.shape[:-1] + (self.dim * self.dim,))
+        return v[..., self.index] @ self.rows.T
 
     def add_adjoint(self, y: np.ndarray, out: np.ndarray) -> None:
         """Add ``svec(N_j^+ smat(y) N_j)`` to block ``j`` of ``out`` (n,), for ``y`` (L,)."""
-        ymat = _smat_batch(y[None], self.dim)
-        for r, index, n, nh in self.groups:
-            out[index] += _svec_batch(nh @ ymat @ n)
+        out[self.index] += y @ self.rows
 
     def gram(self) -> np.ndarray:
-        """``sum_j P_j`` for ``P_j`` the ``(L, L)`` svec matrix of ``Z -> Q_j Z Q_j``.
-
-        ``Q_j = N_j N_j^+``.  Column ``(c, e)`` of ``P_j`` is the svec of
-        ``Q_j B Q_j`` for the basis matrix ``B`` of that coordinate, which
-        is built from the outer product ``q_c q_e^+`` of two columns of
-        ``Q_j``; summed over ``j`` that outer product is one batched product
-        over the carriers.  ``P_j`` is symmetric, so columns are written as
-        rows, in chunks of coordinate pairs.  O(d**4) work.
-        """
-        d = self.dim
-        q = np.concatenate([n @ nh for _, _, n, nh in self.groups])
-        qh = q.conj()
-        rows, cols = np.triu_indices(d, k=1)
-        t = rows.size
-        diag = np.arange(d)
-
-        def outer(cs, es):
-            o = q[:, :, cs].transpose(2, 1, 0) @ qh[:, :, es].transpose(2, 0, 1)
-            return o[:, diag, diag], o[:, rows, cols], o[:, cols, rows]
-
-        # Fortran order lets the affine step factor it in place (_make_solver).
-        # A chunk of rows then touches every column of it, so the chunks of
-        # temporaries are kept small.
-        out = np.empty((d * d, d * d), order="F")
-        od, ou, _ = outer(diag, diag)
-        out[:d] = np.concatenate([od.real, _SQRT2 * ou.real, _SQRT2 * ou.imag], axis=1)
-        step = max(1, (1 << 18) // (d * d))
-        for lo in range(0, t, step):
-            hi = min(t, lo + step)
-            od, ou, ol = outer(rows[lo:hi], cols[lo:hi])
-            out[d + lo:d + hi] = np.concatenate(
-                [_SQRT2 * od.real, ou.real + ol.real, ou.imag - ol.imag], axis=1)
-            out[d + t + lo:d + t + hi] = np.concatenate(
-                [-_SQRT2 * od.imag, -(ou.imag + ol.imag), ou.real - ol.real], axis=1)
-        return out
+        """``rows rows'``, in the Fortran order that lets ``_make_solver`` factor it in place."""
+        return (self.rows @ self.rows.T).T
 
 
 class _AffineProjector:
@@ -420,22 +383,21 @@ class _AffineProjector:
     The rows are the ``L`` block-sum rows ``C``, then the equilibrated rows
     ``R`` of ``A``.  Row ``t`` of ``C`` is scaled to unit norm by the rule
     that :func:`_row_equilibrate` applies to ``A`` (:func:`_row_scale`): by
-    ``s_t = 1/sqrt(sum_j P_j[t,t])``, where ``P_j`` is the identity for a
-    plain block and the svec matrix of ``Z -> Q_j Z Q_j``,
-    ``Q_j = N_j N_j^+``, for a carrier block, so ``s_t = 1/sqrt(m)`` for
-    ``m`` plain blocks; a zero row gets ``s_t = 0``.  The multipliers
-    ``mu`` of a point ``t`` solve ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  With
-    ``K = R D^-1 C'`` and ``Delta = C D^-1 C'`` only the Schur complement
+    ``s_t = 1/sqrt(m + |M_t|^2)`` for ``m`` plain blocks and row ``M_t`` of
+    the carrier blocks' matrix ``M`` (:class:`_CarrierMaps`); a zero row
+    gets ``s_t = 0``.  The multipliers ``mu`` of a point ``t`` solve
+    ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  With ``K = R D^-1 C'`` and
+    ``Delta = C D^-1 C'`` only the Schur complement
     ``S = R D^-1 R' - K Delta^-1 K'``, one row and column per row of ``A``,
     is factored beside ``Delta``.  Without carriers the rows of ``C`` have
     disjoint supports, so ``Delta`` is diagonal for any diagonal ``D``,
     ``C x`` is a gather-sum over the blocks and ``C' mu`` a scatter.  With
-    carriers ``Delta = s (sum_plain D^-1 + sum_j P_j / rho) s`` is dense,
-    built from :meth:`_CarrierMaps.gram` and factored once per metric, and
-    ``C x`` and ``C' mu`` add the batched carrier products.  A program
-    without ``block_sum`` takes the same path with ``L = 0``: the plain
-    blocks' index array has shape ``(0, 0)``, ``rhs`` and ``Delta`` are
-    empty, and ``S = R D^-1 R'``; with no rows at all the step moves nothing.
+    carriers ``Delta = s (sum_plain D^-1 + M M' / rho) s`` is dense and
+    factored once per metric, and ``C x`` and ``C' mu`` add the products
+    with ``M``.  A program without ``block_sum`` takes the same path with
+    ``L = 0``: the plain blocks' index array has shape ``(0, 0)``, ``rhs``
+    and ``Delta`` are empty, and ``S = R D^-1 R'``; with no rows at all the
+    step moves nothing.
 
     For ``q = 0`` the step is Euclidean (``D = I``) and one factorization
     serves every rho; with a quadratic term ``S`` and ``Delta`` depend on
@@ -451,10 +413,9 @@ class _AffineProjector:
         self.carriers = None
         offsets, rhs, *carriers = block_sum or ((), np.zeros(0))
         if carriers:
-            self.carriers = _CarrierMaps(offsets, carriers[0], math.isqrt(rhs.size))
+            self.carriers = _CarrierMaps(offsets, carriers[0])
             offsets = [o for o, n in zip(offsets, carriers[0]) if n is None]
-            self._carrier_gram = self.carriers.gram()
-            norms2 = len(offsets) + np.diagonal(self._carrier_gram)
+            norms2 = len(offsets) + (self.carriers.rows ** 2).sum(axis=1)
         else:
             norms2 = np.full(rhs.size, float(len(offsets)))
         self.scale = _row_scale(np.sqrt(norms2), rhs)
@@ -512,14 +473,9 @@ class _AffineProjector:
 
     def _carrier_delta(self, plain):
         """``Delta`` of the carrier rows for the current metric, in Fortran order."""
-        if self._d_inv is None:
-            # Factored once, for every rho: the Gram matrix is not needed again,
-            # except to build Delta afresh for the pseudoinverse fallback.
-            delta, self._carrier_gram = self._carrier_gram, None
-            if delta is None:
-                delta = self.carriers.gram()
-        else:
-            delta = self._carrier_gram / self._rho
+        delta = self.carriers.gram()
+        if self._d_inv is not None:
+            delta /= self._rho
         delta[np.diag_indices_from(delta)] += plain
         delta *= self.scale[:, None]
         delta *= self.scale
@@ -579,38 +535,10 @@ class _AffineProjector:
         return math.sqrt(r_c @ r_c + r @ r)
 
 
-# Carrier rows of at most this many dense entries (every uqsd program up to
-# d=16) are solved as rows of ``A``, larger ones through the structured step.
-# For small blocks the dense rows are cheaper: the batched carrier products
-# cost more in numpy call overhead than dense products with the rows.  The
-# scheme builders work over the states' support plus one lumped coordinate,
-# so a uqsd program of k pure states has L = (k + 1)**2 rows at any d, and
-# the structured step serves only states whose joint support is wide.
-_MAX_DENSE_CARRIER_ROWS = 1 << 18
-
-
-def _block_sum_rows(program: ConeProgram) -> np.ndarray:
-    """The carrier block-sum rows of ``program`` as a dense ``(L, n)`` matrix.
-
-    Column ``t`` of a carrier block's part is ``svec(N B_t N^+)`` for the
-    basis matrix ``B_t = smat(e_t)``, all computed in one batched product.
-    """
-    offsets, rhs, carriers = program.block_sum
-    rows = np.zeros((rhs.size, program.num_vars))
-    for off, n in zip(offsets, carriers):
-        if n is None:
-            rows[:, off:off + rhs.size] += np.eye(rhs.size)
-        else:
-            r = n.shape[1]
-            maps = _svec_batch(n @ _smat_batch(np.eye(r * r), r) @ n.conj().T)
-            rows[:, off:off + r * r] += maps.T
-    return rows
-
-
 def _row_scale(norms, rhs):
-    """``1 / norms``, with 0 for a zero row (norm <= 1e-14), whose rhs must vanish."""
-    keep = norms > 1e-14
-    if np.any(np.abs(rhs[~keep]) > 1e-12):
+    """``1 / norms``, with 0 for a zero row (norm <= ``ZERO_ROW_NORM``), whose rhs must vanish."""
+    keep = norms > ZERO_ROW_NORM
+    if np.any(np.abs(rhs[~keep]) > ZERO_ROW_RHS_TOL):
         raise ValueError("constraint system contains an inconsistent zero row")
     return np.divide(1.0, norms, out=np.zeros_like(norms), where=keep)
 
@@ -779,18 +707,12 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = program.num_vars
-    A, b, block_sum = program.A, program.b, program.block_sum
-    if block_sum is not None and len(block_sum) == 3 and \
-            block_sum[1].size * n <= _MAX_DENSE_CARRIER_ROWS:
-        A = np.vstack([_block_sum_rows(program), A])
-        b = np.concatenate([block_sum[1], b])
-        block_sum = None
-    A, b = _row_equilibrate(A, b)
+    A, b = _row_equilibrate(program.A, program.b)
     c = program.c
     quad = program.quad_diag
     rho = _INITIAL_RHO_QUAD if quad is not None else _INITIAL_RHO
     project_cone = _ConeProjector(program.blocks)
-    affine = _AffineProjector(A, b, quad, block_sum)
+    affine = _AffineProjector(A, b, quad, program.block_sum)
     affine.set_rho(rho)
     affine_tol = tol * (1.0 + affine.rhs_norm)
 

@@ -34,6 +34,14 @@ SUPPORT_TOL = 1e-12
 COMPLEMENT_TOL = 1e-10
 #: Eigenvalues below this span the common kernel a uqsd element lives on.
 UQSD_KERNEL_TOL = 1e-9
+#: The solver reads a constraint row of norm at or below ``ZERO_ROW_NORM``
+#: as a zero row, and refuses one whose right-hand side exceeds
+#: ``ZERO_ROW_RHS_TOL`` in magnitude as inconsistent.
+ZERO_ROW_NORM = 1e-14
+ZERO_ROW_RHS_TOL = 1e-12
+#: Largest Frobenius distance from the identity of the sum of the elements
+#: decoded from a solve; farther, the solve did not converge.
+DECODE_COMPLETENESS_TOL = 1e-3
 #: A crossqsd posterior matrix with no eigenvalue above this (negative)
 #: level admits only a zero conclusive element.
 UNREACHABLE_POSTERIOR_EIG = -1e-9

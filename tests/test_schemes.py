@@ -30,7 +30,7 @@ from qsdkit import (
 from qsdkit import schemes
 from qsdkit.cli import _bench_spec
 from qsdkit.solver import ConeProgram, PsdCone, Solution, smat, svec
-from qsdkit.states import COMPLEMENT_TOL, SUPPORT_TOL, UQSD_KERNEL_TOL
+from qsdkit.states import COMPLEMENT_TOL, DECODE_COMPLETENESS_TOL, SUPPORT_TOL, UQSD_KERNEL_TOL
 from conftest import random_problem
 from test_solver import mixed_spec
 
@@ -486,6 +486,22 @@ class TestDecode:
                            objective=0.0, iterations=1)
         with pytest.raises(DecodeError):
             decode_povm(scheme, garbage)
+
+    @pytest.mark.parametrize("scale, raises", [(0.5, False), (2.0, True)])
+    def test_completeness_threshold(self, scale, raises):
+        # Element 0 gains scale * DECODE_COMPLETENESS_TOL on its (0, 0) entry,
+        # so the elements sum to that Frobenius distance from the identity.
+        scheme = build_med(orthogonal_pair())
+        eps = scale * DECODE_COMPLETENESS_TOL
+        x = np.concatenate([svec(np.diag([1.0 + eps, 0.0])), svec(np.diag([0.0, 1.0]))])
+        solution = Solution(x=x, status="optimal", primal_residual=0.0, dual_residual=0.0,
+                            objective=0.0, iterations=1)
+        if raises:
+            with pytest.raises(DecodeError, match="from identity"):
+                decode_povm(scheme, solution)
+        else:
+            povm = decode_povm(scheme, solution)
+            np.testing.assert_allclose(sum(povm.elements), np.eye(2), atol=1e-12)
 
     def test_scheme_value_sign(self):
         spec = orthogonal_pair()

@@ -25,6 +25,7 @@ from qsdkit import (
 )
 from qsdkit.cli import _bench_spec
 from qsdkit.solver import _AndersonMemory, _ConeProjector, _smat_batch, _svec_batch
+from qsdkit.states import ZERO_ROW_NORM, ZERO_ROW_RHS_TOL
 
 
 def random_hermitian(d, rng):
@@ -256,6 +257,26 @@ class TestPrimalDrift:
         solve(prog, max_iters=1000)
         assert sum(repeats for repeats, _ in calls) > 900
         assert not any(fired for _, fired in calls)
+
+
+class TestZeroRows:
+    @pytest.mark.parametrize("norm, kept", [(ZERO_ROW_NORM, False),
+                                            (np.nextafter(ZERO_ROW_NORM, 1.0), True)])
+    def test_zero_row_norm_threshold(self, norm, kept):
+        scale = solver_module._row_scale(np.array([1.0, norm]), np.zeros(2))
+        np.testing.assert_array_equal(scale, [1.0, 1.0 / norm if kept else 0.0])
+
+    @pytest.mark.parametrize("rhs, raises", [(ZERO_ROW_RHS_TOL, False),
+                                             (np.nextafter(ZERO_ROW_RHS_TOL, 1.0), True)])
+    def test_zero_row_rhs_threshold(self, rhs, raises):
+        # A zero row holds when its rhs is within ZERO_ROW_RHS_TOL of zero.
+        program = ConeProgram(blocks=(FreeCone(1),), c=np.zeros(1), A=np.zeros((1, 1)),
+                              b=np.array([-rhs]))
+        if raises:
+            with pytest.raises(ValueError, match="inconsistent zero row"):
+                solve(program)
+        else:
+            assert solve(program).status == OPTIMAL
 
 
 def max_eig_program(c_matrix):
@@ -525,7 +546,24 @@ def mixed_spec():
     return ProblemSpec(states, np.array([0.2, 0.3, 0.5]), 0.0)
 
 
+def wide_spec():
+    """Three random rank-3 states at d=16, whose uqsd program has ``L = 100``.
+
+    The program works over their 9-dimensional support plus one lumped
+    coordinate, and each carrier has rank 4.
+    """
+    rng = np.random.default_rng(16)
+    states = []
+    for _ in range(3):
+        g = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+        m = g @ g.conj().T
+        states.append(DensityMatrix(m / np.trace(m).real))
+    return ProblemSpec(tuple(states), np.full(3, 1 / 3), 0.0)
+
+
 def carrier_spec(inst):
+    if inst == "wide16":
+        return wide_spec()
     if inst == "ens":
         return ProblemSpec.from_states(make_benchmark_two_qubit_states(), noise_lambda=0.0)
     if inst == "mixed4":
@@ -556,9 +594,8 @@ def with_conclusive_penalty(program, weight):
                        block_sum=program.block_sum)
 
 
-def assert_same_solve(program, expanded, monkeypatch):
+def assert_same_solve(program, expanded):
     """The structured step and the dense rows take the same path (no acceleration)."""
-    monkeypatch.setattr(solver_module, "_MAX_DENSE_CARRIER_ROWS", 0)
     structured = solve(program, acceleration=0)
     dense = solve(expanded, acceleration=0)
     assert structured.status == dense.status == OPTIMAL
@@ -577,29 +614,27 @@ def carrier_program(blocks, carriers, quad_diag=None):
 
 
 class TestCarrierRows:
-    @pytest.mark.parametrize("inst", ["ens", "tri2", "tri3", "mixed4"])
-    def test_uqsd_matches_dense_rows(self, inst, monkeypatch):
+    @pytest.mark.parametrize("inst", ["ens", "tri2", "tri3", "mixed4", "wide16"])
+    def test_uqsd_matches_dense_rows(self, inst):
         program = build_uqsd(carrier_spec(inst)).program
         assert program.A.shape[0] == 0 and len(program.block_sum) == 3
         expanded = expand_carriers(program)
-        # Small programs are solved through these dense rows by default.
-        L = program.block_sum[1].size
-        np.testing.assert_allclose(solver_module._block_sum_rows(program), expanded.A[:L],
+        offsets, rhs, carriers = program.block_sum
+        maps = solver_module._CarrierMaps(offsets, carriers)
+        np.testing.assert_allclose(maps.rows, expanded.A[:rhs.size, maps.index],
                                    rtol=0, atol=1e-15)
-        assert_same_solve(program, expanded, monkeypatch)
+        assert_same_solve(program, expanded)
 
     def test_mixed_carriers_have_unequal_ranks(self):
         _, _, carriers = build_uqsd(mixed_spec()).program.block_sum
         assert [None if n is None else n.shape[1] for n in carriers] == [1, 1, 2, None]
 
-    def test_coupling_rows_and_quadratic_term(self, monkeypatch):
+    def test_coupling_rows_and_quadratic_term(self):
         program = with_conclusive_penalty(build_uqsd(mixed_spec()).program, weight=0.5)
-        assert_same_solve(program, expand_carriers(program), monkeypatch)
+        assert_same_solve(program, expand_carriers(program))
 
-    @pytest.mark.parametrize("dense_limit", [0, 1 << 18])
-    def test_uncovered_rows(self, dense_limit, monkeypatch):
+    def test_uncovered_rows(self):
         # One carrier |0> covers only the (0, 0) row; the other rows read 0 = rhs.
-        monkeypatch.setattr(solver_module, "_MAX_DENSE_CARRIER_ROWS", dense_limit)
         carrier = (np.array([[1.0], [0.0]]),)
         program = ConeProgram(blocks=(PsdCone(1),), c=np.ones(1), A=np.zeros((0, 1)),
                               b=np.zeros(0), block_sum=((0,), svec(np.diag([2.0, 0.0])), carrier))
