@@ -633,14 +633,17 @@ class TestCarrierRows:
         program = with_conclusive_penalty(build_uqsd(mixed_spec()).program, weight=0.5)
         assert_same_solve(program, expand_carriers(program))
 
-    def test_uncovered_rows(self):
-        # One carrier |0> covers only the (0, 0) row; the other rows read 0 = rhs.
+    @pytest.mark.parametrize("covered_rhs", [0, 1 << 18])
+    def test_uncovered_rows(self, covered_rhs):
+        # One carrier |0> covers only the (0, 0) row; the other rows read 0 = rhs,
+        # whether the covered row's rhs is zero or large.
         carrier = (np.array([[1.0], [0.0]]),)
+        rhs = svec(np.diag([float(covered_rhs), 0.0]))
         program = ConeProgram(blocks=(PsdCone(1),), c=np.ones(1), A=np.zeros((0, 1)),
-                              b=np.zeros(0), block_sum=((0,), svec(np.diag([2.0, 0.0])), carrier))
+                              b=np.zeros(0), block_sum=((0,), rhs, carrier))
         sol = solve(program)
         assert sol.status == OPTIMAL
-        assert abs(sol.x[0] - 2.0) <= 1e-8
+        assert abs(sol.x[0] - covered_rhs) <= 1e-8 * (1 + covered_rhs)
         inconsistent = ConeProgram(blocks=(PsdCone(1),), c=np.ones(1), A=np.zeros((0, 1)),
                                    b=np.zeros(0), block_sum=((0,), svec(np.eye(2)), carrier))
         with pytest.raises(ValueError, match="inconsistent zero row"):
