@@ -38,11 +38,11 @@ put, the residuals stay frozen, and Anderson sees only zero differences.  A
 ray step detects such a drift from two equal consecutive residuals and jumps
 along it by doubling multiples of the residual while the point reached is
 still on it, so a drift of N steps ends in about log2 N of them (N / 1024
-past the cap on a jump).  A drift of ``z`` that never ends is Banjac,
-Goulart, Stellato and Boyd's certificate of an unbounded program
-("Infeasibility detection in the alternating direction method of
-multipliers for convex optimization", JOTA 2019); there the iterate
-diverges, and the solve stops as ``infeasible`` before its norm overflows.
+past the cap on a jump).  On a program without an optimum the residual is
+Banjac, Goulart, Stellato and Boyd's certificate ("Infeasibility detection
+in the alternating direction method of multipliers for convex
+optimization", JOTA 2019): its ``u`` half of primal infeasibility, its
+``z`` half of unboundedness.  The solve checks it every 100 iterations.
 """
 
 from __future__ import annotations
@@ -282,15 +282,12 @@ DEFAULT_MAX_ITERS = 200_000
 _INITIAL_RHO, _INITIAL_RHO_QUAD = 1.0, 0.02
 _OVER_RELAX = 1.6  # over-relaxation factor of the splitting step
 # The ray step of :func:`solve`: the relative tolerance of a drift's repeated
-# residual and vanishing u half, the relative growth of the residual that a
-# point tried along the drift may show and still be on it, and the longest
-# jump in multiples of the residual.
+# residual and vanishing u half (and of :func:`_no_optimum`'s memberships), the
+# relative growth of the residual that a point tried along the drift may show
+# and still be on it, and the longest jump in multiples of the residual.
 _DRIFT_RTOL = 1e-6
 _RAY_RTOL = 1e-6
 _RAY_MAX_STEP = 1024.0
-# An iterate this long only arises on a divergent run (an unbounded or
-# infeasible program); stopping there keeps its squares finite.
-_MAX_ITERATE_NORM = 1e100
 
 OPTIMAL = "optimal"
 MAX_ITERS = "max_iters"
@@ -673,6 +670,32 @@ def _primal_drift(residual, residual_norm: float, previous, n: int) -> bool:
             and _norm(residual[n:]) <= bound and _norm(residual - previous) <= bound)
 
 
+def _no_optimum(residual, x, c, rho: float, project_cone, affine) -> bool:
+    """Whether the fixed-point residual of ``w = (z, u)`` certifies that no optimum exists.
+
+    ``s = residual[n:]`` certifies primal infeasibility when it is in K and
+    in the row space of the constraints, and ``s'x < 0`` at the affine
+    iterate ``x`` (K is self-dual but on free blocks, where ``u`` is zero).
+    ``d = -residual[:n]`` certifies unboundedness when it is in K, the rows
+    and ``diag(q)`` annihilate it, and ``c'd < 0``.  Each membership holds
+    to ``_DRIFT_RTOL`` of the vector's norm.  The difference
+    ``affine.project(v, 0, rho) - affine.project(0, 0, rho)`` projects
+    ``rho D^-1 v`` onto the null space of the rows in the affine step's
+    metric ``D``: it is zero exactly when ``v`` is in the row space, and
+    ``v`` exactly when the rows and ``diag(q)`` annihilate ``v``.
+    """
+    n = x.size
+
+    def holds(v, null_part):
+        bound = _DRIFT_RTOL * _norm(v)
+        moved = affine.project(v, 0.0, rho) - affine.project(np.zeros(n), 0.0, rho)
+        return (_norm(moved - null_part) <= bound
+                and _norm(project_cone(v, out=np.empty(n)) - v) <= bound)
+
+    s, d = residual[n:], -residual[:n]
+    return (s @ x < 0.0 and holds(s, 0.0)) or (c @ d < 0.0 and holds(d, d))
+
+
 def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
           acceleration: int = 10) -> Solution:
     """Solve a :class:`ConeProgram` to the requested residual tolerance.
@@ -695,12 +718,12 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     cleared.  Otherwise ``t`` returns to 2, its starting value, and the
     iteration takes its usual step.  Iterations that never drift take
     exactly the path they take without the ray step; a primal-infeasible
-    program drifts in ``u`` and is left to the stall test below.
+    program drifts in ``u`` and takes no ray step.
 
-    Status is ``optimal`` when both normalized residuals fall below ``tol``,
-    ``infeasible`` when the residuals stall far from feasibility (stagnation
-    over a long window) or the iterate's norm exceeds ``_MAX_ITERATE_NORM``
-    (it diverges, as on an unbounded program), and ``max_iters`` otherwise.
+    Status is ``optimal`` when both normalized residuals fall below ``tol``
+    and the affine system holds, ``infeasible`` when a check made every 100
+    iterations finds the residual a certificate that the program is primal
+    infeasible or unbounded (:func:`_no_optimum`), and ``max_iters`` otherwise.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -732,12 +755,7 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     x = np.zeros(n)
     anderson = _AndersonMemory(acceleration, 2 * n) if acceleration > 0 else None
 
-    best_x = x
-    best_res = math.inf
-    window = 10_000
-    stall_floor = 1e-4
-    prev_window_best = math.inf
-
+    best_x, best_res = x, math.inf
     pri_res = dual_res = math.inf
     previous = None  # the last iteration's residual w - F(w)
     ray = 2.0  # length of the next ray step, in residuals
@@ -747,9 +765,6 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         x, fw = step(w, rho)
         z_new, u_new = fw[:n], fw[n:]
         z_norm, u_norm = _norm(z_new), _norm(u_new)
-        if not z_norm + u_norm <= _MAX_ITERATE_NORM:
-            status = INFEASIBLE
-            break
         residual = w - fw
         pri_res = _norm(x - z_new) / (1.0 + max(_norm(x), z_norm))
         dual_res = rho * _norm(residual[:n]) / (1.0 + rho * u_norm)
@@ -792,11 +807,14 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
                     fw = fw_cand
         w = fw
 
-        # Residual balancing every 100 iterations (_penalty_factor); u is
-        # rescaled so the unscaled dual variable rho*u is untouched.  The
-        # fixed-point map changes with the penalty, so the acceleration
-        # memory and the last residual are flushed.
+        # Every 100 iterations the certificate check, then residual balancing
+        # (_penalty_factor); u is rescaled so the unscaled dual variable rho*u
+        # is untouched.  The fixed-point map changes with the penalty, so the
+        # acceleration memory and the last residual are flushed.
         if it % 100 == 0:
+            if _no_optimum(residual, x, c, rho, project_cone, affine):
+                status = INFEASIBLE
+                break
             factor = _penalty_factor(pri_res, dual_res)
             if factor != 1.0:
                 rho *= factor
@@ -805,12 +823,6 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
                 previous = None
                 if anderson is not None:
                     anderson.clear()
-
-        if it % window == 0 and it >= 2 * window:
-            if best_res > stall_floor and best_res > 0.99 * prev_window_best:
-                status = INFEASIBLE
-                break
-            prev_window_best = best_res
 
     obj = float(c @ best_x)
     if quad is not None:

@@ -71,7 +71,7 @@ class PureState:
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"amplitude vector length {n} is not a power of two >= 2")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
@@ -101,13 +101,13 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > HERMITIAN_TOL:
+        if not herm_dev <= HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian: max |M - M^H| = {herm_dev:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace is {tr!r}, expected 1")
         min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-        if min_eig < -PSD_TOL:
+        if not min_eig >= -PSD_TOL:
             raise ValueError(f"matrix is not PSD: min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -244,14 +244,14 @@ class Povm:
             if e.shape != (self.dim, self.dim):
                 raise ValueError(f"element shape {e.shape} does not match dim {self.dim}")
             herm_dev = float(np.max(np.abs(e - e.conj().T)))
-            if herm_dev > 1e-9:
+            if not herm_dev <= 1e-9:
                 raise ValueError(f"element is not Hermitian: deviation {herm_dev:.3e}")
             min_eig = float(np.linalg.eigvalsh(0.5 * (e + e.conj().T))[0])
-            if min_eig < -POVM_PSD_TOL:
+            if not min_eig >= -POVM_PSD_TOL:
                 raise ValueError(f"element is not PSD: min eigenvalue {min_eig:.3e}")
         total = sum(elements)
         completeness = float(np.linalg.norm(total - np.eye(self.dim)))
-        if completeness > POVM_COMPLETENESS_TOL:
+        if not completeness <= POVM_COMPLETENESS_TOL:
             raise ValueError(f"elements do not sum to identity: ||sum - I||_F = {completeness:.3e}")
         conclusive = sorted(l for l in labels if l != INCONCLUSIVE)
         num_inc = sum(1 for l in labels if l == INCONCLUSIVE)

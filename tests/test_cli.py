@@ -154,6 +154,14 @@ class TestSolveCommand:
         assert "max_iters must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unconverged_solve_exits_2_without_output(self, pair_file, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        code = main(["solve", "--problem", str(pair_file), "--scheme", "med",
+                     "--max-iters", "1", "--out", str(out)])
+        assert code == 2
+        assert "status=max_iters" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_defaults_match_the_library(self, pair_file, tmp_path, capsys, scheme):
         code, report = run_json(capsys, ["solve", "--problem", str(pair_file),

@@ -98,6 +98,11 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             JointDistribution(np.ones((2, 2)) / 4.0)
 
+    def test_nan_entry(self):
+        entries = np.array([[0.5, np.nan, 0.0], [0.0, 0.5, 0.0]])
+        with pytest.raises(ValueError):
+            JointDistribution(entries)
+
 
 class TestOutcomeStats:
     def test_diagonal_only(self):

@@ -254,9 +254,68 @@ class TestPrimalDrift:
         monkeypatch.setattr(solver_module, "_primal_drift", record)
         prog = ConeProgram(blocks=(NonNegCone(1),), c=np.zeros(1),
                            A=np.array([[1.0]]), b=np.array([-1.0]))
-        solve(prog, max_iters=1000)
-        assert sum(repeats for repeats, _ in calls) > 900
+        sol = solve(prog, max_iters=1000)
+        assert sol.status == INFEASIBLE and sol.iterations == 100
+        assert [repeats for repeats, _ in calls] == [False] + [True] * 99
         assert not any(fired for _, fired in calls)
+
+
+def no_optimum(prog, x, s=None, d=None):
+    """``_no_optimum`` of ``prog`` at rho = 1 on the residual ``(-d, s)``, zero where omitted."""
+    n = prog.num_vars
+    A, b = solver_module._row_equilibrate(prog.A, prog.b)
+    affine = solver_module._AffineProjector(A, b, prog.quad_diag, prog.block_sum)
+    affine.set_rho(1.0)
+    z_half = np.zeros(n) if d is None else -np.asarray(d, dtype=float)
+    u_half = np.zeros(n) if s is None else np.asarray(s, dtype=float)
+    residual = np.concatenate([z_half, u_half])
+    return solver_module._no_optimum(residual, np.asarray(x, dtype=float), prog.c, 1.0,
+                                     _ConeProjector(prog.blocks), affine)
+
+
+NEGATIVE_RHS = ConeProgram(blocks=(NonNegCone(1),), c=np.zeros(1), A=np.array([[1.0]]),
+                           b=np.array([-1.0]))
+DESCENT_RAY = ConeProgram(blocks=(NonNegCone(1),), c=-np.ones(1), A=np.zeros((0, 1)),
+                          b=np.zeros(0))
+EQUAL_ENTRIES = ConeProgram(blocks=(NonNegCone(2),), c=-np.ones(2), A=np.array([[1.0, -1.0]]),
+                            b=np.zeros(1))
+
+
+class TestNoOptimum:
+    def test_farkas_vector(self):
+        # x >= 0 with x = -1: s = 1.6 is in K and s'x = -1.6 < 0.
+        assert no_optimum(NEGATIVE_RHS, [-1.0], s=[1.6])
+
+    def test_not_outside_the_cone(self):
+        assert not no_optimum(NEGATIVE_RHS, [1.0], s=[-1.6])
+
+    def test_not_with_a_nonnegative_rhs_term(self):
+        assert not no_optimum(NEGATIVE_RHS, [1.0], s=[1.6])
+
+    def test_not_outside_the_row_space(self):
+        # x >= 0 with x1 + x2 = -1: s'x < 0 and s is in K, but not a multiple of the row.
+        prog = ConeProgram(blocks=(NonNegCone(2),), c=np.zeros(2), A=np.ones((1, 2)),
+                           b=-np.ones(1))
+        assert no_optimum(prog, [-0.5, -0.5], s=[1.0, 1.0])
+        assert not no_optimum(prog, [-0.5, -0.5], s=[1.0, 0.0])
+
+    def test_descent_ray(self):
+        # minimize -x, x >= 0: d = 1 is in K and c'd = -1 < 0.
+        assert no_optimum(DESCENT_RAY, [0.0], d=[1.0])
+
+    def test_not_where_the_quadratic_term_grows(self):
+        prog = ConeProgram(blocks=(NonNegCone(1),), c=-np.ones(1), A=np.zeros((0, 1)),
+                           b=np.zeros(0), quad_diag=np.array([2.0]))
+        assert not no_optimum(prog, [0.0], d=[1.0])
+
+    def test_ray_in_the_null_space_of_the_rows(self):
+        # minimize -x1 - x2, x >= 0, x1 = x2: (1, 1) keeps the row, (1, 0) breaks it.
+        assert no_optimum(EQUAL_ENTRIES, [0.0, 0.0], d=[1.0, 1.0])
+        assert not no_optimum(EQUAL_ENTRIES, [0.0, 0.0], d=[1.0, 0.0])
+
+    def test_not_on_a_zero_residual(self):
+        assert not no_optimum(NEGATIVE_RHS, [-1.0])
+        assert not no_optimum(DESCENT_RAY, [0.0])
 
 
 class TestZeroRows:
@@ -363,7 +422,7 @@ class TestSolve:
         assert np.array_equal(a.x, b.x)
 
     def test_infeasible_detection(self):
-        # x >= 0 with x = -1 has no solution; the residuals stall.
+        # x >= 0 with x = -1 has no solution; the residual's u half is a Farkas vector.
         prog = ConeProgram(blocks=(NonNegCone(1),), c=np.zeros(1),
                            A=np.array([[1.0]]), b=np.array([-1.0]))
         sol = solve(prog, tol=1e-8, max_iters=60_000)
@@ -376,12 +435,29 @@ class TestSolve:
         ConeProgram(blocks=(PsdCone(2),), c=-svec(np.eye(2)), A=np.zeros((0, 4)), b=np.zeros(0)),
     ], ids=["no_rows", "equal_entries", "psd_trace"])
     def test_unbounded_program_stops_infeasible(self, prog):
-        # The objective decreases without bound along a ray of the cone; the
-        # iterate diverges and the solve stops before its norm overflows.
+        # The objective decreases without bound along a ray of the cone, which
+        # the residual's z half finds.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve(prog)
         assert sol.status == INFEASIBLE
+        assert np.isfinite(sol.x).all()
+
+    @pytest.mark.parametrize("prog", [
+        ConeProgram(blocks=(NonNegCone(1),), c=np.zeros(1), A=np.array([[1.0]]),
+                    b=np.array([-1.0]), quad_diag=np.array([2.0])),
+        ConeProgram(blocks=(PsdCone(2),), c=np.zeros(4), A=svec(np.eye(2))[None, :],
+                    b=np.array([-1.0])),
+        ConeProgram(blocks=(PsdCone(2), PsdCone(2)), c=np.zeros(8), A=np.zeros((0, 8)),
+                    b=np.zeros(0), block_sum=((0, 4), -svec(np.eye(2)))),
+    ], ids=["quadratic", "psd_trace_row", "block_sum"])
+    def test_infeasible_program_stops_at_the_first_check(self, prog):
+        # The u half of the residual is a Farkas vector from the first
+        # iterations on, so the check at iteration 100 finds it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(prog)
+        assert sol.status == INFEASIBLE and sol.iterations == 100
         assert np.isfinite(sol.x).all()
 
     def test_med_plus_plateau_ends(self):

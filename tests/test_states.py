@@ -145,6 +145,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0]))
 
+    def test_pure_state_nan(self):
+        # A NaN norm fails the normalization check rather than passing it.
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(np.array([np.nan, 0.0]))
+        # alpha**n overflows, and the renormalized amplitudes are all NaN.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="not normalized"):
+            make_coherent_state(1e200, 3)
+
     def test_pure_state_length(self):
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 0.0, 0.0]))
@@ -160,6 +169,13 @@ class TestValidation:
     def test_density_not_psd(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+    def test_density_nan(self, entry):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[entry] = np.nan
+        with pytest.raises(ValueError):
+            DensityMatrix(m)
 
     def test_problem_priors_must_sum_to_one(self, rng):
         states = (random_density(2, rng), random_density(2, rng))
@@ -184,6 +200,12 @@ class TestValidation:
     def test_povm_not_psd(self):
         with pytest.raises(ValueError):
             Povm(2, (np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])), (0, 1))
+
+    def test_povm_nan(self):
+        element = np.diag([1.0, 0.0]).astype(complex)
+        element[0, 1] = np.nan
+        with pytest.raises(ValueError):
+            Povm(2, (element, np.diag([0.0, 1.0])), (0, 1))
 
     def test_povm_duplicate_inconclusive(self):
         third = np.eye(2) / 3.0
