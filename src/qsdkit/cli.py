@@ -187,6 +187,8 @@ def cmd_simulate(args) -> int:
             lams = np.geomspace(float(start), float(stop), int(points))
         except ValueError as exc:
             raise UsageError(f"bad --lambda-sweep (want start:stop:points): {exc}") from exc
+        if lams.size == 0:
+            raise UsageError("--lambda-sweep needs at least one point")
         if not args.out:
             raise UsageError("--lambda-sweep requires --out for the CSV")
     else:

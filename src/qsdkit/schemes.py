@@ -222,28 +222,40 @@ def _lift(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool = True,
-                     states=None, zero=()):
+                     states=None, zero=(), carriers=None):
     """POVM element blocks at ``offs``; returns ``(asm, svecs, offs)``.
 
     ``states`` is :func:`_program_states` of ``spec`` (computed when not
     given), and ``svecs`` are the svecs of its noisy states.  Conclusive
     elements listed in ``zero`` are identically zero and get no block: their
-    entry of ``offs`` is ``None``.  Completeness, ``sum_j Pi_j = I``, is
-    recorded as the program's block-sum rows rather than as rows of ``A``.
-    With ``success`` the objective is minus the success probability.
+    entry of ``offs`` is ``None``.  ``carriers``, when given, has one entry
+    per conclusive element: ``None``, or a column-orthonormal ``N_j`` with
+    ``r_j`` columns that confines element ``j`` to ``N_j M_j N_j^+`` with
+    block ``M_j`` in ``PsdCone(r_j)``.  Completeness, ``sum_j Pi_j = I``, is
+    recorded as the program's block-sum rows, with each element's carrier,
+    rather than as rows of ``A``.  With ``success`` the objective is minus
+    the success probability, ``-p_j svec(N_j^+ rho_j N_j)`` on a carrier
+    block.
     """
     asm = _Assembler()
     asm.basis, identity, mats = states or _program_states(spec)
     svecs = [svec(m) for m in mats]
     n = identity.shape[0]
-    offs = [None if j in zero else asm.add_psd(n) for j in range(spec.num_states)]
+    k = spec.num_states
+    carriers = list(carriers or [None] * k) + [None]  # the inconclusive element has none
+    offs = [None if j in zero else asm.add_psd(n if carriers[j] is None else carriers[j].shape[1])
+            for j in range(k)]
     if inconclusive:
         offs.append(asm.add_psd(n))
-    asm.block_sum = (tuple(o for o in offs if o is not None), svec(identity))
+    kept = [j for j, o in enumerate(offs) if o is not None]
+    asm.block_sum = (tuple(offs[j] for j in kept), svec(identity),
+                     tuple(carriers[j] for j in kept))
     if success:
-        for i in range(spec.num_states):
+        for i in range(k):
             if offs[i] is not None:
-                asm.add_objective(offs[i], -spec.priors[i] * svecs[i])
+                n_i = carriers[i]
+                vec = svecs[i] if n_i is None else svec(n_i.conj().T @ mats[i] @ n_i)
+                asm.add_objective(offs[i], -spec.priors[i] * vec)
     return asm, svecs, offs
 
 
@@ -278,35 +290,24 @@ def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
     rows instead leaves the feasible set with an empty conic interior, which
     the first-order solver handles poorly.)  The kernels are those of the
     states in the coordinates of :func:`_program_states`, so the carriers
-    have ``r + 1`` rows over a reduced support.  Completeness is recorded as the
-    program's block-sum rows with ``N_j`` as the carrier of block ``j``, so
-    the rows read ``sum_j N_j M_j N_j^+ + Pi_inc = I`` and ``A`` has no
-    rows.  Elements whose kernel is empty, which happens for any full-rank
-    noisy states, are identically zero.  Nontrivial solutions need linearly
+    have ``r + 1`` rows over a reduced support.  :func:`_element_program`
+    takes the kernel bases as the elements' carriers, so the completeness
+    rows read ``sum_j N_j M_j N_j^+ + Pi_inc = I`` and ``A`` has no rows.
+    An element whose kernel is empty, which happens for any full-rank noisy
+    states, is a ``zero`` element.  Nontrivial solutions need linearly
     independent states; the program stays feasible regardless.
     """
-    asm = _Assembler()
     k = spec.num_states
-    basis, identity, mats = _program_states(spec)
+    _, identity, mats = states = _program_states(spec)
     n = identity.shape[0]
     svecs = [svec(m) for m in mats]
-
-    labels, offsets, carriers = [], [], []
+    carriers = []
     for j in range(k):
-        others = sum(svecs[i] for i in range(k) if i != j)
-        w, u = np.linalg.eigh(smat(others, n))
-        n_j = u[:, w < UQSD_KERNEL_TOL]
-        if n_j.shape[1] == 0:
-            continue
-        labels.append(j)
-        offsets.append(asm.add_psd(n_j.shape[1]))
-        carriers.append(n_j)
-        reduced = n_j.conj().T @ mats[j] @ n_j
-        asm.add_objective(offsets[-1], -spec.priors[j] * svec(reduced))
-    offsets.append(asm.add_psd(n))
-    asm.block_sum = (tuple(offsets), svec(identity), tuple(carriers) + (None,))
-    return SchemeProgram(asm.build(), spec.dim, k, tuple(labels) + (INCONCLUSIVE,),
-                         maximize=True, basis=basis)
+        w, u = np.linalg.eigh(smat(sum(svecs[i] for i in range(k) if i != j), n))
+        carriers.append(u[:, w < UQSD_KERNEL_TOL])
+    zero = [j for j in range(k) if carriers[j].shape[1] == 0]
+    asm, _, offs = _element_program(spec, states=states, zero=zero, carriers=carriers)
+    return _make_scheme(asm, spec, offs)
 
 
 def build_frio(spec: ProblemSpec, rate: float, bound: str = AT_LEAST) -> SchemeProgram:

@@ -17,9 +17,10 @@ enter them through a column-orthonormal carrier ``N_j``, as
 The carrier blocks' part of the rows is one stored real matrix, column
 ``t`` of block ``j`` being ``svec(N_j smat(e_t) N_j^+)``.  Without carriers
 the supports of the rows are disjoint and the affine step eliminates them in
-closed form; with carriers it factors their ``L x L`` Gram matrix once.
-Either way only the small Schur complement of the remaining rows of ``A``
-is factored beside them.
+closed form; with carriers it factors an ``L x L`` matrix built from their
+Gram matrix, which is formed once.  Either way only the small Schur
+complement of the remaining rows of ``A`` is factored beside them, and both
+are refactored whenever the penalty changes.
 
 The method is ADMM on the splitting ``f(x) = c'x + q-term + indicator{Ax=b}``,
 ``g(z) = indicator{z in K}``: an affine projection (block-sum rows solved
@@ -347,8 +348,11 @@ class _CarrierMaps:
     block after block, and ``rows`` the matching columns: column ``t`` of
     block ``j`` is ``svec(N_j smat(e_t) N_j^+)``, the image of the basis
     matrix ``smat(e_t)``, built in one batched product per block.  The sum
-    of the maps ``x_j -> svec(N_j smat(x_j) N_j^+)``, its adjoint and their
-    Gram matrix are then products with ``rows``.
+    of the maps ``x_j -> svec(N_j smat(x_j) N_j^+)`` and its adjoint are
+    then products with ``rows``.  Their Gram matrix ``gram = rows rows'``
+    does not depend on the metric, since carrier blocks have no quadratic
+    term, so it is formed once, in the Fortran order that lets
+    ``_make_solver`` factor a scaled copy in place.
     """
 
     def __init__(self, offsets, carriers):
@@ -360,6 +364,7 @@ class _CarrierMaps:
                 parts.append(_svec_batch(n @ _smat_batch(np.eye(r * r), r) @ n.conj().T))
         self.index = np.concatenate(index)
         self.rows = np.ascontiguousarray(np.concatenate(parts).T)
+        self.gram = (self.rows @ self.rows.T).T
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         """Sum of the maps applied to ``v`` (n,) or to each row of ``v`` (nb, n)."""
@@ -368,10 +373,6 @@ class _CarrierMaps:
     def add_adjoint(self, y: np.ndarray, out: np.ndarray) -> None:
         """Add ``svec(N_j^+ smat(y) N_j)`` to block ``j`` of ``out`` (n,), for ``y`` (L,)."""
         out[self.index] += y @ self.rows
-
-    def gram(self) -> np.ndarray:
-        """``rows rows'``, in the Fortran order that lets ``_make_solver`` factor it in place."""
-        return (self.rows @ self.rows.T).T
 
 
 class _AffineProjector:
@@ -389,24 +390,25 @@ class _AffineProjector:
     is factored beside ``Delta``.  Without carriers the rows of ``C`` have
     disjoint supports, so ``Delta`` is diagonal for any diagonal ``D``,
     ``C x`` is a gather-sum over the blocks and ``C' mu`` a scatter.  With
-    carriers ``Delta = s (sum_plain D^-1 + M M' / rho) s`` is dense and
-    factored once per metric, and ``C x`` and ``C' mu`` add the products
-    with ``M``.  A program without ``block_sum`` takes the same path with
+    carriers ``Delta = s (sum_plain D^-1 + M M' / rho) s`` is dense, built
+    from the stored ``M M'`` and factored once per metric, and ``C x`` and
+    ``C' mu`` add the products with ``M``.  A program without ``block_sum`` takes the same path with
     ``L = 0``: the plain blocks' index array has shape ``(0, 0)``, ``rhs``
     and ``Delta`` are empty, and ``S = R D^-1 R'``; with no rows at all the
     step moves nothing.
 
-    For ``q = 0`` the step is Euclidean (``D = I``) and one factorization
-    serves every rho; with a quadratic term ``S`` and ``Delta`` depend on
-    rho and are refactored when the penalty changes.  Redundant rows are
-    tolerated by falling back to a pseudoinverse (least-squares multiplier).
+    ``q`` is zero when the program has no quadratic term, and the metric is
+    the same either way: :meth:`set_rho` refactors ``S`` (at most 24 rows
+    for a scheme program) and, with carriers, ``Delta`` on every change of
+    the penalty.  Redundant rows are tolerated by falling back to a
+    pseudoinverse (least-squares multiplier).
     """
 
     def __init__(self, A, b, quad, block_sum=None):
         self.A = A
         self.AT = A.T.copy()
         self.b = b
-        self.quad = quad
+        self.quad = np.zeros(A.shape[1]) if quad is None else quad
         self.carriers = None
         offsets, rhs, *carriers = block_sum or ((), np.zeros(0))
         if carriers:
@@ -420,10 +422,6 @@ class _AffineProjector:
         self.index = np.asarray(offsets, dtype=np.intp)[:, None] + np.arange(rhs.size)
         self.rhs = rhs * self.scale
         self.rhs_norm = math.sqrt(b @ b + self.rhs @ self.rhs)
-        self._d_inv = None
-        self._rho = None
-        if quad is None:
-            self._factor()
 
     @staticmethod
     def _make_solver(build):
@@ -449,30 +447,30 @@ class _AffineProjector:
             return mu
         return solve
 
-    def _factor(self):
-        """Set up ``Delta^-1`` and the Schur complement solve for the current metric.
+    def set_rho(self, rho):
+        """Set up ``Delta^-1`` and the Schur complement solve for the metric of ``rho``.
 
-        ``_delta_inv(r)`` is ``Delta^-1 r`` for ``r`` of shape (L,) or, without
-        carriers, for each row of ``r`` (nb, L); ``r`` is a temporary it may
-        overwrite.
+        ``_delta_inv(r)`` is ``Delta^-1 r`` for ``r`` of shape (L,) or (L, nb);
+        ``r`` is a temporary it may overwrite.  The old factors are let go
+        first, so a wide ``Delta`` is held once while the new one is built.
         """
-        d_inv = self._d_inv
-        a_dinv = self.A if d_inv is None else self.A * d_inv[None, :]
+        self._delta_inv = self._solve = None
+        self._rho = rho
+        self._d_inv = d_inv = 1.0 / (self.quad + rho)
+        a_dinv = self.A * d_inv
         # Per row, D^-1 summed over the plain blocks: their share of Delta's diagonal.
-        plain = self.index.shape[0] if d_inv is None else d_inv[self.index].sum(axis=0)
+        plain = d_inv[self.index].sum(axis=0)
         self._k = self.scale * self._block_sums(a_dinv)
         if self.carriers is None:
             delta = self.scale * self.scale * plain
-            self._delta_inv = lambda r: r / delta
+            self._delta_inv = lambda r: (r.T / delta).T
         else:
             self._delta_inv = self._make_solver(lambda: self._carrier_delta(plain))
         self._solve = self._make_solver(lambda: self._schur(a_dinv)) if self.b.size else None
 
     def _carrier_delta(self, plain):
         """``Delta`` of the carrier rows for the current metric, in Fortran order."""
-        delta = self.carriers.gram()
-        if self._d_inv is not None:
-            delta /= self._rho
+        delta = self.carriers.gram / self._rho
         delta[np.diag_indices_from(delta)] += plain
         delta *= self.scale[:, None]
         delta *= self.scale
@@ -480,16 +478,7 @@ class _AffineProjector:
 
     def _schur(self, a_dinv):
         """The Schur complement ``S`` of the rows of ``A`` for the current metric."""
-        gram = self.A @ self.A.T if self._d_inv is None else a_dinv @ self.AT
-        if self.carriers is None:
-            return gram - self._delta_inv(self._k) @ self._k.T
-        return gram - self._k @ self._delta_inv(self._k.T.copy())
-
-    def set_rho(self, rho):
-        if self.quad is not None:
-            self._rho = rho
-            self._d_inv = 1.0 / (self.quad + rho)
-            self._factor()
+        return a_dinv @ self.AT - self._k @ self._delta_inv(self._k.T.copy())
 
     def _block_sums(self, v):
         """The unscaled block-sum rows applied to ``v`` (n,) or each row of ``v`` (nb, n)."""
@@ -519,9 +508,6 @@ class _AffineProjector:
 
     def project(self, v, c, rho):
         """argmin c'x + q-term + (rho/2)||x - v||^2 subject to the constraints."""
-        if self.quad is None:
-            w = v - c / rho
-            return w - self._multiplier_image(w)
         t = self._d_inv * (rho * v - c)
         return t - self._d_inv * self._multiplier_image(t)
 
@@ -732,10 +718,9 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     n = program.num_vars
     A, b = _row_equilibrate(program.A, program.b)
     c = program.c
-    quad = program.quad_diag
-    rho = _INITIAL_RHO_QUAD if quad is not None else _INITIAL_RHO
+    rho = _INITIAL_RHO_QUAD if program.quad_diag is not None else _INITIAL_RHO
     project_cone = _ConeProjector(program.blocks)
-    affine = _AffineProjector(A, b, quad, program.block_sum)
+    affine = _AffineProjector(A, b, program.quad_diag, program.block_sum)
     affine.set_rho(rho)
     affine_tol = tol * (1.0 + affine.rhs_norm)
 
@@ -824,9 +809,7 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
                 if anderson is not None:
                     anderson.clear()
 
-    obj = float(c @ best_x)
-    if quad is not None:
-        obj += 0.5 * float(best_x @ (quad * best_x))
+    obj = float(c @ best_x) + 0.5 * float(best_x @ (affine.quad * best_x))
     if status == OPTIMAL:
         out_pri, out_dual = pri_res, dual_res
     else:

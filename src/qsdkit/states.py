@@ -286,7 +286,8 @@ def make_coherent_state(alpha: complex, num_qubits: int) -> PureState:
     The amplitudes follow ``c_n = alpha**n / sqrt(n!)`` for
     ``n = 0 .. 2**num_qubits - 1`` and are renormalized after truncation.
     The factor ``alpha**n / sqrt(n!)`` is accumulated multiplicatively to
-    stay finite for deep truncations.
+    stay finite for deep truncations.  An ``alpha`` whose amplitudes or
+    their norm are not finite (NaN, or too large) raises ``ValueError``.
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
@@ -294,10 +295,15 @@ def make_coherent_state(alpha: complex, num_qubits: int) -> PureState:
     amps = np.empty(levels, dtype=complex)
     term = 1.0 + 0.0j
     amps[0] = term
-    for n in range(1, levels):
-        term = term * alpha / math.sqrt(n)
-        amps[n] = term
-    amps /= np.linalg.norm(amps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, levels):
+            term = term * alpha / math.sqrt(n)
+            amps[n] = term
+        norm = np.linalg.norm(amps)
+    if not np.isfinite(norm):
+        raise ValueError(f"coherent state is not normalized: alpha={alpha!r}, "
+                         f"num_qubits={num_qubits} give the norm {norm}")
+    amps /= norm
     return PureState(amps)
 
 

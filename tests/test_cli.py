@@ -442,6 +442,17 @@ class TestSimulateCommand:
         assert f"--lambda-sweep takes no {flag[0]}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("points, message", [("0", "needs at least one point"),
+                                                 ("-1", "bad --lambda-sweep")])
+    def test_sweep_needs_a_point(self, tmp_path, problem_file, isometry_file, capsys,
+                                 points, message):
+        out = tmp_path / "sweep.csv"
+        code = main(["simulate", "--isometry", str(isometry_file), "--problem",
+                     str(problem_file), "--lambda-sweep", f"1e-3:1:{points}", "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dim_mismatch_exits_2(self, tmp_path, isometry_file, capsys):
         other = tmp_path / "p1.json"
         other.write_text(json.dumps({

@@ -318,6 +318,22 @@ class TestNoOptimum:
         assert not no_optimum(DESCENT_RAY, [0.0])
 
 
+class TestAffineMetric:
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
+    def test_no_quadratic_term_is_a_zero_one(self, rho):
+        # One metric D = diag(q) + rho I: a missing q steps exactly as q = 0.
+        program = build_scheme(_bench_spec(3, 0.01), "frio").program
+        n = program.num_vars
+        A, b = solver_module._row_equilibrate(program.A, program.b)
+        v = np.random.default_rng(3).standard_normal(n)
+        steps = []
+        for quad in (None, np.zeros(n)):
+            affine = solver_module._AffineProjector(A, b, quad, program.block_sum)
+            affine.set_rho(rho)
+            steps.append(affine.project(v, program.c, rho))
+        np.testing.assert_array_equal(steps[0], steps[1])
+
+
 class TestZeroRows:
     @pytest.mark.parametrize("norm, kept", [(ZERO_ROW_NORM, False),
                                             (np.nextafter(ZERO_ROW_NORM, 1.0), True)])

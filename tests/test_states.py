@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +155,16 @@ class TestValidation:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="not normalized"):
             make_coherent_state(1e200, 3)
+
+    @pytest.mark.parametrize("alpha, num_qubits", [(1e200, 3), (1e100, 2), (math.nan, 2)])
+    def test_coherent_state_non_finite_norm(self, alpha, num_qubits):
+        # A term overflows, the finite terms' norm overflows, or alpha is NaN:
+        # a ValueError naming both arguments, and no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"not normalized: alpha={alpha!r}, num_qubits={num_qubits}")):
+                make_coherent_state(alpha, num_qubits)
 
     def test_pure_state_length(self):
         with pytest.raises(ValueError):

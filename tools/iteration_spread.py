@@ -6,10 +6,12 @@ scheme this script solves the scheme's program as built, then five copies
 whose nonzero objective entries are each moved by one ulp in a random
 direction (fixed seeds), and prints one JSON report: the unperturbed count,
 the median and maximum over the copies, the largest deviation of a copy's
-objective from the unperturbed one, the program's variable count, and a
-SHA-1 digest of the unperturbed solution's ``x.tobytes()``, so that two
-reports can be diffed to check that a change keeps every unperturbed solve
-byte-identical.
+objective from the unperturbed one, the program's variable count, and two
+SHA-1 digests: ``program_sha1`` of the program as built (its blocks, ``c``,
+``A``, ``b``, ``quad_diag``, the block-sum offsets, rhs and carriers, and
+the scheme's labels) and ``x_sha1`` of the unperturbed solution's
+``x.tobytes()``.  Two reports can then be diffed to check that a change
+keeps every program byte-identical, and to see which solves it moves.
 
 The instances are the coherent triple of ``qsd bench`` (λ = 0.01) at 2 to
 ``--max-qubits`` qubits and the two-qubit benchmark ensemble at λ = 0,
@@ -58,6 +60,19 @@ def perturbed(program, rng):
     return dataclasses.replace(program, c=np.where(c != 0.0, np.nextafter(c, direction), c))
 
 
+def program_sha1(scheme) -> str:
+    """SHA-1 of a scheme's program and labels, shapes included."""
+    program = scheme.program
+    offsets, rhs, *carriers = program.block_sum
+    carriers = carriers[0] if carriers else ()
+    digest = hashlib.sha1(repr((program.blocks, offsets, scheme.labels)).encode())
+    for array in (program.c, program.A, program.b, program.quad_diag, rhs, *carriers):
+        array = np.zeros(0) if array is None else np.ascontiguousarray(array)
+        digest.update(repr((array.dtype.str, array.shape)).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 def spread(program) -> dict:
     base = solve(program)
     iterations, deviation, statuses = [], 0.0, [base.status]
@@ -81,8 +96,9 @@ def main(argv=None) -> int:
         reference = uqsd_reference(spec)
         for name in SCHEME_NAMES:
             params = {"reference": reference} if "reference" in SCHEMES[name][1] else {}
-            program = build_scheme(spec, name, **params).program
-            rows.append({"instance": label, "scheme": name, **spread(program)})
+            scheme = build_scheme(spec, name, **params)
+            rows.append({"instance": label, "scheme": name,
+                         "program_sha1": program_sha1(scheme), **spread(scheme.program)})
     report = {
         "meta": {"numpy": np.__version__, "scipy": scipy.__version__,
                  "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
