@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import INCONCLUSIVE, Povm, ProblemSpec, _readonly
+from .states import INCONCLUSIVE, JOINT_NEGATIVE_TOL, JOINT_SUM_TOL, Povm, ProblemSpec, _readonly
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,10 @@ class JointDistribution:
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[1] != e.shape[0] + 1:
             raise ValueError(f"expected shape (k, k+1), got {e.shape}")
-        if not float(e.min()) >= -1e-10:
+        if not float(e.min()) >= -JOINT_NEGATIVE_TOL:
             raise ValueError(f"negative joint probability {e.min():.3e}")
         total = float(e.sum())
-        if not abs(total - 1.0) <= 1e-8:
+        if not abs(total - 1.0) <= JOINT_SUM_TOL:
             raise ValueError(f"entries sum to {total!r}, expected 1")
         object.__setattr__(self, "entries", _readonly(e))
 

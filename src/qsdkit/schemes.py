@@ -47,7 +47,6 @@ from .metrics import JointDistribution, joint_distribution
 from .solver import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
-    MAX_ITERS,
     OPTIMAL,
     ConeProgram,
     FreeCone,
@@ -481,7 +480,7 @@ def scheme_value(scheme: SchemeProgram, solution: Solution) -> float:
 
 
 def decode_povm(scheme: SchemeProgram, solution: Solution) -> Povm:
-    """Extract, clean up, and label the POVM from a solved program.
+    """Extract, clean up, and label the POVM from an ``optimal`` solution.
 
     The elements are read from the program's block-sum entries, each under
     its label in ``scheme.labels``, and come out in the order ``0..k-1``
@@ -491,12 +490,13 @@ def decode_povm(scheme: SchemeProgram, solution: Solution) -> Povm:
     carrier); the set is then rescaled by ``S^(-1/2) Pi S^(-1/2)`` with
     ``S`` the element sum so completeness holds exactly.  A program built
     over a support basis ``V`` lifts each element first, as
-    ``V X_SS V^+ + (X_ll / sqrt(m)) (I - V V^+)``.  Rescaling is
-    refused (DecodeError) when ``||S - I||_F > 1e-3``, which signals an
-    unconverged solve.
+    ``V X_SS V^+ + (X_ll / sqrt(m)) (I - V V^+)``.  Any other status (named
+    with both residuals) or ``||S - I||_F > 1e-3`` raises DecodeError.
     """
-    if solution.status not in (OPTIMAL, MAX_ITERS):
-        raise DecodeError(f"cannot decode a solution with status {solution.status!r}")
+    if solution.status != OPTIMAL:
+        raise DecodeError(f"solve did not converge: status={solution.status}, "
+                          f"primal residual {solution.primal_residual:.3e}, "
+                          f"dual residual {solution.dual_residual:.3e}")
     d = scheme.dim
     offsets, rhs, *carriers = scheme.program.block_sum
     n = math.isqrt(rhs.size)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -101,12 +102,19 @@ def read_json(path):
         return json.load(fh)
 
 
+def _finite_number(v) -> bool:
+    """Whether ``v`` is a JSON number, not a bool, in the range of a finite float."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
 def _scalar(data: dict, field: str, kind=int):
-    """``kind(data[field])``; ``ValueError`` names the field when it does not convert."""
-    try:
-        return kind(data[field])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{field} must be a number, got {data[field]!r}") from exc
+    """``data[field]`` as ``kind``; ``ValueError`` names the field unless it is a JSON
+    integer (``int``) or a finite JSON number (``float``), never a bool or a string."""
+    value = data[field]
+    if not _finite_number(value) or (kind is int and not isinstance(value, int)):
+        raise ValueError(f"{field} must be {'an integer' if kind is int else 'a finite number'}, "
+                         f"got {value!r}")
+    return kind(value)
 
 
 def _finite_list(values, field: str) -> np.ndarray:
@@ -114,7 +122,7 @@ def _finite_list(values, field: str) -> np.ndarray:
     if not isinstance(values, list):
         raise ValueError(f"{field} must be a list of numbers, got {values!r}")
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _finite_number(v):
             raise ValueError(f"{field}[{i}] must be a finite number, got {v!r}")
     return np.asarray(values, dtype=float)
 

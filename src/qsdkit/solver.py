@@ -686,9 +686,10 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
           acceleration: int = 10) -> Solution:
     """Solve a :class:`ConeProgram` to the requested residual tolerance.
 
-    Returns the best iterate found.  The reported ``x`` is the affine-step
-    iterate, which satisfies ``Ax = b`` to factorization accuracy; its cone
-    violation is bounded by the primal residual.
+    Returns the last iterate, whatever the status, with that iterate's own
+    primal and dual residuals and objective.  The reported ``x`` is the
+    affine-step iterate, which satisfies ``Ax = b`` to factorization accuracy;
+    its cone violation is bounded by the primal residual.
 
     ``acceleration`` is the Anderson memory size (0 disables it).
 
@@ -737,14 +738,10 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     # The iterate (z, u) and its image are kept as halves of one vector, the
     # form Anderson acceleration works on.
     w = np.zeros(2 * n)
-    x = np.zeros(n)
     anderson = _AndersonMemory(acceleration, 2 * n) if acceleration > 0 else None
 
-    best_x, best_res = x, math.inf
-    pri_res = dual_res = math.inf
     previous = None  # the last iteration's residual w - F(w)
     ray = 2.0  # length of the next ray step, in residuals
-    it = 0
     status = MAX_ITERS
     for it in range(1, max_iters + 1):
         x, fw = step(w, rho)
@@ -754,18 +751,12 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         pri_res = _norm(x - z_new) / (1.0 + max(_norm(x), z_norm))
         dual_res = rho * _norm(residual[:n]) / (1.0 + rho * u_norm)
 
-        combined = max(pri_res, dual_res)
-        if combined < best_res:
-            best_res = combined
-            best_x = x
-
         if pri_res <= tol and dual_res <= tol:
             # Verify the affine system directly before declaring optimality;
             # the normalized residuals alone can look converged at a
             # numerically degenerate point (e.g. after a wild extrapolation).
             if affine.residual(x) <= affine_tol:
                 status = OPTIMAL
-                best_x = x
                 break
 
         residual_norm = _norm(residual)
@@ -809,10 +800,6 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
                 if anderson is not None:
                     anderson.clear()
 
-    obj = float(c @ best_x) + 0.5 * float(best_x @ (affine.quad * best_x))
-    if status == OPTIMAL:
-        out_pri, out_dual = pri_res, dual_res
-    else:
-        out_pri = out_dual = best_res
-    return Solution(x=best_x, status=status, primal_residual=out_pri,
-                    dual_residual=out_dual, objective=obj, iterations=it)
+    obj = float(c @ x) + 0.5 * float(x @ (affine.quad * x))
+    return Solution(x=x, status=status, primal_residual=pri_res,
+                    dual_residual=dual_res, objective=obj, iterations=it)

@@ -23,6 +23,14 @@ INCONCLUSIVE = "inconclusive"
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
+#: Bounds of the value types' checks: ``|sum |a|^2 - 1|`` of a :class:`PureState`,
+#: ``|sum p_i - 1|`` of a :class:`ProblemSpec`, ``max |E - E^H|`` of a :class:`Povm`
+#: element, and how far a ``JointDistribution``'s entries fall below 0 and its total from 1.
+STATE_NORM_TOL = 1e-12
+PRIOR_SUM_TOL = 1e-12
+POVM_HERMITIAN_TOL = 1e-9
+JOINT_NEGATIVE_TOL = 1e-10
+JOINT_SUM_TOL = 1e-8
 POVM_PSD_TOL = 1e-7
 POVM_COMPLETENESS_TOL = 1e-7
 CARRIER_ISOMETRY_TOL = 1e-10
@@ -71,7 +79,7 @@ class PureState:
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"amplitude vector length {n} is not a power of two >= 2")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= 1e-12:
+        if not abs(norm_sq - 1.0) <= STATE_NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
@@ -186,7 +194,7 @@ class ProblemSpec:
             raise ValueError(f"priors must be finite, got {priors!r}")
         if np.any(priors < 0):
             raise ValueError("priors must be nonnegative")
-        if abs(float(priors.sum()) - 1.0) > 1e-12:
+        if abs(float(priors.sum()) - 1.0) > PRIOR_SUM_TOL:
             raise ValueError(f"priors must sum to 1, got {priors.sum()!r}")
         if not 0.0 <= self.noise_lambda <= 1.0:
             raise ValueError("noise_lambda must be in [0, 1]")
@@ -244,7 +252,7 @@ class Povm:
             if e.shape != (self.dim, self.dim):
                 raise ValueError(f"element shape {e.shape} does not match dim {self.dim}")
             herm_dev = float(np.max(np.abs(e - e.conj().T)))
-            if not herm_dev <= 1e-9:
+            if not herm_dev <= POVM_HERMITIAN_TOL:
                 raise ValueError(f"element is not Hermitian: deviation {herm_dev:.3e}")
             min_eig = float(np.linalg.eigvalsh(0.5 * (e + e.conj().T))[0])
             if not min_eig >= -POVM_PSD_TOL:

@@ -593,5 +593,13 @@ class TestBenchCommand:
         assert code == 0
         assert report["meta"]["max_iters"] == 5000 and report["meta"]["tol"] == 1e-8
 
+    def test_unconverged_bench_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        code = main(["bench", "--max-qubits", "2", "--schemes", "med",
+                     "--max-iters", "1", "--out", str(out)])
+        assert code == 2
+        assert "status=max_iters" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scheme_rejected(self):
         assert main(["bench", "--schemes", "med,warp"]) == 1

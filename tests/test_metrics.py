@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qsdkit import (
     lp_distance,
     outcome_stats,
 )
+from qsdkit.states import JOINT_NEGATIVE_TOL, JOINT_SUM_TOL
 from conftest import random_density, random_povm
 
 
@@ -97,6 +99,19 @@ class TestJointDistribution:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             JointDistribution(np.ones((2, 2)) / 4.0)
+
+    @pytest.mark.parametrize("scale, raises", [(0.5, False), (2.0, True)])
+    def test_negative_entry_threshold(self, scale, raises):
+        eps = scale * JOINT_NEGATIVE_TOL
+        entries = np.array([[0.5, 0.0, -eps], [eps, 0.5, 0.0]])
+        with pytest.raises(ValueError, match="negative joint") if raises else nullcontext():
+            JointDistribution(entries)
+
+    @pytest.mark.parametrize("scale, raises", [(0.5, False), (2.0, True)])
+    def test_sum_threshold(self, scale, raises):
+        entries = np.array([[0.5, 0.0, 0.0], [0.0, 0.5 + scale * JOINT_SUM_TOL, 0.0]])
+        with pytest.raises(ValueError, match="expected 1") if raises else nullcontext():
+            JointDistribution(entries)
 
     def test_nan_entry(self):
         entries = np.array([[0.5, np.nan, 0.0], [0.0, 0.5, 0.0]])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -502,6 +503,27 @@ class TestDecode:
         else:
             povm = decode_povm(scheme, solution)
             np.testing.assert_allclose(sum(povm.elements), np.eye(2), atol=1e-12)
+
+    def test_unconverged_solve_scheme_raises(self):
+        with pytest.raises(DecodeError, match="status=max_iters"):
+            solve_scheme(_bench_spec(3, 0.01), "med", max_iters=5)
+
+    def test_unconverged_reference_raises(self):
+        with pytest.raises(DecodeError, match="status=max_iters"):
+            uqsd_reference(_bench_spec(3, 0.01), max_iters=5)
+
+    def test_unconverged_solution_keeps_its_residuals(self):
+        # A solve stopped by max_iters returns its last iterate with that
+        # iterate's own primal and dual residuals; the decode error names both.
+        scheme = build_scheme(_bench_spec(3, 0.01), "med")
+        solution = solve(scheme.program, max_iters=5)
+        assert solution.status == "max_iters" and solution.iterations == 5
+        assert solution.primal_residual == pytest.approx(1.739e-2, rel=1e-3)
+        assert solution.dual_residual == pytest.approx(7.111e-2, rel=1e-3)
+        with pytest.raises(DecodeError, match=re.escape(
+                f"primal residual {solution.primal_residual:.3e}, "
+                f"dual residual {solution.dual_residual:.3e}")):
+            decode_povm(scheme, solution)
 
     def test_scheme_value_sign(self):
         spec = orthogonal_pair()

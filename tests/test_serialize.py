@@ -211,6 +211,30 @@ class TestNullFields:
         with pytest.raises(ValueError, match="num_qubits"):
             read_problem(path)
 
+    # Integer header fields take only a JSON integer, and delta only a finite
+    # JSON number: no float, bool or string is coerced.
+    @pytest.mark.parametrize("field, value", [
+        *((field, value) for field in ("domain_dim", "target_qubits", "total_rank", "dim",
+                                       "num_qubits") for value in (2.5, True, "2")),
+        *(("delta", value) for value in (True, "2", "1e-3", float("nan"))),
+        pytest.param("delta", 10 ** 400, id="delta-1e400")])
+    def test_header_field_type(self, tmp_path, rng, field, value):
+        path = tmp_path / "file.json"
+        if field == "dim":
+            write_povm(path, random_povm(2, 2, rng))
+            reader = read_povm
+        elif field == "num_qubits":
+            write_problem(path, ProblemSpec.from_states(make_benchmark_two_qubit_states()))
+            reader = read_problem
+        else:
+            write_isometry(path, dilate(random_povm(2, 2, rng)))
+            reader = read_isometry
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            reader(path)
+
     @pytest.mark.parametrize("a, field", [([0.2, None, 0.7], r"a\[1\]"),
                                           ([0.2, "0.5", 0.7], r"a\[1\]"),
                                           (None, "a must be a list")])
@@ -221,7 +245,8 @@ class TestNullFields:
         with pytest.raises(ValueError, match=r"states\[0\]: " + field):
             read_problem(path)
 
-    @pytest.mark.parametrize("prior", [None, "0.5", float("nan")])
+    @pytest.mark.parametrize("prior", [None, "0.5", float("nan"),
+                                       pytest.param(10 ** 400, id="1e400")])
     def test_problem_prior(self, tmp_path, prior):
         path = tmp_path / "problem.json"
         write_problem(path, ProblemSpec.from_states(make_benchmark_two_qubit_states()))

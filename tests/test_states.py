@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qsdkit import (
     make_coherent_state,
     make_single_qubit_pair,
 )
+from qsdkit.states import POVM_HERMITIAN_TOL, PRIOR_SUM_TOL, STATE_NORM_TOL
 from conftest import random_density
 
 
@@ -147,6 +149,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("scale, raises", [(0.5, False), (2.0, True)])
+    def test_pure_state_norm_threshold(self, scale, raises):
+        amplitudes = np.array([math.sqrt(1.0 + scale * STATE_NORM_TOL), 0.0])
+        with pytest.raises(ValueError, match="not normalized") if raises else nullcontext():
+            PureState(amplitudes)
+
     def test_pure_state_nan(self):
         # A NaN norm fails the normalization check rather than passing it.
         with pytest.raises(ValueError, match="not normalized"):
@@ -194,6 +202,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProblemSpec(states, np.array([0.7, 0.7]))
 
+    @pytest.mark.parametrize("scale, raises", [(0.5, False), (2.0, True)])
+    def test_problem_prior_sum_threshold(self, rng, scale, raises):
+        states = (random_density(2, rng), random_density(2, rng))
+        priors = np.array([0.5, 0.5 + scale * PRIOR_SUM_TOL])
+        with pytest.raises(ValueError, match="sum to 1") if raises else nullcontext():
+            ProblemSpec(states, priors)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_problem_priors_must_be_finite(self, rng, bad):
         states = (random_density(2, rng), random_density(2, rng))
@@ -212,6 +227,14 @@ class TestValidation:
     def test_povm_not_psd(self):
         with pytest.raises(ValueError):
             Povm(2, (np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])), (0, 1))
+
+    @pytest.mark.parametrize("scale, raises", [(0.5, False), (2.0, True)])
+    def test_povm_hermitian_threshold(self, scale, raises):
+        # Element 0 gains scale * POVM_HERMITIAN_TOL below its diagonal only.
+        element = np.diag([1.0, 0.0]).astype(complex)
+        element[1, 0] = scale * POVM_HERMITIAN_TOL
+        with pytest.raises(ValueError, match="not Hermitian") if raises else nullcontext():
+            Povm(2, (element, np.diag([0.0, 1.0])), (0, 1))
 
     def test_povm_nan(self):
         element = np.diag([1.0, 0.0]).astype(complex)
