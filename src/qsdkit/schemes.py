@@ -152,11 +152,9 @@ class _Assembler:
         for r, entries in enumerate(self._rows):
             for off, vec in entries:
                 A[r, off:off + vec.size] += vec
-        quad = None
-        if self._quad:
-            quad = np.zeros(n)
-            for off, vec in self._quad:
-                quad[off:off + vec.size] += vec
+        quad = np.zeros(n)
+        for off, vec in self._quad:
+            quad[off:off + vec.size] += vec
         return ConeProgram(blocks=tuple(self._blocks), c=c, A=A,
                            b=np.asarray(self._rhs), quad_diag=quad,
                            block_sum=self.block_sum)
@@ -498,9 +496,8 @@ def decode_povm(scheme: SchemeProgram, solution: Solution) -> Povm:
                           f"primal residual {solution.primal_residual:.3e}, "
                           f"dual residual {solution.dual_residual:.3e}")
     d = scheme.dim
-    offsets, rhs, *carriers = scheme.program.block_sum
+    offsets, rhs, carriers = scheme.program.block_sum
     n = math.isqrt(rhs.size)
-    carriers = carriers[0] if carriers else (None,) * len(offsets)
     entries = dict(zip(scheme.labels, zip(offsets, carriers)))
     labels = tuple(range(scheme.num_states)) + ((INCONCLUSIVE,) if INCONCLUSIVE in entries else ())
     elements = []

@@ -20,6 +20,7 @@ import numpy as np
 from .dilation import RESIDUAL, DilationResult
 from .states import (
     INCONCLUSIVE,
+    MAX_QUBITS,
     DensityMatrix,
     Povm,
     ProblemSpec,
@@ -203,6 +204,8 @@ def read_problem(path) -> ProblemSpec:
     """Load a problem file into a noiseless :class:`ProblemSpec`."""
     data = read_json(path)
     num_qubits = _scalar(data, "num_qubits")
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
     states = []
     for i, entry in enumerate(data["states"]):
         try:

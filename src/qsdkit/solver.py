@@ -172,21 +172,22 @@ class ConeProgram:
     """A conic program in the solver's standard form (minimization).
 
     The equality constraints are the rows of ``A x = b`` and, when
-    ``block_sum = (offsets, rhs)`` is given, the ``L = len(rhs)`` block-sum
-    rows ``sum_j x[offsets[j] : offsets[j] + L] = rhs``: row ``t`` adds
-    coordinate ``t`` of every listed block.  Each offset must start a
-    distinct block of size ``L``, which makes the supports of the rows
-    disjoint.  In the constraint system the block-sum rows come first, then
-    the rows of ``A``; ``A`` is dense and may have no rows.  Every entry of
-    ``c``, ``A``, ``b`` and ``quad_diag`` must be finite.
+    ``block_sum = (offsets, rhs, carriers)`` is given, the ``L = len(rhs)``
+    block-sum rows.  ``carriers`` has one entry per offset, ``None`` or a
+    column-orthonormal ``d x r`` carrier ``N_j`` with ``d * d = L``.  A
+    block without a carrier must have size ``L`` and enters row ``t`` with
+    its coordinate ``t``; the block of a carrier is ``PsdCone(r)`` and
+    enters the rows as ``svec(N_j smat(x_j) N_j^+)``, so the rows read
+    ``sum_j svec(N_j smat(x_j) N_j^+) = rhs``.  Each offset must start a
+    distinct block.  In the constraint system the block-sum rows come first,
+    then the rows of ``A``; ``A`` is dense and may have no rows.
 
-    ``block_sum = (offsets, rhs, carriers)`` gives one entry per offset,
-    ``None`` or a column-orthonormal ``d x r`` carrier ``N_j`` with
-    ``d * d = L``.  The block of a carrier is ``PsdCone(r)`` and enters the
-    rows as ``svec(N_j smat(x_j) N_j^+)``; the rows then read
-    ``sum_j svec(N_j smat(x_j) N_j^+) = rhs``.  ``quad_diag`` must be zero on
-    carrier blocks.  A carrier-free ``block_sum`` is stored as
-    ``(offsets, rhs)``.
+    The program is stored in one form: ``quad_diag`` is a vector, zeros when
+    it is not given, and ``block_sum`` is ``None`` or the triple above, with
+    ``carriers`` a tuple; the pair ``(offsets, rhs)`` is accepted for a
+    block sum without carriers.  Every entry of ``c``, ``A``, ``b`` and
+    ``quad_diag`` must be finite, ``quad_diag`` nonnegative, and zero on
+    carrier blocks.
     """
 
     blocks: tuple
@@ -201,15 +202,16 @@ class ConeProgram:
         c = np.asarray(self.c, dtype=float).ravel()
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         b = np.asarray(self.b, dtype=float).ravel()
+        q = np.zeros(n) if self.quad_diag is None else np.asarray(self.quad_diag, dtype=float)
+        q = q.ravel()
         if c.size != n:
             raise ValueError(f"objective length {c.size} does not match variable count {n}")
         if A.shape != (b.size, n):
             raise ValueError(f"constraint shape {A.shape} does not match ({b.size}, {n})")
-        q = None if self.quad_diag is None else np.asarray(self.quad_diag, dtype=float).ravel()
         for field, value in (("c", c), ("A", A), ("b", b), ("quad_diag", q)):
-            if value is not None and not np.isfinite(value).all():
+            if not np.isfinite(value).all():
                 raise ValueError(f"{field} has non-finite entries")
-        if q is not None and (q.size != n or np.any(q < 0)):
+        if q.size != n or np.any(q < 0):
             raise ValueError("quad_diag must be a nonnegative vector of the variable length")
         object.__setattr__(self, "quad_diag", q)
         if self.block_sum is not None:
@@ -245,8 +247,6 @@ class ConeProgram:
                 checked.append(None)
             else:
                 checked.append(self._check_carrier(o, starts[o], carrier, rhs.size))
-        if all(carrier is None for carrier in checked):
-            return offsets, rhs
         return offsets, rhs, tuple(checked)
 
     def _check_carrier(self, off: int, blk, carrier, rows: int) -> np.ndarray:
@@ -263,7 +263,7 @@ class ConeProgram:
         if not dev <= CARRIER_ISOMETRY_TOL:
             raise ValueError(f"block_sum carrier at offset {off} is not column-orthonormal: "
                              f"||N^+N - I|| = {dev:.3e}")
-        if self.quad_diag is not None and np.any(self.quad_diag[off:off + blk.size] != 0):
+        if np.any(self.quad_diag[off:off + blk.size] != 0):
             raise ValueError(f"quad_diag is nonzero on the carrier block at offset {off}")
         n.setflags(write=False)
         return n
@@ -278,8 +278,8 @@ class ConeProgram:
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 200_000
 
-#: Initial ADMM penalty of :func:`solve` (rebalanced as it runs); a quadratic
-#: term starts it small, so the quadratic dominates the proximal step.
+#: Initial ADMM penalty of :func:`solve` (rebalanced as it runs); a nonzero
+#: quadratic term starts it small, so the quadratic dominates the proximal step.
 _INITIAL_RHO, _INITIAL_RHO_QUAD = 1.0, 0.02
 _OVER_RELAX = 1.6  # over-relaxation factor of the splitting step
 # The ray step of :func:`solve`: the relative tolerance of a drift's repeated
@@ -351,8 +351,7 @@ class _CarrierMaps:
     of the maps ``x_j -> svec(N_j smat(x_j) N_j^+)`` and its adjoint are
     then products with ``rows``.  Their Gram matrix ``gram = rows rows'``
     does not depend on the metric, since carrier blocks have no quadratic
-    term, so it is formed once, in the Fortran order that lets
-    ``_make_solver`` factor a scaled copy in place.
+    term, so it is formed once.
     """
 
     def __init__(self, offsets, carriers):
@@ -364,7 +363,7 @@ class _CarrierMaps:
                 parts.append(_svec_batch(n @ _smat_batch(np.eye(r * r), r) @ n.conj().T))
         self.index = np.concatenate(index)
         self.rows = np.ascontiguousarray(np.concatenate(parts).T)
-        self.gram = (self.rows @ self.rows.T).T
+        self.gram = self.rows @ self.rows.T
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         """Sum of the maps applied to ``v`` (n,) or to each row of ``v`` (nb, n)."""
@@ -376,44 +375,45 @@ class _CarrierMaps:
 
 
 class _AffineProjector:
-    """Projection onto the constraint system in the metric ``D = diag(q) + rho*I``.
+    """Projection onto a program's constraint system in the metric ``D = diag(q) + rho*I``.
 
-    The rows are the ``L`` block-sum rows ``C``, then the equilibrated rows
-    ``R`` of ``A``.  Row ``t`` of ``C`` is scaled to unit norm by the rule
-    that :func:`_row_equilibrate` applies to ``A`` (:func:`_row_scale`): by
-    ``s_t = 1/sqrt(m + |M_t|^2)`` for ``m`` plain blocks and row ``M_t`` of
-    the carrier blocks' matrix ``M`` (:class:`_CarrierMaps`); a zero row
-    gets ``s_t = 0``.  The multipliers ``mu`` of a point ``t`` solve
-    ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  With ``K = R D^-1 C'`` and
-    ``Delta = C D^-1 C'`` only the Schur complement
+    The constructor owns all row scaling.  The rows are the ``L`` block-sum
+    rows ``C``, then the rows ``R`` of ``A``, each scaled to unit norm by
+    :func:`_row_scale`: row ``t`` of ``C`` by ``s_t = 1/sqrt(m + |M_t|^2)``
+    for ``m`` plain blocks and row ``M_t`` of the carrier blocks' matrix
+    ``M`` (:class:`_CarrierMaps`).  A zero row of ``C`` gets ``s_t = 0``; a
+    zero row of ``A`` is dropped.  The multipliers ``mu`` of a point ``t``
+    solve ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  With
+    ``K = R D^-1 C'`` and ``Delta = C D^-1 C'`` only the Schur complement
     ``S = R D^-1 R' - K Delta^-1 K'``, one row and column per row of ``A``,
     is factored beside ``Delta``.  Without carriers the rows of ``C`` have
     disjoint supports, so ``Delta`` is diagonal for any diagonal ``D``,
     ``C x`` is a gather-sum over the blocks and ``C' mu`` a scatter.  With
     carriers ``Delta = s (sum_plain D^-1 + M M' / rho) s`` is dense, built
-    from the stored ``M M'`` and factored once per metric, and ``C x`` and
-    ``C' mu`` add the products with ``M``.  A program without ``block_sum`` takes the same path with
+    from the stored ``M M'``, and ``C x`` and ``C' mu`` add the products
+    with ``M``.  A program without ``block_sum`` takes the same path with
     ``L = 0``: the plain blocks' index array has shape ``(0, 0)``, ``rhs``
     and ``Delta`` are empty, and ``S = R D^-1 R'``; with no rows at all the
     step moves nothing.
 
-    ``q`` is zero when the program has no quadratic term, and the metric is
-    the same either way: :meth:`set_rho` refactors ``S`` (at most 24 rows
-    for a scheme program) and, with carriers, ``Delta`` on every change of
-    the penalty.  Redundant rows are tolerated by falling back to a
+    :meth:`set_rho` factors ``S`` (at most 24 rows for a scheme program)
+    and, with carriers, ``Delta`` by Cholesky on every change of the
+    penalty.  Redundant rows are tolerated by falling back to a
     pseudoinverse (least-squares multiplier).
     """
 
-    def __init__(self, A, b, quad, block_sum=None):
-        self.A = A
-        self.AT = A.T.copy()
-        self.b = b
-        self.quad = np.zeros(A.shape[1]) if quad is None else quad
+    def __init__(self, program: ConeProgram):
+        scale = _row_scale(np.linalg.norm(program.A, axis=1), program.b)
+        keep = scale != 0.0
+        self.A = program.A[keep] * scale[keep, None]
+        self.AT = self.A.T.copy()
+        self.b = program.b[keep] * scale[keep]
+        self.quad = program.quad_diag
         self.carriers = None
-        offsets, rhs, *carriers = block_sum or ((), np.zeros(0))
-        if carriers:
-            self.carriers = _CarrierMaps(offsets, carriers[0])
-            offsets = [o for o, n in zip(offsets, carriers[0]) if n is None]
+        offsets, rhs, carriers = program.block_sum or ((), np.zeros(0), ())
+        if any(n is not None for n in carriers):
+            self.carriers = _CarrierMaps(offsets, carriers)
+            offsets = [o for o, n in zip(offsets, carriers) if n is None]
             norms2 = len(offsets) + (self.carriers.rows ** 2).sum(axis=1)
         else:
             norms2 = np.full(rhs.size, float(len(offsets)))
@@ -421,20 +421,15 @@ class _AffineProjector:
         # (m, L) coordinates of the plain summed blocks: column t is row t's support.
         self.index = np.asarray(offsets, dtype=np.intp)[:, None] + np.arange(rhs.size)
         self.rhs = rhs * self.scale
-        self.rhs_norm = math.sqrt(b @ b + self.rhs @ self.rhs)
+        self.rhs_norm = math.sqrt(self.b @ self.b + self.rhs @ self.rhs)
 
     @staticmethod
-    def _make_solver(build):
-        """Solver for ``m @ mu = r`` with ``m = build()``; ``r`` is a temporary it may overwrite.
-
-        ``m`` is factored in place, with no copy when it is in Fortran order,
-        so it is built a second time only for the pseudoinverse fallback.
-        """
+    def _make_solver(m):
+        """Solver for ``m @ mu = r``; ``r`` is a temporary it may overwrite."""
         try:
-            factor, lower = scipy.linalg.cho_factor(build(), overwrite_a=True,
-                                                    check_finite=False)
+            factor, lower = scipy.linalg.cho_factor(m, check_finite=False)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-            pinv = np.linalg.pinv(build(), rcond=1e-12)
+            pinv = np.linalg.pinv(m, rcond=1e-12)
             return lambda r: pinv @ r
         # The LAPACK routine scipy.linalg.cho_solve ends in, without its
         # per-call argument checks.
@@ -451,11 +446,8 @@ class _AffineProjector:
         """Set up ``Delta^-1`` and the Schur complement solve for the metric of ``rho``.
 
         ``_delta_inv(r)`` is ``Delta^-1 r`` for ``r`` of shape (L,) or (L, nb);
-        ``r`` is a temporary it may overwrite.  The old factors are let go
-        first, so a wide ``Delta`` is held once while the new one is built.
+        ``r`` is a temporary it may overwrite.
         """
-        self._delta_inv = self._solve = None
-        self._rho = rho
         self._d_inv = d_inv = 1.0 / (self.quad + rho)
         a_dinv = self.A * d_inv
         # Per row, D^-1 summed over the plain blocks: their share of Delta's diagonal.
@@ -465,20 +457,15 @@ class _AffineProjector:
             delta = self.scale * self.scale * plain
             self._delta_inv = lambda r: (r.T / delta).T
         else:
-            self._delta_inv = self._make_solver(lambda: self._carrier_delta(plain))
-        self._solve = self._make_solver(lambda: self._schur(a_dinv)) if self.b.size else None
-
-    def _carrier_delta(self, plain):
-        """``Delta`` of the carrier rows for the current metric, in Fortran order."""
-        delta = self.carriers.gram / self._rho
-        delta[np.diag_indices_from(delta)] += plain
-        delta *= self.scale[:, None]
-        delta *= self.scale
-        return delta
-
-    def _schur(self, a_dinv):
-        """The Schur complement ``S`` of the rows of ``A`` for the current metric."""
-        return a_dinv @ self.AT - self._k @ self._delta_inv(self._k.T.copy())
+            delta = self.carriers.gram / rho
+            delta[np.diag_indices_from(delta)] += plain
+            delta *= self.scale[:, None]
+            delta *= self.scale
+            self._delta_inv = self._make_solver(delta)
+        self._solve = None
+        if self.b.size:
+            k_part = self._k @ self._delta_inv(self._k.T.copy())
+            self._solve = self._make_solver(a_dinv @ self.AT - k_part)
 
     def _block_sums(self, v):
         """The unscaled block-sum rows applied to ``v`` (n,) or each row of ``v`` (nb, n)."""
@@ -524,15 +511,6 @@ def _row_scale(norms, rhs):
     if np.any(np.abs(rhs[~keep]) > ZERO_ROW_RHS_TOL):
         raise ValueError("constraint system contains an inconsistent zero row")
     return np.divide(1.0, norms, out=np.zeros_like(norms), where=keep)
-
-
-def _row_equilibrate(A, b):
-    """Scale constraint rows to unit norm (:func:`_row_scale`); drop zero rows."""
-    scale = _row_scale(np.linalg.norm(A, axis=1), b)
-    keep = scale != 0.0
-    if not np.all(keep):
-        A, b, scale = A[keep], b[keep], scale[keep]
-    return A * scale[:, None], b * scale
 
 
 def _norm(v: np.ndarray) -> float:
@@ -717,11 +695,10 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = program.num_vars
-    A, b = _row_equilibrate(program.A, program.b)
     c = program.c
-    rho = _INITIAL_RHO_QUAD if program.quad_diag is not None else _INITIAL_RHO
+    rho = _INITIAL_RHO_QUAD if program.quad_diag.any() else _INITIAL_RHO
     project_cone = _ConeProjector(program.blocks)
-    affine = _AffineProjector(A, b, program.quad_diag, program.block_sum)
+    affine = _AffineProjector(program)
     affine.set_rho(rho)
     affine_tol = tol * (1.0 + affine.rhs_norm)
 
@@ -800,6 +777,6 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
                 if anderson is not None:
                     anderson.clear()
 
-    obj = float(c @ x) + 0.5 * float(x @ (affine.quad * x))
+    obj = float(c @ x) + 0.5 * float(x @ (program.quad_diag * x))
     return Solution(x=x, status=status, primal_residual=pri_res,
                     dual_residual=dual_res, objective=obj, iterations=it)

@@ -53,6 +53,8 @@ DECODE_COMPLETENESS_TOL = 1e-3
 #: A crossqsd posterior matrix with no eigenvalue above this (negative)
 #: level admits only a zero conclusive element.
 UNREACHABLE_POSTERIOR_EIG = -1e-9
+#: Largest qubit count of a state built or read: one 4096 x 4096 complex matrix takes 268 MB.
+MAX_QUBITS = 12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -297,8 +299,8 @@ def make_coherent_state(alpha: complex, num_qubits: int) -> PureState:
     stay finite for deep truncations.  An ``alpha`` whose amplitudes or
     their norm are not finite (NaN, or too large) raises ``ValueError``.
     """
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be >= 1")
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
     levels = 2 ** num_qubits
     amps = np.empty(levels, dtype=complex)
     term = 1.0 + 0.0j

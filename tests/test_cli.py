@@ -209,6 +209,26 @@ class TestSolveCommand:
         assert calls == []
         assert not out.exists()
 
+    def test_reference_file_matches_the_default_reference(self, problem_file, tmp_path, capsys,
+                                                          monkeypatch):
+        # The uqsd POVM of the noiseless ensemble, given as --reference, is the
+        # default reference: the minl1 solve takes the same path.
+        uqsd = tmp_path / "uqsd.json"
+        assert main(["solve", "--problem", str(problem_file), "--scheme", "uqsd",
+                     "--lambda", "0", "--out", str(uqsd)]) == 0
+        capsys.readouterr()
+        args = ["solve", "--problem", str(problem_file), "--scheme", "minl1", "--lambda", "0.01"]
+        code, default = run_json(capsys, args + ["--out", str(tmp_path / "a.json")])
+        assert code == 0
+        calls = []
+        monkeypatch.setattr(schemes, "uqsd_reference", lambda *a, **k: calls.append(a))
+        code, given = run_json(capsys, args + ["--reference", str(uqsd),
+                                               "--out", str(tmp_path / "b.json")])
+        assert code == 0 and calls == []
+        assert given["objective_value"] == default["objective_value"]
+        assert given["solver"]["iterations"] == default["solver"]["iterations"]
+        assert abs(given["objective_value"] - 0.008566591915276617) <= 1e-7
+
     def test_metrics_lambda_checked_before_the_solve(self, pair_file, tmp_path, capsys,
                                                      monkeypatch):
         def fail(*args, **kwargs):
@@ -441,6 +461,21 @@ class TestSimulateCommand:
         assert code == 1
         assert f"--lambda-sweep takes no {flag[0]}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_needs_out(self, problem_file, isometry_file, capsys):
+        code = main(["simulate", "--isometry", str(isometry_file), "--problem",
+                     str(problem_file), "--lambda-sweep", "1e-6:1:7"])
+        assert code == 1
+        assert "--lambda-sweep requires --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", ["3", "-1"])
+    def test_state_index_out_of_range_exits_1(self, problem_file, isometry_file, capsys, index):
+        code = main(["simulate", "--isometry", str(isometry_file), "--problem",
+                     str(problem_file), "--state-index", index, "--shots", "10"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--state-index must be in [0, 2]" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("points, message", [("0", "needs at least one point"),
                                                  ("-1", "bad --lambda-sweep")])

@@ -120,6 +120,15 @@ class TestBruteForce:
         assert scan <= sdp.value + 1e-6
         assert scan >= sdp.value - 5e-3  # grid is coarse but close
 
+    def test_frio_at_most_lower_bounds_sdp(self):
+        # P_inc <= rate never binds on the noisy pair: the SDP value is Helstrom's.
+        spec = ProblemSpec.from_states(zero_plus(), noise_lambda=0.05)
+        sdp = solve_scheme(spec, "frio", rate=0.3, bound="at_most")
+        scan = brute_force_qubit_povm(spec, "frio", grid=60, rate=0.3, bound="at_most")
+        assert scan <= sdp.value + 1e-6
+        assert scan >= sdp.value - 5e-3
+        assert abs(sdp.value - helstrom_two_state(*spec.noisy_states(), 0.5)) <= 1e-7
+
     def test_med_bounds_on_random_real_pairs(self, rng):
         # Real amplitudes keep the scan plane optimal for the MED grid too.
         for _ in range(5):

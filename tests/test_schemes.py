@@ -417,6 +417,22 @@ class TestHybrid:
         build_scheme(zero_plus_spec(0.01), "hybrid", w=0.5)
         assert len(calls) == 1
 
+    def test_default_reference_solved_after_the_ell_check(self, monkeypatch):
+        calls = []
+        solve_reference = schemes.uqsd_reference
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_reference(*args, **kwargs)
+
+        monkeypatch.setattr(schemes, "uqsd_reference", counting)
+        spec = _bench_spec(3, 0.01)
+        with pytest.raises(ValueError, match="ell must be 1 or 2"):
+            solve_scheme(spec, "hybrid", ell=3)
+        assert calls == []
+        build_scheme(spec, "hybrid", ell=2)
+        assert len(calls) == 1
+
 
 class TestSchemeTable:
     def test_names_keep_their_order(self):
@@ -569,10 +585,9 @@ def full_space_program(scheme):
     lifted coefficient matrix, and completeness reads ``svec(I)``.
     """
     program = scheme.program
-    offsets, rhs = program.block_sum
+    offsets, rhs, _ = program.block_sum
     d = scheme.dim
     lift = lift_map(scheme.basis)
-    quad_diag = np.zeros(program.num_vars) if program.quad_diag is None else program.quad_diag
     blocks, c, A, quad, new_offsets = [], [], [], [], []
     off = new_off = 0
     for blk in program.blocks:
@@ -587,11 +602,11 @@ def full_space_program(scheme):
         else:
             c.append(program.c[cols])
             A.append(program.A[:, cols])
-            quad.append(quad_diag[cols])
+            quad.append(program.quad_diag[cols])
         blocks.append(blk)
         new_off += blk.size
     return ConeProgram(blocks=tuple(blocks), c=np.concatenate(c), A=np.hstack(A), b=program.b,
-                       quad_diag=None if program.quad_diag is None else np.concatenate(quad),
+                       quad_diag=np.concatenate(quad),
                        block_sum=(tuple(new_offsets), svec(np.eye(d))))
 
 

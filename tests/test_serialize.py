@@ -29,6 +29,7 @@ from qsdkit.serialize import (
     write_problem,
     write_sweep_csv,
 )
+from qsdkit.states import MAX_QUBITS
 from conftest import random_povm
 
 
@@ -365,6 +366,25 @@ class TestProblemEntries:
         path.write_text(json.dumps({"num_qubits": 1,
                                     "states": [{"type": "wobble"}]}))
         with pytest.raises(ValueError):
+            read_problem(path)
+
+    @pytest.mark.parametrize("num_qubits", [MAX_QUBITS + 1, 10 ** 18])
+    def test_num_qubits_range_checked_first(self, tmp_path, num_qubits):
+        # The range is checked before any entry is expanded: the unknown entry
+        # type would raise otherwise.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"num_qubits": num_qubits, "states": [{"type": "wobble"}]}))
+        with pytest.raises(ValueError, match=f"^num_qubits must be in 1..{MAX_QUBITS}, "
+                                             f"got {num_qubits}$"):
+            read_problem(path)
+
+    def test_max_qubits_passes_the_range_check(self, tmp_path):
+        # A too-short pure entry then gives the dimension error instead.
+        path = tmp_path / "p.json"
+        pure = {"type": "pure", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+        path.write_text(json.dumps({"num_qubits": MAX_QUBITS, "states": [pure, pure]}))
+        with pytest.raises(ValueError, match=f"^state dimension 2 does not match "
+                                             f"num_qubits {MAX_QUBITS}$"):
             read_problem(path)
 
     def test_dimension_check(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -263,8 +264,7 @@ class TestPrimalDrift:
 def no_optimum(prog, x, s=None, d=None):
     """``_no_optimum`` of ``prog`` at rho = 1 on the residual ``(-d, s)``, zero where omitted."""
     n = prog.num_vars
-    A, b = solver_module._row_equilibrate(prog.A, prog.b)
-    affine = solver_module._AffineProjector(A, b, prog.quad_diag, prog.block_sum)
+    affine = solver_module._AffineProjector(prog)
     affine.set_rho(1.0)
     z_half = np.zeros(n) if d is None else -np.asarray(d, dtype=float)
     u_half = np.zeros(n) if s is None else np.asarray(s, dtype=float)
@@ -324,11 +324,10 @@ class TestAffineMetric:
         # One metric D = diag(q) + rho I: a missing q steps exactly as q = 0.
         program = build_scheme(_bench_spec(3, 0.01), "frio").program
         n = program.num_vars
-        A, b = solver_module._row_equilibrate(program.A, program.b)
         v = np.random.default_rng(3).standard_normal(n)
         steps = []
         for quad in (None, np.zeros(n)):
-            affine = solver_module._AffineProjector(A, b, quad, program.block_sum)
+            affine = solver_module._AffineProjector(dataclasses.replace(program, quad_diag=quad))
             affine.set_rho(rho)
             steps.append(affine.project(v, program.c, rho))
         np.testing.assert_array_equal(steps[0], steps[1])
@@ -556,7 +555,7 @@ class TestSolve:
 
 def expand_block_sum(program):
     """The same program with its block-sum rows written as dense rows of A, first."""
-    offsets, rhs = program.block_sum
+    offsets, rhs, _ = program.block_sum
     rows = np.zeros((rhs.size, program.num_vars))
     for off in offsets:
         rows[:, off:off + rhs.size] += np.eye(rhs.size)
@@ -762,9 +761,9 @@ class TestCarrierRows:
         with pytest.raises(ValueError, match="nonzero on the carrier block at offset 0"):
             carrier_program(blocks, carriers, quad_diag=np.array([1e-3, 0.0, 0.0, 0.0, 0.0]))
 
-    def test_carrier_free_block_sum_stays_a_pair(self):
+    def test_carrier_free_block_sum_stores_none_carriers(self):
         program = carrier_program((PsdCone(2), PsdCone(2)), (None, None))
-        assert len(program.block_sum) == 2
+        assert program.block_sum[2] == (None, None)
 
     def test_six_qubit_uqsd_matches_chefles_barnett(self):
         # Equiprobable symmetric pure states: P = lambda_min of their Gram matrix.

@@ -19,7 +19,7 @@ from qsdkit import (
     make_coherent_state,
     make_single_qubit_pair,
 )
-from qsdkit.states import POVM_HERMITIAN_TOL, PRIOR_SUM_TOL, STATE_NORM_TOL
+from qsdkit.states import MAX_QUBITS, POVM_HERMITIAN_TOL, PRIOR_SUM_TOL, STATE_NORM_TOL
 from conftest import random_density
 
 
@@ -93,6 +93,13 @@ class TestCoherentStates:
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):
             make_coherent_state(1.0, 0)
+
+    @pytest.mark.parametrize("num_qubits", [MAX_QUBITS + 1, 10 ** 18])
+    def test_rejects_too_many_qubits(self, num_qubits):
+        # Checked before 2**num_qubits levels are allocated.
+        with pytest.raises(ValueError, match=f"^num_qubits must be in 1..{MAX_QUBITS}, "
+                                             f"got {num_qubits}$"):
+            make_coherent_state(1.0, num_qubits)
 
 
 class TestBenchmarkTwoQubit:

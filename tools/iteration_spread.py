@@ -12,6 +12,8 @@ SHA-1 digests: ``program_sha1`` of the program as built (its blocks, ``c``,
 the scheme's labels) and ``x_sha1`` of the unperturbed solution's
 ``x.tobytes()``.  Two reports can then be diffed to check that a change
 keeps every program byte-identical, and to see which solves it moves.
+After the report the script exits 1, naming the rows, when a solve is not
+``optimal`` or a scheme's largest count exceeds twice its median.
 
 The instances are the coherent triple of ``qsd bench`` (λ = 0.01) at 2 to
 ``--max-qubits`` qubits and the two-qubit benchmark ensemble at λ = 0,
@@ -38,8 +40,8 @@ import sys
 import numpy as np
 import scipy
 
-from qsdkit import (ProblemSpec, SCHEME_NAMES, build_scheme, make_benchmark_two_qubit_states,
-                    solve, uqsd_reference)
+from qsdkit import (OPTIMAL, ProblemSpec, SCHEME_NAMES, build_scheme,
+                    make_benchmark_two_qubit_states, solve, uqsd_reference)
 from qsdkit.cli import _bench_spec
 from qsdkit.schemes import SCHEMES
 
@@ -63,8 +65,7 @@ def perturbed(program, rng):
 def program_sha1(scheme) -> str:
     """SHA-1 of a scheme's program and labels, shapes included."""
     program = scheme.program
-    offsets, rhs, *carriers = program.block_sum
-    carriers = carriers[0] if carriers else ()
+    offsets, rhs, carriers = program.block_sum
     digest = hashlib.sha1(repr((program.blocks, offsets, scheme.labels)).encode())
     for array in (program.c, program.A, program.b, program.quad_diag, rhs, *carriers):
         array = np.zeros(0) if array is None else np.ascontiguousarray(array)
@@ -113,6 +114,12 @@ def main(argv=None) -> int:
     }
     json.dump(report, sys.stdout, indent=1)
     sys.stdout.write("\n")
+    failed = [f"{r['instance']}:{r['scheme']} {r['statuses']}" for r in rows
+              if set(r["statuses"]) != {OPTIMAL}]
+    if failed or report["max_over_twice_median"]:
+        print(f"not optimal: {failed}; max over twice median: {report['max_over_twice_median']}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
