@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import INCONCLUSIVE, JOINT_NEGATIVE_TOL, JOINT_SUM_TOL, Povm, ProblemSpec, _readonly
+from .states import (CONDITIONING_MASS_FLOOR, INCONCLUSIVE, JOINT_NEGATIVE_TOL, JOINT_SUM_TOL,
+                     SUCCESS_MASS_FLOOR, Povm, ProblemSpec, _readonly)
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def outcome_stats(jd: JointDistribution) -> OutcomeStats:
 def error_to_success(jd: JointDistribution) -> float:
     """Ratio of misidentification to success mass; +inf when nothing succeeds."""
     stats = outcome_stats(jd)
-    if stats.p_succ <= 1e-15:
+    if stats.p_succ <= SUCCESS_MASS_FLOOR:
         return math.inf
     return stats.p_err / stats.p_succ
 
@@ -133,8 +134,8 @@ def lp_distance(a: JointDistribution, b: JointDistribution, ell: float) -> float
 def confidences(spec: ProblemSpec, povm: Povm, lam: float | None = None):
     """Per-state conditionals (p(Pi_i | rho_i), p(rho_i | Pi_i)).
 
-    Both conditionals are taken over conclusive outcomes only.  Entries whose
-    conditioning mass is below 1e-12 are reported as 1 (vacuously satisfied).
+    Both conditionals are taken over conclusive outcomes only.  An entry whose
+    conditioning mass is at most ``CONDITIONING_MASS_FLOOR`` is 1 (vacuous).
     """
     return _conditionals(joint_distribution(spec, povm, lam))
 
@@ -146,6 +147,7 @@ def _conditionals(jd: JointDistribution):
     hits = np.diagonal(e)
     row_mass = e[:, :k].sum(axis=1)
     col_mass = e[:, :k].sum(axis=0)
-    given_state = np.divide(hits, row_mass, out=np.ones(k), where=row_mass > 1e-12)
-    given_outcome = np.divide(hits, col_mass, out=np.ones(k), where=col_mass > 1e-12)
+    floor = CONDITIONING_MASS_FLOOR
+    given_state = np.divide(hits, row_mass, out=np.ones(k), where=row_mass > floor)
+    given_outcome = np.divide(hits, col_mass, out=np.ones(k), where=col_mass > floor)
     return given_state, given_outcome

@@ -13,25 +13,22 @@ variables.
 A program may also carry block-sum rows ``sum_j x[o_j : o_j + L] = r``
 (the completeness constraint of a POVM is one such set of rows).  A block may
 enter them through a column-orthonormal carrier ``N_j``, as
-``svec(N_j smat(x_j) N_j^+)``, which confines a POVM element to a subspace.
-The carrier blocks' part of the rows is one stored real matrix, column
-``t`` of block ``j`` being ``svec(N_j smat(e_t) N_j^+)``.  Without carriers
-the supports of the rows are disjoint and the affine step eliminates them in
-closed form; with carriers it factors an ``L x L`` matrix built from their
-Gram matrix, which is formed once.  Either way only the small Schur
-complement of the remaining rows of ``A`` is factored beside them, and both
-are refactored whenever the penalty changes.
+``svec(N_j smat(x_j) N_j^+)``, which confines a POVM element to a subspace;
+the affine step then writes the rows into ``A``.  Without carriers the rows
+have disjoint supports and the affine step eliminates them in closed form;
+only the small Schur complement of the rows of ``A`` is factored, and it is
+refactored whenever the penalty changes.
 
 The method is ADMM on the splitting ``f(x) = c'x + q-term + indicator{Ax=b}``,
 ``g(z) = indicator{z in K}``: an affine projection (block-sum rows solved
-through a diagonal or a cached factorization, the other rows through a cached
-Cholesky factorization of their Schur complement), a cone projection per
-block (eigenvalue clipping for PSD blocks), and a scaled dual update.  Every
-100 iterations residual balancing scales the penalty parameter by the square
-root of the residual ratio (OSQP's rule).  Safeguarded Anderson acceleration
-takes its weights from the normal equations of a Gram matrix that each
-iteration updates by one matrix-vector product.  Everything is
-deterministic: fixed zero initialization, no randomized internals.
+through a diagonal, the other rows through a cached Cholesky factorization
+of their Schur complement), a cone projection per block (eigenvalue
+clipping for PSD blocks), and a scaled dual update.  Every 100 iterations
+residual balancing scales the penalty parameter by the square root of the
+residual ratio (OSQP's rule).  Safeguarded Anderson acceleration takes its
+weights from the normal equations of a Gram matrix that each iteration
+updates by one matrix-vector product.  Everything is deterministic: fixed
+zero initialization, no randomized internals.
 
 Over a region of its domain the fixed-point map can be a translation: for
 hundreds of iterations ``z`` then moves by the same step while ``u`` stays
@@ -186,8 +183,7 @@ class ConeProgram:
     it is not given, and ``block_sum`` is ``None`` or the triple above, with
     ``carriers`` a tuple; the pair ``(offsets, rhs)`` is accepted for a
     block sum without carriers.  Every entry of ``c``, ``A``, ``b`` and
-    ``quad_diag`` must be finite, ``quad_diag`` nonnegative, and zero on
-    carrier blocks.
+    ``quad_diag`` must be finite, and ``quad_diag`` nonnegative.
     """
 
     blocks: tuple
@@ -263,8 +259,6 @@ class ConeProgram:
         if not dev <= CARRIER_ISOMETRY_TOL:
             raise ValueError(f"block_sum carrier at offset {off} is not column-orthonormal: "
                              f"||N^+N - I|| = {dev:.3e}")
-        if np.any(self.quad_diag[off:off + blk.size] != 0):
-            raise ValueError(f"quad_diag is nonzero on the carrier block at offset {off}")
         n.setflags(write=False)
         return n
 
@@ -341,84 +335,62 @@ class _ConeProjector:
         return out
 
 
-class _CarrierMaps:
-    """The block-sum rows of the carrier blocks as one real ``(L, sum_j r_j**2)`` matrix.
+def _dense_block_sum(program: ConeProgram) -> tuple:
+    """``(A, b, block_sum)`` of ``program``, a block sum with carriers written into ``A``.
 
-    ``index`` lists the carrier blocks' coordinates in the variable vector,
-    block after block, and ``rows`` the matching columns: column ``t`` of
-    block ``j`` is ``svec(N_j smat(e_t) N_j^+)``, the image of the basis
-    matrix ``smat(e_t)``, built in one batched product per block.  The sum
-    of the maps ``x_j -> svec(N_j smat(x_j) N_j^+)`` and its adjoint are
-    then products with ``rows``.  Their Gram matrix ``gram = rows rows'``
-    does not depend on the metric, since carrier blocks have no quadratic
-    term, so it is formed once.
+    A block sum without carriers comes back unchanged.  One with carriers
+    becomes the first ``L`` rows of ``A``, and ``block_sum`` ``None``: column
+    ``t`` of a carrier block is ``svec(N_j smat(e_t) N_j^+)``, built in one
+    batched product per block.
     """
-
-    def __init__(self, offsets, carriers):
-        index, parts = [], []
-        for off, n in zip(offsets, carriers):
-            if n is not None:
-                r = n.shape[1]
-                index.append(off + np.arange(r * r))
-                parts.append(_svec_batch(n @ _smat_batch(np.eye(r * r), r) @ n.conj().T))
-        self.index = np.concatenate(index)
-        self.rows = np.ascontiguousarray(np.concatenate(parts).T)
-        self.gram = self.rows @ self.rows.T
-
-    def forward(self, v: np.ndarray) -> np.ndarray:
-        """Sum of the maps applied to ``v`` (n,) or to each row of ``v`` (nb, n)."""
-        return v[..., self.index] @ self.rows.T
-
-    def add_adjoint(self, y: np.ndarray, out: np.ndarray) -> None:
-        """Add ``svec(N_j^+ smat(y) N_j)`` to block ``j`` of ``out`` (n,), for ``y`` (L,)."""
-        out[self.index] += y @ self.rows
+    if program.block_sum is None or all(n is None for n in program.block_sum[2]):
+        return program.A, program.b, program.block_sum
+    offsets, rhs, carriers = program.block_sum
+    rows = np.zeros((rhs.size, program.num_vars))
+    for off, n in zip(offsets, carriers):
+        if n is None:
+            rows[np.arange(rhs.size), off + np.arange(rhs.size)] = 1.0
+        else:
+            r = n.shape[1]
+            rows[:, off:off + r * r] = _svec_batch(n @ _smat_batch(np.eye(r * r), r) @ n.conj().T).T
+    return np.vstack([rows, program.A]), np.concatenate([rhs, program.b]), None
 
 
 class _AffineProjector:
     """Projection onto a program's constraint system in the metric ``D = diag(q) + rho*I``.
 
-    The constructor owns all row scaling.  The rows are the ``L`` block-sum
-    rows ``C``, then the rows ``R`` of ``A``, each scaled to unit norm by
-    :func:`_row_scale`: row ``t`` of ``C`` by ``s_t = 1/sqrt(m + |M_t|^2)``
-    for ``m`` plain blocks and row ``M_t`` of the carrier blocks' matrix
-    ``M`` (:class:`_CarrierMaps`).  A zero row of ``C`` gets ``s_t = 0``; a
-    zero row of ``A`` is dropped.  The multipliers ``mu`` of a point ``t``
-    solve ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  With
-    ``K = R D^-1 C'`` and ``Delta = C D^-1 C'`` only the Schur complement
-    ``S = R D^-1 R' - K Delta^-1 K'``, one row and column per row of ``A``,
-    is factored beside ``Delta``.  Without carriers the rows of ``C`` have
-    disjoint supports, so ``Delta`` is diagonal for any diagonal ``D``,
-    ``C x`` is a gather-sum over the blocks and ``C' mu`` a scatter.  With
-    carriers ``Delta = s (sum_plain D^-1 + M M' / rho) s`` is dense, built
-    from the stored ``M M'``, and ``C x`` and ``C' mu`` add the products
-    with ``M``.  A program without ``block_sum`` takes the same path with
-    ``L = 0``: the plain blocks' index array has shape ``(0, 0)``, ``rhs``
-    and ``Delta`` are empty, and ``S = R D^-1 R'``; with no rows at all the
-    step moves nothing.
+    The constructor writes a block sum with carriers into ``A``
+    (:func:`_dense_block_sum`) and owns all row scaling.  The rows are the
+    ``L`` rows ``C`` of a block sum without carriers, each scaled by
+    ``1/sqrt(m)`` for its ``m`` unit entries, then the rows ``R`` of ``A``,
+    each scaled to unit norm by :func:`_row_scale`, which drops a zero row.
+    The multipliers ``mu`` of a point ``t`` solve
+    ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  The rows of ``C`` have
+    disjoint supports, so ``Delta = C D^-1 C'`` is diagonal, ``C x`` is a
+    gather-sum over the blocks and ``C' mu`` a scatter.  With
+    ``K = R D^-1 C'`` only the Schur complement ``S = R D^-1 R' - K Delta^-1 K'``,
+    one row and column per row of ``A``, is factored.  Without ``block_sum``
+    ``L = 0``: the index array has shape ``(0, 0)``, ``rhs`` and ``Delta``
+    are empty, and ``S = R D^-1 R'``; with no rows at all the step moves
+    nothing.
 
-    :meth:`set_rho` factors ``S`` (at most 24 rows for a scheme program)
-    and, with carriers, ``Delta`` by Cholesky on every change of the
-    penalty.  Redundant rows are tolerated by falling back to a
-    pseudoinverse (least-squares multiplier).
+    :meth:`set_rho` sets the penalty of the metric, which :meth:`project`
+    reads, and factors ``S`` (at most 24 rows for a scheme program) by
+    Cholesky, or by a pseudoinverse (least-squares multiplier) when
+    redundant rows make it singular.
     """
 
     def __init__(self, program: ConeProgram):
-        scale = _row_scale(np.linalg.norm(program.A, axis=1), program.b)
+        A, b, block_sum = _dense_block_sum(program)
+        scale = _row_scale(np.linalg.norm(A, axis=1), b)
         keep = scale != 0.0
-        self.A = program.A[keep] * scale[keep, None]
+        self.A = A[keep] * scale[keep, None]
         self.AT = self.A.T.copy()
-        self.b = program.b[keep] * scale[keep]
+        self.b = b[keep] * scale[keep]
         self.quad = program.quad_diag
-        self.carriers = None
-        offsets, rhs, carriers = program.block_sum or ((), np.zeros(0), ())
-        if any(n is not None for n in carriers):
-            self.carriers = _CarrierMaps(offsets, carriers)
-            offsets = [o for o, n in zip(offsets, carriers) if n is None]
-            norms2 = len(offsets) + (self.carriers.rows ** 2).sum(axis=1)
-        else:
-            norms2 = np.full(rhs.size, float(len(offsets)))
-        self.scale = _row_scale(np.sqrt(norms2), rhs)
-        # (m, L) coordinates of the plain summed blocks: column t is row t's support.
+        offsets, rhs, _ = block_sum or ((), np.zeros(0), ())
+        self.scale = 1.0 / math.sqrt(max(len(offsets), 1))
+        # (m, L) coordinates of the summed blocks: column t is row t's support.
         self.index = np.asarray(offsets, dtype=np.intp)[:, None] + np.arange(rhs.size)
         self.rhs = rhs * self.scale
         self.rhs_norm = math.sqrt(self.b @ self.b + self.rhs @ self.rhs)
@@ -443,36 +415,20 @@ class _AffineProjector:
         return solve
 
     def set_rho(self, rho):
-        """Set up ``Delta^-1`` and the Schur complement solve for the metric of ``rho``.
-
-        ``_delta_inv(r)`` is ``Delta^-1 r`` for ``r`` of shape (L,) or (L, nb);
-        ``r`` is a temporary it may overwrite.
-        """
+        """Set the metric to the penalty ``rho``: ``D^-1``, ``Delta``, ``K`` and ``S``'s solve."""
+        self._rho = rho
         self._d_inv = d_inv = 1.0 / (self.quad + rho)
         a_dinv = self.A * d_inv
-        # Per row, D^-1 summed over the plain blocks: their share of Delta's diagonal.
-        plain = d_inv[self.index].sum(axis=0)
         self._k = self.scale * self._block_sums(a_dinv)
-        if self.carriers is None:
-            delta = self.scale * self.scale * plain
-            self._delta_inv = lambda r: (r.T / delta).T
-        else:
-            delta = self.carriers.gram / rho
-            delta[np.diag_indices_from(delta)] += plain
-            delta *= self.scale[:, None]
-            delta *= self.scale
-            self._delta_inv = self._make_solver(delta)
+        self._delta = self.scale * self.scale * d_inv[self.index].sum(axis=0)
         self._solve = None
         if self.b.size:
-            k_part = self._k @ self._delta_inv(self._k.T.copy())
+            k_part = self._k @ (self._k.T.copy() / self._delta[:, None])
             self._solve = self._make_solver(a_dinv @ self.AT - k_part)
 
     def _block_sums(self, v):
         """The unscaled block-sum rows applied to ``v`` (n,) or each row of ``v`` (nb, n)."""
-        sums = v[..., self.index].sum(axis=-2)
-        if self.carriers is not None:
-            sums = sums + self.carriers.forward(v)
-        return sums
+        return v[..., self.index].sum(axis=-2)
 
     def _multiplier_image(self, t):
         """``[C; R]' mu`` for the multipliers ``mu`` of the point ``t``.
@@ -480,22 +436,19 @@ class _AffineProjector:
         ``mu_C = Delta^-1 (C t - rhs - K' mu_R)``, where ``mu_R`` solves
         ``S mu_R = R t - b - K Delta^-1 (C t - rhs)``.
         """
-        mu_c = self._delta_inv(self.scale * self._block_sums(t) - self.rhs)
+        mu_c = (self.scale * self._block_sums(t) - self.rhs) / self._delta
         if self._solve is None:
             out = np.zeros_like(t)
         else:
             mu = self._solve(self.A @ t - self.b - self._k @ mu_c)
-            mu_c -= self._delta_inv(self._k.T @ mu)
+            mu_c -= (self._k.T @ mu) / self._delta
             out = self.AT @ mu
-        y = self.scale * mu_c
-        out[self.index] += y
-        if self.carriers is not None:
-            self.carriers.add_adjoint(y, out)
+        out[self.index] += self.scale * mu_c
         return out
 
-    def project(self, v, c, rho):
+    def project(self, v, c):
         """argmin c'x + q-term + (rho/2)||x - v||^2 subject to the constraints."""
-        t = self._d_inv * (rho * v - c)
+        t = self._d_inv * (self._rho * v - c)
         return t - self._d_inv * self._multiplier_image(t)
 
     def residual(self, x) -> float:
@@ -634,7 +587,7 @@ def _primal_drift(residual, residual_norm: float, previous, n: int) -> bool:
             and _norm(residual[n:]) <= bound and _norm(residual - previous) <= bound)
 
 
-def _no_optimum(residual, x, c, rho: float, project_cone, affine) -> bool:
+def _no_optimum(residual, x, c, project_cone, affine) -> bool:
     """Whether the fixed-point residual of ``w = (z, u)`` certifies that no optimum exists.
 
     ``s = residual[n:]`` certifies primal infeasibility when it is in K and
@@ -643,7 +596,7 @@ def _no_optimum(residual, x, c, rho: float, project_cone, affine) -> bool:
     ``d = -residual[:n]`` certifies unboundedness when it is in K, the rows
     and ``diag(q)`` annihilate it, and ``c'd < 0``.  Each membership holds
     to ``_DRIFT_RTOL`` of the vector's norm.  The difference
-    ``affine.project(v, 0, rho) - affine.project(0, 0, rho)`` projects
+    ``affine.project(v, 0) - affine.project(0, 0)`` projects
     ``rho D^-1 v`` onto the null space of the rows in the affine step's
     metric ``D``: it is zero exactly when ``v`` is in the row space, and
     ``v`` exactly when the rows and ``diag(q)`` annihilate ``v``.
@@ -652,7 +605,7 @@ def _no_optimum(residual, x, c, rho: float, project_cone, affine) -> bool:
 
     def holds(v, null_part):
         bound = _DRIFT_RTOL * _norm(v)
-        moved = affine.project(v, 0.0, rho) - affine.project(np.zeros(n), 0.0, rho)
+        moved = affine.project(v, 0.0) - affine.project(np.zeros(n), 0.0)
         return (_norm(moved - null_part) <= bound
                 and _norm(project_cone(v, out=np.empty(n)) - v) <= bound)
 
@@ -702,10 +655,10 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     affine.set_rho(rho)
     affine_tol = tol * (1.0 + affine.rhs_norm)
 
-    def step(w, penalty):
+    def step(w):
         """One splitting step from ``w = (z, u)``; returns ``x`` and ``F(w)``."""
         z, u = w[:n], w[n:]
-        x = affine.project(z - u, c, penalty)
+        x = affine.project(z - u, c)
         x_relaxed = _OVER_RELAX * x + (1.0 - _OVER_RELAX) * z
         fw = np.empty(2 * n)
         z_new = project_cone(x_relaxed + u, out=fw[:n])
@@ -721,7 +674,7 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     ray = 2.0  # length of the next ray step, in residuals
     status = MAX_ITERS
     for it in range(1, max_iters + 1):
-        x, fw = step(w, rho)
+        x, fw = step(w)
         z_new, u_new = fw[:n], fw[n:]
         z_norm, u_norm = _norm(z_new), _norm(u_new)
         residual = w - fw
@@ -743,7 +696,7 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         on_ray = False
         if _primal_drift(residual, residual_norm, previous, n):
             cand = w - ray * residual
-            _, fw_cand = step(cand, rho)
+            _, fw_cand = step(cand)
             on_ray = _norm(cand - fw_cand) <= (1.0 + _RAY_RTOL) * residual_norm
             ray = min(2.0 * ray, _RAY_MAX_STEP) if on_ray else 2.0
         previous = residual
@@ -755,7 +708,7 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
             anderson.push(fw, residual)
             cand = anderson.candidate()
             if cand is not None and _norm(cand) <= 1e4 * (1.0 + _norm(w)):
-                _, fw_cand = step(cand, rho)
+                _, fw_cand = step(cand)
                 if _norm(cand - fw_cand) < residual_norm:
                     fw = fw_cand
         w = fw
@@ -765,7 +718,7 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         # is untouched.  The fixed-point map changes with the penalty, so the
         # acceleration memory and the last residual are flushed.
         if it % 100 == 0:
-            if _no_optimum(residual, x, c, rho, project_cone, affine):
+            if _no_optimum(residual, x, c, project_cone, affine):
                 status = INFEASIBLE
                 break
             factor = _penalty_factor(pri_res, dual_res)

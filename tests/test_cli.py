@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from qsdkit import (SCHEME_NAMES, cli, confidences, depolarize, dilation, scheme
                     simulate_measurement, solve_scheme)
 from qsdkit.cli import main
 from qsdkit.schemes import SCHEMES
-from qsdkit.serialize import (read_isometry, read_json, read_povm, read_problem,
+from qsdkit.serialize import (povm_payload, read_isometry, read_json, read_povm, read_problem,
                               read_sweep_csv, validate_bench_report)
+from conftest import random_povm
 
 
 @pytest.fixture
@@ -638,3 +640,28 @@ class TestBenchCommand:
 
     def test_unknown_scheme_rejected(self):
         assert main(["bench", "--schemes", "med,warp"]) == 1
+
+
+def written_povm(tmp_path, size, k, **header):
+    """A POVM file of a random ``size``-dimensional POVM of ``k`` states, with ``header``."""
+    path = tmp_path / "input-povm.json"
+    path.write_text(json.dumps({**povm_payload(random_povm(size, k, np.random.default_rng(2))),
+                                **header}, default=np.ndarray.tolist))
+    return path
+
+
+@pytest.mark.parametrize("command, code, message", [
+    pytest.param(lambda tmp, problem: ["solve", "--problem", str(problem), "--scheme", "minl1",
+                                       "--reference", str(written_povm(tmp, 4, 2))],
+                 1, "POVM identifies 2 states, instance has 3", id="solve-reference-states"),
+    pytest.param(lambda tmp, problem: ["dilate", "--povm", str(written_povm(tmp, 2, 2, dim=4))],
+                 2, r"invalid POVM file: element shape \(2, 2\) does not match dim 4",
+                 id="dilate-element-shape"),
+    pytest.param(lambda tmp, problem: ["dilate", "--povm", str(written_povm(tmp, 3, 2))],
+                 1, "domain dimension 3 is not a power of two", id="dilate-dim-3"),
+])
+def test_rejected_input_file(tmp_path, problem_file, capsys, command, code, message):
+    out = tmp_path / "out.json"
+    assert main(command(tmp_path, problem_file) + ["--out", str(out)]) == code
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()

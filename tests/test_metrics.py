@@ -17,7 +17,9 @@ from qsdkit import (
     lp_distance,
     outcome_stats,
 )
-from qsdkit.states import JOINT_NEGATIVE_TOL, JOINT_SUM_TOL
+from qsdkit.metrics import _conditionals
+from qsdkit.states import (CONDITIONING_MASS_FLOOR, JOINT_NEGATIVE_TOL, JOINT_SUM_TOL,
+                           SUCCESS_MASS_FLOOR)
 from conftest import random_density, random_povm
 
 
@@ -148,6 +150,12 @@ class TestOutcomeStats:
                            np.eye(2, dtype=complex)), (0, 1, INCONCLUSIVE))
         assert error_to_success(joint_distribution(spec, all_inc, 0.0)) == math.inf
 
+    @pytest.mark.parametrize("scale, infinite", [(0.5, True), (2.0, False)])
+    def test_success_mass_floor(self, scale, infinite):
+        p_succ = scale * SUCCESS_MASS_FLOOR
+        jd = JointDistribution(np.array([[p_succ, 0.25, 0.25 - p_succ], [0.25, 0.0, 0.25]]))
+        assert (error_to_success(jd) == math.inf) == infinite
+
 
 class TestLpDistance:
     def test_identical(self):
@@ -199,3 +207,26 @@ class TestConfidences:
         given_state, given_outcome = confidences(spec, all_inc, 0.0)
         np.testing.assert_allclose(given_state, [1.0, 1.0])
         np.testing.assert_allclose(given_outcome, [1.0, 1.0])
+
+    @pytest.mark.parametrize("scale, vacuous", [(0.5, True), (2.0, False)])
+    def test_conditioning_mass_floor(self, scale, vacuous):
+        # State 0's conclusive row and outcome 0's column both hold the mass m,
+        # half of it a hit.
+        m = scale * CONDITIONING_MASS_FLOOR
+        jd = JointDistribution(np.array([[m / 2, m / 2, 0.5 - m], [m / 2, 0.25, 0.25 - m / 2]]))
+        given_state, given_outcome = _conditionals(jd)
+        expected = 1.0 if vacuous else 0.5
+        assert given_state[0] == expected and given_outcome[0] == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lp_distance(JointDistribution(np.full((2, 3), 1 / 6)),
+                         JointDistribution(np.full((3, 4), 1 / 12)), 1),
+     "different shapes"),
+    (lambda: joint_distribution(basis_problem(2), random_povm(2, 3, np.random.default_rng(1)),
+                                0.0),
+     "POVM identifies 3 states, instance has 2"),
+])
+def test_rejected_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

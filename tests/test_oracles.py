@@ -145,3 +145,27 @@ class TestBruteForce:
         spec = ProblemSpec.from_states([random_pure(4, rng) for _ in range(2)])
         with pytest.raises(ValueError):
             brute_force_qubit_povm(spec, "med")
+
+
+QUBIT = PureState(np.array([1.0, 0.0]))
+TWO_QUBIT = PureState(np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: helstrom_two_state(density_of(QUBIT), density_of(TWO_QUBIT), 0.5),
+                 "dimension mismatch", id="helstrom-dims"),
+    pytest.param(lambda: helstrom_two_state(density_of(QUBIT), density_of(QUBIT), 1.5),
+                 r"p1 must be in \[0, 1\]", id="helstrom-prior"),
+    pytest.param(lambda: uqsd_two_pure(QUBIT, TWO_QUBIT, 0.5),
+                 "dimension mismatch", id="uqsd-dims"),
+    pytest.param(lambda: uqsd_two_pure(QUBIT, QUBIT, -0.5),
+                 r"p1 must be in \[0, 1\]", id="uqsd-prior"),
+    pytest.param(lambda: brute_force_qubit_povm(ProblemSpec.from_states(zero_plus()), "uqsd"),
+                 "unsupported scheme 'uqsd'", id="brute-force-scheme"),
+    pytest.param(lambda: brute_force_qubit_povm(ProblemSpec.from_states(zero_plus()), "frio",
+                                                bound="exactly"),
+                 "bound must be at_least or at_most", id="brute-force-bound"),
+])
+def test_rejected_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

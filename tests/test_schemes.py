@@ -727,3 +727,16 @@ class TestSupportReduction:
         spec = ProblemSpec((density_of(PureState(np.array([1.0, 0.0]))), mixed),
                            np.array([0.5, 0.5]))
         assert build_scheme(spec, "uqsd").labels == labels
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: build_scheme(zero_plus_spec(), "minl1", reference=np.full((3, 4), 1 / 12)),
+                 "reference distribution has the wrong number of states", id="reference-states"),
+    pytest.param(lambda: schemes.build_fit_min_lp(zero_plus_spec(), 3, np.full((2, 3), 1 / 6)),
+                 "ell must be 1 or 2", id="ell"),
+    pytest.param(lambda: build_scheme(zero_plus_spec(), "helstrom"),
+                 "unknown scheme 'helstrom'", id="scheme-name"),
+])
+def test_rejected_parameters(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -462,3 +462,63 @@ class TestBenchSchema:
         mutation(report)
         with pytest.raises(ValueError):
             validate_bench_report(report)
+
+
+def read_edited(tmp_path, kind, edit):
+    """Write a valid ``kind`` file, apply ``edit`` to its JSON, and read it back.
+
+    An entry that ``edit`` sets to ``"1e999"`` is written as that bare number,
+    which JSON reads as infinity.
+    """
+    path = tmp_path / f"{kind}.json"
+    rng = np.random.default_rng(3)
+    if kind == "povm":
+        write_povm(path, random_povm(2, 2, rng))
+    elif kind == "problem":
+        write_problem(path, ProblemSpec.from_states(make_benchmark_two_qubit_states()))
+    else:
+        write_isometry(path, dilate(random_povm(2, 2, rng)))
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data).replace('"1e999"', "1e999"))
+    return {"povm": read_povm, "problem": read_problem, "isometry": read_isometry}[kind](path)
+
+
+def set_entry(value, *keys):
+    """An edit that sets the first real part of the matrix at ``keys`` to ``value``."""
+    def edit(data):
+        for key in keys:
+            data = data[key]
+        data[0][0][0] = value
+    return edit
+
+
+def read_sweep_text(tmp_path, text):
+    path = tmp_path / "sweep.csv"
+    path.write_text(text)
+    return read_sweep_csv(path)
+
+
+MATRICES = {"povm": ("elements", 1, "matrix"), "problem": ("states", 2, "matrix"),
+            "isometry": ("matrix",)}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    *(pytest.param(lambda tmp, kind=kind, value=value:
+                   read_edited(tmp, kind, set_entry(value, *MATRICES[kind])),
+                   ValueError, "matrix holds a non-finite entry", id=f"{kind}-{value}")
+      for kind in MATRICES for value in (math.nan, "1e999")),
+    pytest.param(lambda tmp: read_edited(tmp, "povm",
+                                         lambda d: d["elements"][0].update(label="maybe")),
+                 ValueError, "unknown label 'maybe'", id="povm-label"),
+    pytest.param(lambda tmp: canonical_dumps({1: 2.0}),
+                 TypeError, "keys must be strings", id="integer-key"),
+    pytest.param(lambda tmp: write_problem(tmp / "p.json", ProblemSpec.from_states(
+        [DensityMatrix(np.diag([1.0, 0.0, 0.0])), DensityMatrix(np.eye(3) / 3)])),
+                 ValueError, "power-of-two", id="problem-dim-3"),
+    pytest.param(lambda tmp: read_sweep_text(tmp, "lambda,p_succ\n"),
+                 ValueError, "unexpected sweep header", id="sweep-header"),
+])
+def test_rejected_input(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)

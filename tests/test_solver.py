@@ -269,7 +269,7 @@ def no_optimum(prog, x, s=None, d=None):
     z_half = np.zeros(n) if d is None else -np.asarray(d, dtype=float)
     u_half = np.zeros(n) if s is None else np.asarray(s, dtype=float)
     residual = np.concatenate([z_half, u_half])
-    return solver_module._no_optimum(residual, np.asarray(x, dtype=float), prog.c, 1.0,
+    return solver_module._no_optimum(residual, np.asarray(x, dtype=float), prog.c,
                                      _ConeProjector(prog.blocks), affine)
 
 
@@ -329,7 +329,7 @@ class TestAffineMetric:
         for quad in (None, np.zeros(n)):
             affine = solver_module._AffineProjector(dataclasses.replace(program, quad_diag=quad))
             affine.set_rho(rho)
-            steps.append(affine.project(v, program.c, rho))
+            steps.append(affine.project(v, program.c))
         np.testing.assert_array_equal(steps[0], steps[1])
 
 
@@ -666,7 +666,7 @@ def with_conclusive_penalty(program, weight):
     """``program`` plus a free ``s`` pinned to the conclusive trace, with ``weight * s**2``.
 
     The new row couples every carrier block, and the quadratic term makes
-    the affine step refactor ``Delta`` when the penalty changes.
+    the affine step's metric differ between blocks.
     """
     offsets, rhs, carriers = program.block_sum
     n = program.num_vars
@@ -704,16 +704,37 @@ def carrier_program(blocks, carriers, quad_diag=None):
                        block_sum=(tuple(offsets), svec(np.eye(2)), carriers))
 
 
+@dataclasses.dataclass(frozen=True)
+class UnknownCone:
+    size: int
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: ConeProgram(blocks=(NonNegCone(2),), c=np.zeros(2), A=np.ones((1, 3)),
+                                     b=np.zeros(1)),
+                 ValueError, r"constraint shape \(1, 3\) does not match \(1, 2\)",
+                 id="A-columns"),
+    pytest.param(lambda: carrier_program((PsdCone(1), PsdCone(2)), (np.ones((3, 1)), None)),
+                 ValueError, r"carrier at offset 0 has shape \(3, 1\); rhs of length 4 needs 2",
+                 id="carrier-rows"),
+    pytest.param(lambda: solve(ConeProgram(blocks=(UnknownCone(1),), c=np.zeros(1),
+                                           A=np.ones((1, 1)), b=np.ones(1))),
+                 TypeError, "unknown cone block", id="unknown-cone"),
+])
+def test_rejected_program(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestCarrierRows:
     @pytest.mark.parametrize("inst", ["ens", "tri2", "tri3", "mixed4", "wide16"])
     def test_uqsd_matches_dense_rows(self, inst):
         program = build_uqsd(carrier_spec(inst)).program
         assert program.A.shape[0] == 0 and len(program.block_sum) == 3
         expanded = expand_carriers(program)
-        offsets, rhs, carriers = program.block_sum
-        maps = solver_module._CarrierMaps(offsets, carriers)
-        np.testing.assert_allclose(maps.rows, expanded.A[:rhs.size, maps.index],
-                                   rtol=0, atol=1e-15)
+        rows = program.block_sum[1].size
+        np.testing.assert_allclose(solver_module._dense_block_sum(program)[0][:rows],
+                                   expanded.A[:rows], rtol=0, atol=1e-15)
         assert_same_solve(program, expanded)
 
     def test_mixed_carriers_have_unequal_ranks(self):
@@ -754,12 +775,15 @@ class TestCarrierRows:
         with pytest.raises(ValueError, match="offset 0 is not column-orthonormal"):
             carrier_program((PsdCone(1), PsdCone(2)), (np.array([[1.0], [1e-3]]), None))
 
-    def test_quad_diag_must_vanish_on_carrier_blocks(self):
-        blocks = (PsdCone(1), PsdCone(2))
-        carriers = (np.array([[0.0], [1.0]]), None)
-        carrier_program(blocks, carriers, quad_diag=np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
-        with pytest.raises(ValueError, match="nonzero on the carrier block at offset 0"):
-            carrier_program(blocks, carriers, quad_diag=np.array([1e-3, 0.0, 0.0, 0.0, 0.0]))
+    def test_quadratic_term_on_carrier_blocks(self):
+        program = build_uqsd(mixed_spec()).program
+        offsets, _, carriers = program.block_sum
+        quad = np.zeros(program.num_vars)
+        for off, carrier in zip(offsets, carriers):
+            if carrier is not None:
+                quad[off:off + carrier.shape[1] ** 2] = 0.5
+        program = dataclasses.replace(program, quad_diag=quad)
+        assert_same_solve(program, expand_carriers(program))
 
     def test_carrier_free_block_sum_stores_none_carriers(self):
         program = carrier_program((PsdCone(2), PsdCone(2)), (None, None))

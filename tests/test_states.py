@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -19,8 +20,12 @@ from qsdkit import (
     make_coherent_state,
     make_single_qubit_pair,
 )
+from qsdkit.serialize import read_problem
 from qsdkit.states import MAX_QUBITS, POVM_HERMITIAN_TOL, PRIOR_SUM_TOL, STATE_NORM_TOL
 from conftest import random_density
+
+ZERO = {"type": "pure", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+ONE = {"type": "pure", "amplitudes": [[0.0, 0.0], [1.0, 0.0]]}
 
 
 class TestDepolarizing:
@@ -262,3 +267,36 @@ class TestValidation:
         psi = PureState(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.5
+
+
+def read_problem_text(tmp_path, payload):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(payload))
+    return read_problem(path)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda tmp: read_problem_text(tmp, {"num_qubits": 1, "states": [ZERO]}),
+                 ValueError, "at least two states", id="problem-file-one-state"),
+    pytest.param(lambda tmp: read_problem_text(tmp, {"num_qubits": 1, "states": [ZERO, ONE],
+                                                     "priors": [1.0]}),
+                 ValueError, "one prior per state", id="problem-file-prior-count"),
+    pytest.param(lambda tmp: read_problem_text(tmp, {"num_qubits": 1, "states": [ZERO, ONE],
+                                                     "priors": [1.5, -0.5]}),
+                 ValueError, "nonnegative", id="problem-file-negative-prior"),
+    pytest.param(lambda tmp: read_problem_text(tmp, {"num_qubits": 2, "states": [
+        {"type": "benchmark2q", "a": [0.2, 0.5]}]}),
+                 ValueError, r"states\[0\]: need exactly three amplitudes",
+                 id="problem-file-two-amplitudes"),
+    pytest.param(lambda tmp: PureState(np.eye(2)[0]).overlap(PureState(np.eye(4)[0])),
+                 ValueError, "dimension mismatch", id="overlap-dims"),
+    pytest.param(lambda tmp: DensityMatrix(np.eye(2, 3)),
+                 ValueError, "must be square", id="density-not-square"),
+    pytest.param(lambda tmp: DepolarizingChannel(0.1, 0),
+                 ValueError, "dim must be >= 1", id="channel-dim-zero"),
+    pytest.param(lambda tmp: Povm(2, (np.eye(2),), (0,)).element(1),
+                 KeyError, "1", id="povm-missing-label"),
+])
+def test_rejected_input(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
