@@ -339,9 +339,8 @@ def _dense_block_sum(program: ConeProgram) -> tuple:
     """``(A, b, block_sum)`` of ``program``, a block sum with carriers written into ``A``.
 
     A block sum without carriers comes back unchanged.  One with carriers
-    becomes the first ``L`` rows of ``A``, and ``block_sum`` ``None``: column
-    ``t`` of a carrier block is ``svec(N_j smat(e_t) N_j^+)``, built in one
-    batched product per block.
+    becomes the first ``L`` rows of ``A``, and ``block_sum`` ``None``; column ``t``
+    of a carrier block is ``svec(N_j smat(e_t) N_j^+)``, one batched product per block.
     """
     if program.block_sum is None or all(n is None for n in program.block_sum[2]):
         return program.A, program.b, program.block_sum
@@ -423,6 +422,7 @@ class _AffineProjector:
         self._delta = self.scale * self.scale * d_inv[self.index].sum(axis=0)
         self._solve = None
         if self.b.size:
+            # A C-contiguous right operand: the transposed view rounds S differently.
             k_part = self._k @ (self._k.T.copy() / self._delta[:, None])
             self._solve = self._make_solver(a_dinv @ self.AT - k_part)
 

@@ -32,12 +32,12 @@ POVM_HERMITIAN_TOL = 1e-9
 JOINT_NEGATIVE_TOL = 1e-10
 JOINT_SUM_TOL = 1e-8
 POVM_PSD_TOL = 1e-7
+POVM_COMPLETENESS_TOL = 1e-7
+CARRIER_ISOMETRY_TOL = 1e-10
 #: Conditioning mass at or below which a conditional of ``metrics.confidences`` is 1,
 #: and success mass at or below which ``metrics.error_to_success`` is +inf.
 CONDITIONING_MASS_FLOOR = 1e-12
 SUCCESS_MASS_FLOOR = 1e-15
-POVM_COMPLETENESS_TOL = 1e-7
-CARRIER_ISOMETRY_TOL = 1e-10
 #: Eigenvalues of the noiseless states' sum at or below this lie off their
 #: support; the scheme programs lump that complement into one coordinate.
 SUPPORT_TOL = 1e-12
