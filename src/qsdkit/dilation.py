@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import JointDistribution, _fold, _mix
-from .states import INCONCLUSIVE, Povm, ProblemSpec, PureState
+from .states import INCONCLUSIVE, RANK1_TOL, Povm, ProblemSpec, PureState
 
 #: Outcome label for target-basis states outside the decomposition's range
 #: (collects the truncation deficit).
@@ -68,14 +68,6 @@ class Rank1Decomposition:
         for t in self.terms:
             counts[t.element] += 1
         return tuple(counts)
-
-    def reconstruct(self, element: int) -> np.ndarray:
-        """Sum of the rank-1 pieces belonging to one element."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for t in self.terms:
-            if t.element == element:
-                out += np.outer(t.vector, t.vector.conj())
-        return out
 
 
 @dataclass(frozen=True)
@@ -127,7 +119,7 @@ def _domain_qubits(dim: int) -> int:
     return n
 
 
-def decompose_rank1(povm: Povm, rank_tol: float | None = 1e-7) -> Rank1Decomposition:
+def decompose_rank1(povm: Povm, rank_tol: float | None = RANK1_TOL) -> Rank1Decomposition:
     """Split every POVM element into rank-1 pieces by eigendecomposition.
 
     Eigenpairs with eigenvalue above ``rank_tol`` are kept, largest first

@@ -46,10 +46,6 @@ class JointDistribution:
     def num_states(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def inconclusive_column(self) -> np.ndarray:
-        return self.entries[:, -1]
-
 
 @dataclass(frozen=True)
 class OutcomeStats:

@@ -3,10 +3,10 @@
 Each ``build_*`` function turns a :class:`~qsdkit.states.ProblemSpec` into a
 :class:`~qsdkit.solver.ConeProgram` whose variables are the POVM elements
 (one complex PSD block per element, plus slack blocks for inequality
-constraints).  The program's block-sum rows (POVM completeness) list the
-element blocks, and :func:`decode_povm` reads the elements from there back
-into a cleaned-up :class:`~qsdkit.states.Povm`; :func:`solve_scheme` bundles
-the whole round trip.
+constraints).  :class:`SchemeProgram` records where each element lives, and
+:func:`decode_povm` reads the elements from there back into a cleaned-up
+:class:`~qsdkit.states.Povm`; :func:`solve_scheme` bundles the whole round
+trip.
 
 Every program is built over the rank-``r`` support of the noiseless states
 plus one lumped coordinate for its complement when that makes it smaller
@@ -53,6 +53,8 @@ from .solver import (
     NonNegCone,
     PsdCone,
     Solution,
+    _smat_batch,
+    _svec_batch,
     psd_project,
     smat,
     solve,
@@ -73,19 +75,23 @@ class DecodeError(RuntimeError):
 class SchemeProgram:
     """A conic program together with the metadata needed to decode it.
 
-    The program's ``block_sum`` (the completeness rows) is the one record of
-    where each POVM element lives: entry ``t`` is the block at
-    ``offsets[t]``, entering the element as ``N M N^+`` when it has a
-    carrier ``N``.  ``labels[t]`` is the outcome label of entry ``t``.  A
-    conclusive label without an entry is an element that is identically
-    zero by construction.  ``basis`` is ``None`` when the blocks are ``dim``
-    wide, else the ``dim x r`` support basis ``V`` of :func:`_program_states`.
+    ``element_blocks`` is the one record of where each POVM element lives:
+    entry ``t`` is ``(offset, carrier)`` of the element labelled
+    ``labels[t]``, whose block starts at ``offset``.  ``carrier`` is
+    ``None`` for a block ``M`` that is the element itself, or a
+    column-orthonormal ``N`` that confines the element to ``N M N^+`` with
+    ``M`` in ``PsdCone(N.shape[1])``.  A conclusive label without an entry
+    is an element that is identically zero by construction.  ``basis`` is
+    ``None`` when the blocks without a carrier are ``dim`` wide, else the
+    ``dim x r`` support basis ``V`` of :func:`_program_states`, and those
+    blocks are ``r + 1`` wide.
     """
 
     program: ConeProgram
     dim: int
     num_states: int
     labels: tuple
+    element_blocks: tuple
     maximize: bool
     basis: np.ndarray | None = None
 
@@ -114,10 +120,17 @@ class _Assembler:
         self._obj = []
         self._quad = []
         self.block_sum = None
+        # Dense rows written, by assignment, before the rows of add_row.
+        self.lead = (np.zeros((0, 0)), np.zeros(0))
         self.basis = None
+        self.element_blocks = ()
+
+    @property
+    def num_vars(self) -> int:
+        return sum(self._sizes)
 
     def _add_block(self, block) -> int:
-        off = sum(self._sizes)
+        off = self.num_vars
         self._blocks.append(block)
         self._sizes.append(block.size)
         return off
@@ -144,19 +157,22 @@ class _Assembler:
         self._quad.append((off, np.atleast_1d(np.asarray(vec, dtype=float))))
 
     def build(self) -> ConeProgram:
-        n = sum(self._sizes)
+        n = self.num_vars
         c = np.zeros(n)
         for off, vec in self._obj:
             c[off:off + vec.size] += vec
-        A = np.zeros((len(self._rows), n))
-        for r, entries in enumerate(self._rows):
+        lead, lead_rhs = self.lead
+        m = lead.shape[0]
+        A = np.zeros((m + len(self._rows), n))
+        A[:m, :lead.shape[1]] = lead
+        for r, entries in enumerate(self._rows, start=m):
             for off, vec in entries:
                 A[r, off:off + vec.size] += vec
         quad = np.zeros(n)
         for off, vec in self._quad:
             quad[off:off + vec.size] += vec
         return ConeProgram(blocks=tuple(self._blocks), c=c, A=A,
-                           b=np.asarray(self._rhs), quad_diag=quad,
+                           b=np.concatenate([lead_rhs, self._rhs]), quad_diag=quad,
                            block_sum=self.block_sum)
 
 
@@ -218,6 +234,23 @@ def _lift(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis @ block[:r, :r] @ basis.conj().T + flat * (np.eye(d) - basis @ basis.conj().T)
 
 
+def _completeness_rows(element_blocks, size: int, width: int) -> np.ndarray:
+    """``sum_j svec(N_j M_j N_j^+) = svec(I)`` as ``size`` dense rows of ``width`` columns.
+
+    A block without a carrier enters row ``t`` with its coordinate ``t``;
+    column ``t`` of a carrier block is ``svec(N_j smat(e_t) N_j^+)``, one
+    batched product per block.
+    """
+    rows = np.zeros((size, width))
+    for off, n in element_blocks:
+        if n is None:
+            rows[np.arange(size), off + np.arange(size)] = 1.0
+        else:
+            r = n.shape[1]
+            rows[:, off:off + r * r] = _svec_batch(n @ _smat_batch(np.eye(r * r), r) @ n.conj().T).T
+    return rows
+
+
 def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool = True,
                      states=None, zero=(), carriers=None):
     """POVM element blocks at ``offs``; returns ``(asm, svecs, offs)``.
@@ -229,10 +262,10 @@ def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool
     per conclusive element: ``None``, or a column-orthonormal ``N_j`` with
     ``r_j`` columns that confines element ``j`` to ``N_j M_j N_j^+`` with
     block ``M_j`` in ``PsdCone(r_j)``.  Completeness, ``sum_j Pi_j = I``, is
-    recorded as the program's block-sum rows, with each element's carrier,
-    rather than as rows of ``A``.  With ``success`` the objective is minus
-    the success probability, ``-p_j svec(N_j^+ rho_j N_j)`` on a carrier
-    block.
+    the program's block-sum rows when no element has a carrier, and
+    otherwise the first rows of ``A`` (:func:`_completeness_rows`).  With
+    ``success`` the objective is minus the success probability,
+    ``-p_j svec(N_j^+ rho_j N_j)`` on a carrier block.
     """
     asm = _Assembler()
     asm.basis, identity, mats = states or _program_states(spec)
@@ -244,9 +277,12 @@ def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool
             for j in range(k)]
     if inconclusive:
         offs.append(asm.add_psd(n))
-    kept = [j for j, o in enumerate(offs) if o is not None]
-    asm.block_sum = (tuple(offs[j] for j in kept), svec(identity),
-                     tuple(carriers[j] for j in kept))
+    asm.element_blocks = tuple((o, carriers[j]) for j, o in enumerate(offs) if o is not None)
+    rhs = svec(identity)
+    if all(carrier is None for _, carrier in asm.element_blocks):
+        asm.block_sum = (tuple(o for o, _ in asm.element_blocks), rhs)
+    else:
+        asm.lead = _completeness_rows(asm.element_blocks, rhs.size, asm.num_vars), rhs
     if success:
         for i in range(k):
             if offs[i] is not None:
@@ -261,7 +297,7 @@ def _make_scheme(asm, spec, offs, maximize=True) -> SchemeProgram:
     k = spec.num_states
     labels = tuple(j for j in range(k) if offs[j] is not None)
     return SchemeProgram(asm.build(), spec.dim, k, labels + (INCONCLUSIVE,) * (len(offs) - k),
-                         maximize, asm.basis)
+                         asm.element_blocks, maximize, asm.basis)
 
 
 def build_med(spec: ProblemSpec) -> SchemeProgram:
@@ -289,7 +325,8 @@ def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
     states in the coordinates of :func:`_program_states`, so the carriers
     have ``r + 1`` rows over a reduced support.  :func:`_element_program`
     takes the kernel bases as the elements' carriers, so the completeness
-    rows read ``sum_j N_j M_j N_j^+ + Pi_inc = I`` and ``A`` has no rows.
+    rows ``sum_j N_j M_j N_j^+ + Pi_inc = I`` are the rows of ``A``, and the
+    program has no block-sum rows.
     An element whose kernel is empty, which happens for any full-rank noisy
     states, is a ``zero`` element.  Nontrivial solutions need linearly
     independent states; the program stays feasible regardless.
@@ -480,8 +517,8 @@ def scheme_value(scheme: SchemeProgram, solution: Solution) -> float:
 def decode_povm(scheme: SchemeProgram, solution: Solution) -> Povm:
     """Extract, clean up, and label the POVM from an ``optimal`` solution.
 
-    The elements are read from the program's block-sum entries, each under
-    its label in ``scheme.labels``, and come out in the order ``0..k-1``
+    The elements are read from ``scheme.element_blocks``, each under its
+    label in ``scheme.labels``, and come out in the order ``0..k-1``
     followed by the inconclusive element when the scheme has one; a
     conclusive label without an entry gets a zero element.  Each block is
     symmetrized and projected onto the PSD cone (and mapped through its
@@ -496,9 +533,8 @@ def decode_povm(scheme: SchemeProgram, solution: Solution) -> Povm:
                           f"primal residual {solution.primal_residual:.3e}, "
                           f"dual residual {solution.dual_residual:.3e}")
     d = scheme.dim
-    offsets, rhs, carriers = scheme.program.block_sum
-    n = math.isqrt(rhs.size)
-    entries = dict(zip(scheme.labels, zip(offsets, carriers)))
+    n = d if scheme.basis is None else scheme.basis.shape[1] + 1
+    entries = dict(zip(scheme.labels, scheme.element_blocks))
     labels = tuple(range(scheme.num_states)) + ((INCONCLUSIVE,) if INCONCLUSIVE in entries else ())
     elements = []
     for label in labels:

@@ -310,9 +310,11 @@ def read_isometry(path) -> DilationResult:
     target_qubits = _scalar(data, "target_qubits")
     matrix = decode_complex_matrix(data["matrix"], "matrix")
     outcome_map = tuple(_decode_label(l) for l in data["outcome_map"])
-    if matrix.shape[0] != 2 ** target_qubits:
-        raise ValueError(f"matrix has {matrix.shape[0]} rows, but target_qubits "
-                         f"{target_qubits} needs {2 ** target_qubits}")
+    rows = matrix.shape[0]
+    # Compared through the bit length: 2 ** target_qubits of a huge header is never formed.
+    if not (rows > 0 and rows & (rows - 1) == 0 and rows.bit_length() - 1 == target_qubits):
+        raise ValueError(f"matrix has {rows} rows, but target_qubits {target_qubits} "
+                         f"needs 2**{target_qubits}")
     if matrix.shape[1] != domain_dim:
         raise ValueError(f"matrix has {matrix.shape[1]} columns, but domain_dim "
                          f"is {domain_dim}")

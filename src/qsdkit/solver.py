@@ -11,11 +11,8 @@ Inequalities are expected to be encoded by the caller with nonnegative slack
 variables.
 
 A program may also carry block-sum rows ``sum_j x[o_j : o_j + L] = r``
-(the completeness constraint of a POVM is one such set of rows).  A block may
-enter them through a column-orthonormal carrier ``N_j``, as
-``svec(N_j smat(x_j) N_j^+)``, which confines a POVM element to a subspace;
-the affine step then writes the rows into ``A``.  Without carriers the rows
-have disjoint supports and the affine step eliminates them in closed form;
+(the completeness constraint of a POVM is one such set of rows).  The rows
+have disjoint supports, so the affine step eliminates them in closed form;
 only the small Schur complement of the rows of ``A`` is factored, and it is
 refactored whenever the penalty changes.
 
@@ -52,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .states import CARRIER_ISOMETRY_TOL, ZERO_ROW_NORM, ZERO_ROW_RHS_TOL
+from .states import DRIFT_RTOL, RAY_RTOL, ZERO_ROW_NORM, ZERO_ROW_RHS_TOL
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -169,21 +166,17 @@ class ConeProgram:
     """A conic program in the solver's standard form (minimization).
 
     The equality constraints are the rows of ``A x = b`` and, when
-    ``block_sum = (offsets, rhs, carriers)`` is given, the ``L = len(rhs)``
-    block-sum rows.  ``carriers`` has one entry per offset, ``None`` or a
-    column-orthonormal ``d x r`` carrier ``N_j`` with ``d * d = L``.  A
-    block without a carrier must have size ``L`` and enters row ``t`` with
-    its coordinate ``t``; the block of a carrier is ``PsdCone(r)`` and
-    enters the rows as ``svec(N_j smat(x_j) N_j^+)``, so the rows read
-    ``sum_j svec(N_j smat(x_j) N_j^+) = rhs``.  Each offset must start a
-    distinct block.  In the constraint system the block-sum rows come first,
-    then the rows of ``A``; ``A`` is dense and may have no rows.
+    ``block_sum = (offsets, rhs)`` is given, the ``L = len(rhs)`` block-sum
+    rows ``sum_j x[o_j : o_j + L] = rhs``.  Each offset must start a
+    distinct block of size ``L``.  In the constraint system the block-sum
+    rows come first, then the rows of ``A``; ``A`` is dense and may have no
+    rows.
 
     The program is stored in one form: ``quad_diag`` is a vector, zeros when
-    it is not given, and ``block_sum`` is ``None`` or the triple above, with
-    ``carriers`` a tuple; the pair ``(offsets, rhs)`` is accepted for a
-    block sum without carriers.  Every entry of ``c``, ``A``, ``b`` and
-    ``quad_diag`` must be finite, and ``quad_diag`` nonnegative.
+    it is not given, and ``block_sum`` is ``None`` or the pair above, with
+    ``offsets`` a tuple of ints and ``rhs`` a float vector.  Every entry of
+    ``c``, ``A``, ``b`` and ``quad_diag`` must be finite, and ``quad_diag``
+    nonnegative.
     """
 
     blocks: tuple
@@ -217,10 +210,11 @@ class ConeProgram:
         object.__setattr__(self, "b", b)
 
     def _check_block_sum(self) -> tuple:
-        offsets, rhs, *carriers = self.block_sum
+        if not isinstance(self.block_sum, tuple) or len(self.block_sum) != 2:
+            raise ValueError("block_sum must be None or the pair (offsets, rhs)")
+        offsets, rhs = self.block_sum
         offsets = tuple(int(o) for o in offsets)
         rhs = np.asarray(rhs, dtype=float).ravel()
-        carriers = tuple(carriers[0]) if carriers else (None,) * len(offsets)
         starts, off = {}, 0
         for blk in self.blocks:
             starts[off] = blk
@@ -229,38 +223,13 @@ class ConeProgram:
             raise ValueError("block_sum needs at least one offset")
         if len(set(offsets)) != len(offsets):
             raise ValueError(f"block_sum offsets {offsets} repeat a block")
-        if len(carriers) != len(offsets):
-            raise ValueError(f"block_sum has {len(carriers)} carriers for "
-                             f"{len(offsets)} offsets {offsets}")
-        checked = []
-        for o, carrier in zip(offsets, carriers):
+        for o in offsets:
             if o not in starts:
                 raise ValueError(f"block_sum offset {o} does not start a block")
-            if carrier is None:
-                if starts[o].size != rhs.size:
-                    raise ValueError(f"block_sum block at offset {o} has size {starts[o].size}, "
-                                     f"but rhs has length {rhs.size}")
-                checked.append(None)
-            else:
-                checked.append(self._check_carrier(o, starts[o], carrier, rhs.size))
-        return offsets, rhs, tuple(checked)
-
-    def _check_carrier(self, off: int, blk, carrier, rows: int) -> np.ndarray:
-        """The carrier of the block at ``off`` as a read-only complex copy."""
-        n = np.array(carrier, dtype=complex)
-        if n.ndim != 2 or n.shape[0] ** 2 != rows:
-            raise ValueError(f"block_sum carrier at offset {off} has shape {n.shape}; "
-                             f"rhs of length {rows} needs {math.isqrt(rows)} rows")
-        r = n.shape[1]
-        if blk != PsdCone(r):
-            raise ValueError(f"block_sum carrier at offset {off} has {r} columns, "
-                             f"but its block is {blk!r}, not PsdCone({r})")
-        dev = float(np.linalg.norm(n.conj().T @ n - np.eye(r)))
-        if not dev <= CARRIER_ISOMETRY_TOL:
-            raise ValueError(f"block_sum carrier at offset {off} is not column-orthonormal: "
-                             f"||N^+N - I|| = {dev:.3e}")
-        n.setflags(write=False)
-        return n
+            if starts[o].size != rhs.size:
+                raise ValueError(f"block_sum block at offset {o} has size {starts[o].size}, "
+                                 f"but rhs has length {rhs.size}")
+        return offsets, rhs
 
     @property
     def num_vars(self) -> int:
@@ -276,13 +245,7 @@ DEFAULT_MAX_ITERS = 200_000
 #: quadratic term starts it small, so the quadratic dominates the proximal step.
 _INITIAL_RHO, _INITIAL_RHO_QUAD = 1.0, 0.02
 _OVER_RELAX = 1.6  # over-relaxation factor of the splitting step
-# The ray step of :func:`solve`: the relative tolerance of a drift's repeated
-# residual and vanishing u half (and of :func:`_no_optimum`'s memberships), the
-# relative growth of the residual that a point tried along the drift may show
-# and still be on it, and the longest jump in multiples of the residual.
-_DRIFT_RTOL = 1e-6
-_RAY_RTOL = 1e-6
-_RAY_MAX_STEP = 1024.0
+_RAY_MAX_STEP = 1024.0  # the ray step's longest jump, in multiples of the residual
 
 OPTIMAL = "optimal"
 MAX_ITERS = "max_iters"
@@ -335,36 +298,14 @@ class _ConeProjector:
         return out
 
 
-def _dense_block_sum(program: ConeProgram) -> tuple:
-    """``(A, b, block_sum)`` of ``program``, a block sum with carriers written into ``A``.
-
-    A block sum without carriers comes back unchanged.  One with carriers
-    becomes the first ``L`` rows of ``A``, and ``block_sum`` ``None``; column ``t``
-    of a carrier block is ``svec(N_j smat(e_t) N_j^+)``, one batched product per block.
-    """
-    if program.block_sum is None or all(n is None for n in program.block_sum[2]):
-        return program.A, program.b, program.block_sum
-    offsets, rhs, carriers = program.block_sum
-    rows = np.zeros((rhs.size, program.num_vars))
-    for off, n in zip(offsets, carriers):
-        if n is None:
-            rows[np.arange(rhs.size), off + np.arange(rhs.size)] = 1.0
-        else:
-            r = n.shape[1]
-            rows[:, off:off + r * r] = _svec_batch(n @ _smat_batch(np.eye(r * r), r) @ n.conj().T).T
-    return np.vstack([rows, program.A]), np.concatenate([rhs, program.b]), None
-
-
 class _AffineProjector:
     """Projection onto a program's constraint system in the metric ``D = diag(q) + rho*I``.
 
-    The constructor writes a block sum with carriers into ``A``
-    (:func:`_dense_block_sum`) and owns all row scaling.  The rows are the
-    ``L`` rows ``C`` of a block sum without carriers, each scaled by
-    ``1/sqrt(m)`` for its ``m`` unit entries, then the rows ``R`` of ``A``,
-    each scaled to unit norm by :func:`_row_scale`, which drops a zero row.
-    The multipliers ``mu`` of a point ``t`` solve
-    ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  The rows of ``C`` have
+    The constructor owns all row scaling.  The rows are the ``L`` block-sum
+    rows ``C``, each scaled by ``1/sqrt(m)`` for its ``m`` unit entries,
+    then the rows ``R`` of ``A``, each scaled to unit norm by
+    :func:`_row_scale`, which drops a zero row.  The multipliers ``mu`` of a
+    point ``t`` solve ``[C; R] D^-1 [C; R]' mu = [C; R] t - rhs``.  The rows of ``C`` have
     disjoint supports, so ``Delta = C D^-1 C'`` is diagonal, ``C x`` is a
     gather-sum over the blocks and ``C' mu`` a scatter.  With
     ``K = R D^-1 C'`` only the Schur complement ``S = R D^-1 R' - K Delta^-1 K'``,
@@ -374,20 +315,19 @@ class _AffineProjector:
     nothing.
 
     :meth:`set_rho` sets the penalty of the metric, which :meth:`project`
-    reads, and factors ``S`` (at most 24 rows for a scheme program) by
-    Cholesky, or by a pseudoinverse (least-squares multiplier) when
-    redundant rows make it singular.
+    reads, and factors ``S`` (at most 25 rows for a scheme program of the
+    benchmark workloads) by Cholesky, or by a pseudoinverse (least-squares
+    multiplier) when redundant rows make it singular.
     """
 
     def __init__(self, program: ConeProgram):
-        A, b, block_sum = _dense_block_sum(program)
-        scale = _row_scale(np.linalg.norm(A, axis=1), b)
+        scale = _row_scale(np.linalg.norm(program.A, axis=1), program.b)
         keep = scale != 0.0
-        self.A = A[keep] * scale[keep, None]
+        self.A = program.A[keep] * scale[keep, None]
         self.AT = self.A.T.copy()
-        self.b = b[keep] * scale[keep]
+        self.b = program.b[keep] * scale[keep]
         self.quad = program.quad_diag
-        offsets, rhs, _ = block_sum or ((), np.zeros(0), ())
+        offsets, rhs = program.block_sum or ((), np.zeros(0))
         self.scale = 1.0 / math.sqrt(max(len(offsets), 1))
         # (m, L) coordinates of the summed blocks: column t is row t's support.
         self.index = np.asarray(offsets, dtype=np.intp)[:, None] + np.arange(rhs.size)
@@ -576,15 +516,20 @@ def _primal_drift(residual, residual_norm: float, previous, n: int) -> bool:
 
     It is when it is nonzero, repeats ``previous`` (the residual of the
     iteration before, or ``None``), and its ``u`` half ``residual[n:]``
-    vanishes, each to within ``_DRIFT_RTOL`` of ``residual_norm``: the
+    vanishes, each to within ``DRIFT_RTOL`` of ``residual_norm``: the
     iteration then moves ``z`` along a straight line by equal steps while
     ``u`` stays put.  A primal-infeasible program drifts in ``u`` instead.
     """
-    bound = _DRIFT_RTOL * residual_norm
+    bound = DRIFT_RTOL * residual_norm
     # The u half is tested first: it is the cheaper test, and the one that
     # fails on most iterations that are not a drift.
     return (previous is not None and residual_norm > 0.0
             and _norm(residual[n:]) <= bound and _norm(residual - previous) <= bound)
+
+
+def _on_ray(candidate_norm: float, residual_norm: float) -> bool:
+    """Whether a point tried along a drift, of residual norm ``candidate_norm``, is still on it."""
+    return candidate_norm <= (1.0 + RAY_RTOL) * residual_norm
 
 
 def _no_optimum(residual, x, c, project_cone, affine) -> bool:
@@ -595,7 +540,7 @@ def _no_optimum(residual, x, c, project_cone, affine) -> bool:
     iterate ``x`` (K is self-dual but on free blocks, where ``u`` is zero).
     ``d = -residual[:n]`` certifies unboundedness when it is in K, the rows
     and ``diag(q)`` annihilate it, and ``c'd < 0``.  Each membership holds
-    to ``_DRIFT_RTOL`` of the vector's norm.  The difference
+    to ``DRIFT_RTOL`` of the vector's norm.  The difference
     ``affine.project(v, 0) - affine.project(0, 0)`` projects
     ``rho D^-1 v`` onto the null space of the rows in the affine step's
     metric ``D``: it is zero exactly when ``v`` is in the row space, and
@@ -604,7 +549,7 @@ def _no_optimum(residual, x, c, project_cone, affine) -> bool:
     n = x.size
 
     def holds(v, null_part):
-        bound = _DRIFT_RTOL * _norm(v)
+        bound = DRIFT_RTOL * _norm(v)
         moved = affine.project(v, 0.0) - affine.project(np.zeros(n), 0.0)
         return (_norm(moved - null_part) <= bound
                 and _norm(project_cone(v, out=np.empty(n)) - v) <= bound)
@@ -626,11 +571,11 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
 
     Each iteration forms the fixed-point residual ``r = w - F(w)`` of the
     iterate ``w = (z, u)``.  When ``r`` repeats the previous iteration's and
-    its ``u`` half vanishes, each to within ``_DRIFT_RTOL`` of ``|r|``
+    its ``u`` half vanishes, each to within ``DRIFT_RTOL`` of ``|r|``
     (:func:`_primal_drift`), the iteration is drifting along a straight
     line, and a ray step tries ``w - t r`` at the cost of one more splitting
-    step.  If that point's residual norm is at most ``(1 + _RAY_RTOL) |r|``
-    it is still on the drift (past the region where the map is a
+    step.  If that point's residual norm is at most ``(1 + RAY_RTOL) |r|``
+    it is still on the drift (:func:`_on_ray`) (past the region where the map is a
     translation the residual grows): its image becomes the next iterate,
     ``t`` doubles up to ``_RAY_MAX_STEP`` and the Anderson memory is
     cleared.  Otherwise ``t`` returns to 2, its starting value, and the
@@ -697,7 +642,7 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         if _primal_drift(residual, residual_norm, previous, n):
             cand = w - ray * residual
             _, fw_cand = step(cand)
-            on_ray = _norm(cand - fw_cand) <= (1.0 + _RAY_RTOL) * residual_norm
+            on_ray = _on_ray(_norm(cand - fw_cand), residual_norm)
             ray = min(2.0 * ray, _RAY_MAX_STEP) if on_ray else 2.0
         previous = residual
         if on_ray:

@@ -33,7 +33,6 @@ JOINT_NEGATIVE_TOL = 1e-10
 JOINT_SUM_TOL = 1e-8
 POVM_PSD_TOL = 1e-7
 POVM_COMPLETENESS_TOL = 1e-7
-CARRIER_ISOMETRY_TOL = 1e-10
 #: Conditioning mass at or below which a conditional of ``metrics.confidences`` is 1,
 #: and success mass at or below which ``metrics.error_to_success`` is +inf.
 CONDITIONING_MASS_FLOOR = 1e-12
@@ -57,6 +56,15 @@ DECODE_COMPLETENESS_TOL = 1e-3
 #: A crossqsd posterior matrix with no eigenvalue above this (negative)
 #: level admits only a zero conclusive element.
 UNREACHABLE_POSTERIOR_EIG = -1e-9
+#: The solver's ray step: the relative tolerance of a drift's repeated residual
+#: and vanishing ``u`` half (and of its certificate memberships), and the
+#: relative growth of the residual that a point tried along the drift may show
+#: and still be on it.
+DRIFT_RTOL = 1e-6
+RAY_RTOL = 1e-6
+#: ``dilation.decompose_rank1`` drops a POVM element's eigenpairs with
+#: eigenvalue at or below this by default.
+RANK1_TOL = 1e-7
 #: Largest qubit count of a state built or read: one 4096 x 4096 complex matrix takes 268 MB.
 MAX_QUBITS = 12
 
@@ -250,6 +258,9 @@ class Povm:
     labels: tuple
 
     def __post_init__(self):
+        if not self.dim >= 1 or len(self.elements) == 0:
+            raise ValueError(f"a POVM needs dim >= 1 and at least one element, got dim "
+                             f"{self.dim} and {len(self.elements)} elements")
         elements = tuple(_readonly(np.asarray(e, dtype=complex)) for e in self.elements)
         labels = tuple(self.labels)
         if len(elements) != len(labels):

@@ -22,12 +22,22 @@ from qsdkit import (
     truncate,
     verify_dilation,
 )
+from qsdkit.states import RANK1_TOL
 from conftest import random_density, random_povm, random_problem, random_pure
 
 
 def basis_pvm(dim):
     return Povm(dim, tuple(np.diag(np.eye(dim)[i]).astype(complex) for i in range(dim)),
                 tuple(range(dim)))
+
+
+def reconstruct(dec, element):
+    """Sum of the rank-1 pieces of ``dec`` belonging to one element."""
+    out = np.zeros((dec.dim, dec.dim), dtype=complex)
+    for t in dec.terms:
+        if t.element == element:
+            out += np.outer(t.vector, t.vector.conj())
+    return out
 
 
 def trine_povm():
@@ -48,7 +58,7 @@ class TestDecompose:
         dec = decompose_rank1(trine_povm())
         assert dec.per_element_rank == (1, 1, 1)
         assert all(abs(t.sigma - 2.0 / 3.0) < 1e-12 for t in dec.terms)
-        total = sum(dec.reconstruct(i) for i in range(3))
+        total = sum(reconstruct(dec, i) for i in range(3))
         np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
 
     def test_degenerate_spectrum(self):
@@ -61,8 +71,14 @@ class TestDecompose:
     def test_keep_all_mode(self):
         dec = decompose_rank1(trine_povm(), rank_tol=None)
         assert dec.total_rank == 6  # every eigenpair of every element
-        np.testing.assert_allclose(sum(dec.reconstruct(i) for i in range(3)),
+        np.testing.assert_allclose(sum(reconstruct(dec, i) for i in range(3)),
                                    np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("factor, ranks", [(0.5, (1, 1)), (2.0, (2, 1))])
+    def test_default_rank_tol(self, factor, ranks):
+        eps = factor * RANK1_TOL
+        povm = Povm(2, (np.diag([1.0, eps]), np.diag([0.0, 1.0 - eps])), (0, 1))
+        assert decompose_rank1(povm).per_element_rank == ranks
 
     def test_sigmas_sorted_within_elements(self, rng):
         dec = decompose_rank1(random_povm(8, 3, rng))
@@ -336,10 +352,10 @@ class TestDilatedJointDistribution:
         for i, (p, rho) in enumerate(zip(spec.priors, spec.noisy_states())):
             r = rho.matrix
             deficit = 1.0 - float(np.trace(v @ r @ v.conj().T).real)
-            inc_mass = float(np.trace(r @ dec.reconstruct(inc_index)).real)
-            assert jd.inconclusive_column[i] == pytest.approx(p * (inc_mass + deficit), abs=1e-12)
+            inc_mass = float(np.trace(r @ reconstruct(dec, inc_index)).real)
+            assert jd.entries[i, -1] == pytest.approx(p * (inc_mass + deficit), abs=1e-12)
             for j in range(3):
-                kept = float(np.trace(r @ dec.reconstruct(j)).real)
+                kept = float(np.trace(r @ reconstruct(dec, j)).real)
                 assert jd.entries[i, j] == pytest.approx(p * kept, abs=1e-12)
             deficits.append(deficit)
         assert max(deficits) > 1e-3

@@ -117,15 +117,15 @@ class TestUqsd:
 
     def test_empty_kernels_decode_as_zero_elements(self):
         # Two pure states and a rank-3 mixed state in d=4: only the mixed
-        # state's element has a kernel to live in (rank 2), so the program
-        # holds two block-sum entries and decode fills in elements 0 and 1.
+        # state's element has a kernel to live in (rank 2), so the scheme
+        # holds two element blocks and decode fills in elements 0 and 1.
         e = np.eye(4)
         mixed = DensityMatrix(np.diag([0.0, 1.0, 1.0, 1.0]) / 3.0)
         spec = ProblemSpec((density_of(PureState(e[0])),
                             density_of(PureState((e[0] + e[1]) / math.sqrt(2.0))), mixed),
                            np.full(3, 1.0 / 3.0))
         scheme = build_scheme(spec, "uqsd")
-        offsets, _, carriers = scheme.program.block_sum
+        offsets, carriers = zip(*scheme.element_blocks)
         assert len(offsets) == 2
         assert carriers[0].shape == (4, 2) and carriers[1] is None
         assert scheme.labels == (2, INCONCLUSIVE)
@@ -585,7 +585,7 @@ def full_space_program(scheme):
     lifted coefficient matrix, and completeness reads ``svec(I)``.
     """
     program = scheme.program
-    offsets, rhs, _ = program.block_sum
+    offsets, rhs = program.block_sum
     d = scheme.dim
     lift = lift_map(scheme.basis)
     blocks, c, A, quad, new_offsets = [], [], [], [], []
@@ -611,7 +611,12 @@ def full_space_program(scheme):
 
 
 def full_space_uqsd(spec):
-    """The uqsd program with kernels and carriers of the full ``d x d`` noisy states."""
+    """The uqsd program with kernels and carriers of the full ``d x d`` noisy states.
+
+    Its completeness rows are the rows of ``A``: column ``t`` of a carrier
+    block is ``svec(N smat(e_t) N^+)``, and the inconclusive block enters
+    row ``t`` with its coordinate ``t``.
+    """
     d, k = spec.dim, spec.num_states
     mats = [rho.matrix for rho in spec.noisy_states()]
     blocks, c, offsets, carriers, off = [], [], [], [], 0
@@ -629,10 +634,13 @@ def full_space_uqsd(spec):
     blocks.append(PsdCone(d))
     offsets.append(off)
     c.append(np.zeros(d * d))
-    n = off + d * d
-    return ConeProgram(blocks=tuple(blocks), c=np.concatenate(c), A=np.zeros((0, n)),
-                       b=np.zeros(0),
-                       block_sum=(tuple(offsets), svec(np.eye(d)), tuple(carriers) + (None,)))
+    rows = np.zeros((d * d, off + d * d))
+    for off_j, n_j in zip(offsets, carriers):
+        r = n_j.shape[1]
+        for t in range(r * r):
+            rows[:, off_j + t] = svec(n_j @ smat(np.eye(r * r)[t], r) @ n_j.conj().T)
+    rows[:, off:] = np.eye(d * d)
+    return ConeProgram(blocks=tuple(blocks), c=np.concatenate(c), A=rows, b=svec(np.eye(d)))
 
 
 def flat_mixed_spec(eps):
@@ -658,7 +666,7 @@ class TestSupportReduction:
     def test_uqsd_matches_full_space_program(self):
         spec = _bench_spec(3, 0.0)
         scheme = build_scheme(spec, "uqsd")
-        _, _, carriers = scheme.program.block_sum
+        carriers = [n for _, n in scheme.element_blocks]
         assert [None if n is None else n.shape for n in carriers] == [(4, 2)] * 3 + [None]
         reduced = solve(scheme.program, acceleration=0)
         full = solve(full_space_uqsd(spec), acceleration=0)
@@ -695,8 +703,8 @@ class TestSupportReduction:
             for field in ("c", "A", "b"):
                 np.testing.assert_array_equal(getattr(ours[name].program, field),
                                               getattr(today.program, field))
-            np.testing.assert_array_equal(ours[name].program.block_sum[1],
-                                          today.program.block_sum[1])
+            pairs = [s.program.block_sum or ((), np.zeros(0)) for s in (ours[name], today)]
+            np.testing.assert_array_equal(pairs[0][1], pairs[1][1])
 
     @pytest.mark.parametrize("eps, width", [(2.0 * SUPPORT_TOL, 4), (0.5 * SUPPORT_TOL, 3)])
     def test_support_cut(self, eps, width):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -274,6 +275,20 @@ class TestIsometryHeader:
         with pytest.raises(ValueError, match=field):
             read_isometry(path)
 
+    @pytest.mark.parametrize("target_qubits", [10 ** 8, 10 ** 18, -1])
+    def test_target_qubits_out_of_range(self, tmp_path, rng, target_qubits):
+        # The check never forms 2 ** target_qubits, which took a second at 10**8
+        # and then failed on Python's int-to-string limit.
+        path = tmp_path / "iso.json"
+        write_isometry(path, dilate(random_povm(2, 2, rng)))
+        data = json.loads(path.read_text())
+        data["target_qubits"] = target_qubits
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"target_qubits {target_qubits} needs"):
+            read_isometry(path)
+        assert time.perf_counter() - start < 0.5
+
 
 class TestFileRoundTrips:
     def test_povm_file_bit_identical(self, tmp_path, rng):
@@ -511,6 +526,9 @@ MATRICES = {"povm": ("elements", 1, "matrix"), "problem": ("states", 2, "matrix"
     pytest.param(lambda tmp: read_edited(tmp, "povm",
                                          lambda d: d["elements"][0].update(label="maybe")),
                  ValueError, "unknown label 'maybe'", id="povm-label"),
+    pytest.param(lambda tmp: read_edited(tmp, "povm",
+                                         lambda d: d.update(dim=10 ** 6, elements=[])),
+                 ValueError, "at least one element", id="povm-no-elements"),
     pytest.param(lambda tmp: canonical_dumps({1: 2.0}),
                  TypeError, "keys must be strings", id="integer-key"),
     pytest.param(lambda tmp: write_problem(tmp / "p.json", ProblemSpec.from_states(

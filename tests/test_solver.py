@@ -26,7 +26,7 @@ from qsdkit import (
 )
 from qsdkit.cli import _bench_spec
 from qsdkit.solver import _AndersonMemory, _ConeProjector, _smat_batch, _svec_batch
-from qsdkit.states import ZERO_ROW_NORM, ZERO_ROW_RHS_TOL
+from qsdkit.states import DRIFT_RTOL, RAY_RTOL, ZERO_ROW_NORM, ZERO_ROW_RHS_TOL
 
 
 def random_hermitian(d, rng):
@@ -241,6 +241,19 @@ class TestPrimalDrift:
 
     def test_not_on_a_zero_residual(self):
         assert not primal_drift(np.zeros(6), np.zeros(6), 3)
+
+    @pytest.mark.parametrize("factor, fires", [(0.5, True), (2.0, False)])
+    def test_bounds_at_drift_rtol(self, factor, fires):
+        # A u half, and a change from the previous residual, of factor *
+        # DRIFT_RTOL relative to a residual of norm about 1.
+        r = np.array([1.0, 0.0, 0.0, 0.0, 0.0, factor * DRIFT_RTOL])
+        assert primal_drift(r, r, 3) == fires
+        r[5] = 0.0
+        assert primal_drift(r, r + [0.0, factor * DRIFT_RTOL, 0.0, 0.0, 0.0, 0.0], 3) == fires
+
+    @pytest.mark.parametrize("factor, on_ray", [(0.5, True), (2.0, False)])
+    def test_ray_acceptance_at_ray_rtol(self, factor, on_ray):
+        assert solver_module._on_ray(1.0 + factor * RAY_RTOL, 1.0) == on_ray
 
     def test_primal_infeasible_program_drifts_in_u(self, monkeypatch):
         # x >= 0 with x = -1: the residuals repeat, but in u, so no ray step fires.
@@ -555,7 +568,7 @@ class TestSolve:
 
 def expand_block_sum(program):
     """The same program with its block-sum rows written as dense rows of A, first."""
-    offsets, rhs, _ = program.block_sum
+    offsets, rhs = program.block_sum
     rows = np.zeros((rhs.size, program.num_vars))
     for off in offsets:
         rows[:, off:off + rhs.size] += np.eye(rhs.size)
@@ -608,23 +621,24 @@ class TestBlockSum:
         assert abs(result.value - srm) <= 1e-8
 
 
-def expand_carriers(program):
-    """The program with its carrier block-sum rows written as dense rows of A, first.
+def expand_carriers(scheme):
+    """The scheme's program with its completeness rows rewritten here, first in A.
 
-    Column ``t`` of a carrier block's part is ``svec(N smat(e_t) N^+)``, one
-    basis matrix at a time.
+    An element block without a carrier enters row ``t`` with its coordinate
+    ``t``; column ``t`` of a carrier block's part is ``svec(N smat(e_t) N^+)``,
+    one basis matrix at a time.
     """
-    offsets, rhs, carriers = program.block_sum
-    rows = np.zeros((rhs.size, program.num_vars))
-    for off, n in zip(offsets, carriers):
-        if n is None:
-            rows[:, off:off + rhs.size] += np.eye(rhs.size)
+    program = scheme.program
+    n = scheme.dim if scheme.basis is None else scheme.basis.shape[1] + 1
+    rows = np.zeros((n * n, program.num_vars))
+    for off, carrier in scheme.element_blocks:
+        if carrier is None:
+            rows[:, off:off + n * n] += np.eye(n * n)
             continue
-        r = n.shape[1]
+        r = carrier.shape[1]
         for t in range(r * r):
-            rows[:, off + t] += svec(n @ smat(np.eye(r * r)[t], r) @ n.conj().T)
-    return ConeProgram(blocks=program.blocks, c=program.c, A=np.vstack([rows, program.A]),
-                       b=np.concatenate([rhs, program.b]), quad_diag=program.quad_diag)
+            rows[:, off + t] += svec(carrier @ smat(np.eye(r * r)[t], r) @ carrier.conj().T)
+    return dataclasses.replace(program, A=np.vstack([rows, program.A[n * n:]]))
 
 
 def mixed_spec():
@@ -652,6 +666,9 @@ def wide_spec():
     return ProblemSpec(tuple(states), np.full(3, 1 / 3), 0.0)
 
 
+CARRIER_INSTANCES = ["ens", "tri2", "tri3", "mixed4", "wide16"]
+
+
 def carrier_spec(inst):
     if inst == "wide16":
         return wide_spec()
@@ -662,16 +679,15 @@ def carrier_spec(inst):
     return _bench_spec(int(inst[-1]), 0.0)
 
 
-def with_conclusive_penalty(program, weight):
+def with_conclusive_penalty(program, element_blocks, weight):
     """``program`` plus a free ``s`` pinned to the conclusive trace, with ``weight * s**2``.
 
     The new row couples every carrier block, and the quadratic term makes
     the affine step's metric differ between blocks.
     """
-    offsets, rhs, carriers = program.block_sum
     n = program.num_vars
     row = np.zeros(n + 1)
-    for off, carrier in zip(offsets, carriers):
+    for off, carrier in element_blocks:
         if carrier is not None:
             r = carrier.shape[1]
             row[off:off + r * r] = svec(np.eye(r))
@@ -686,7 +702,7 @@ def with_conclusive_penalty(program, weight):
 
 
 def assert_same_solve(program, expanded):
-    """The structured step and the dense rows take the same path (no acceleration)."""
+    """The assembled rows and the test's own rows take the same path (no acceleration)."""
     structured = solve(program, acceleration=0)
     dense = solve(expanded, acceleration=0)
     assert structured.status == dense.status == OPTIMAL
@@ -694,14 +710,6 @@ def assert_same_solve(program, expanded):
     assert abs(structured.objective - dense.objective) <= 1e-12
     residual = np.linalg.norm(expanded.A @ structured.x - expanded.b)
     assert residual <= 1e-8 * (1 + np.linalg.norm(expanded.b))
-
-
-def carrier_program(blocks, carriers, quad_diag=None):
-    n = sum(blk.size for blk in blocks)
-    offsets = np.cumsum([0] + [blk.size for blk in blocks[:-1]])
-    return ConeProgram(blocks=blocks, c=np.zeros(n), A=np.zeros((0, n)), b=np.zeros(0),
-                       quad_diag=quad_diag,
-                       block_sum=(tuple(offsets), svec(np.eye(2)), carriers))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -714,9 +722,12 @@ class UnknownCone:
                                      b=np.zeros(1)),
                  ValueError, r"constraint shape \(1, 3\) does not match \(1, 2\)",
                  id="A-columns"),
-    pytest.param(lambda: carrier_program((PsdCone(1), PsdCone(2)), (np.ones((3, 1)), None)),
-                 ValueError, r"carrier at offset 0 has shape \(3, 1\); rhs of length 4 needs 2",
-                 id="carrier-rows"),
+    pytest.param(lambda: ConeProgram(blocks=(PsdCone(1), PsdCone(2)), c=np.zeros(5),
+                                     A=np.zeros((0, 5)), b=np.zeros(0),
+                                     block_sum=((0, 1), svec(np.eye(2)),
+                                                (np.array([[1.0], [0.0]]), None))),
+                 ValueError, r"block_sum must be None or the pair \(offsets, rhs\)",
+                 id="block-sum-triple"),
     pytest.param(lambda: solve(ConeProgram(blocks=(UnknownCone(1),), c=np.zeros(1),
                                            A=np.ones((1, 1)), b=np.ones(1))),
                  TypeError, "unknown cone block", id="unknown-cone"),
@@ -727,73 +738,73 @@ def test_rejected_program(call, error, message):
 
 
 class TestCarrierRows:
-    @pytest.mark.parametrize("inst", ["ens", "tri2", "tri3", "mixed4", "wide16"])
+    """uqsd's completeness rows, written into ``A`` by the scheme assembly."""
+
+    @pytest.mark.parametrize("inst", CARRIER_INSTANCES)
     def test_uqsd_matches_dense_rows(self, inst):
-        program = build_uqsd(carrier_spec(inst)).program
-        assert program.A.shape[0] == 0 and len(program.block_sum) == 3
-        expanded = expand_carriers(program)
-        rows = program.block_sum[1].size
-        np.testing.assert_allclose(solver_module._dense_block_sum(program)[0][:rows],
-                                   expanded.A[:rows], rtol=0, atol=1e-15)
+        scheme = build_uqsd(carrier_spec(inst))
+        program = scheme.program
+        expanded = expand_carriers(scheme)
+        rows = expanded.A.shape[0]
+        assert program.block_sum is None and program.A.shape[0] == rows
+        np.testing.assert_allclose(program.A[:rows], expanded.A[:rows], rtol=0, atol=1e-15)
         assert_same_solve(program, expanded)
 
     def test_mixed_carriers_have_unequal_ranks(self):
-        _, _, carriers = build_uqsd(mixed_spec()).program.block_sum
+        carriers = [n for _, n in build_uqsd(mixed_spec()).element_blocks]
         assert [None if n is None else n.shape[1] for n in carriers] == [1, 1, 2, None]
 
     def test_coupling_rows_and_quadratic_term(self):
-        program = with_conclusive_penalty(build_uqsd(mixed_spec()).program, weight=0.5)
-        assert_same_solve(program, expand_carriers(program))
-
-    @pytest.mark.parametrize("covered_rhs", [0, 1 << 18])
-    def test_uncovered_rows(self, covered_rhs):
-        # One carrier |0> covers only the (0, 0) row; the other rows read 0 = rhs,
-        # whether the covered row's rhs is zero or large.
-        carrier = (np.array([[1.0], [0.0]]),)
-        rhs = svec(np.diag([float(covered_rhs), 0.0]))
-        program = ConeProgram(blocks=(PsdCone(1),), c=np.ones(1), A=np.zeros((0, 1)),
-                              b=np.zeros(0), block_sum=((0,), rhs, carrier))
-        sol = solve(program)
-        assert sol.status == OPTIMAL
-        assert abs(sol.x[0] - covered_rhs) <= 1e-8 * (1 + covered_rhs)
-        inconsistent = ConeProgram(blocks=(PsdCone(1),), c=np.ones(1), A=np.zeros((0, 1)),
-                                   b=np.zeros(0), block_sum=((0,), svec(np.eye(2)), carrier))
-        with pytest.raises(ValueError, match="inconsistent zero row"):
-            solve(inconsistent)
+        scheme = build_uqsd(mixed_spec())
+        assert_same_solve(with_conclusive_penalty(scheme.program, scheme.element_blocks, 0.5),
+                          with_conclusive_penalty(expand_carriers(scheme),
+                                                  scheme.element_blocks, 0.5))
 
     def test_carrier_count_must_match_offsets(self):
-        with pytest.raises(ValueError, match="1 carriers for 2 offsets"):
-            carrier_program((PsdCone(1), PsdCone(2)), (np.array([[1.0], [0.0]]),))
+        # One (offset, carrier) per label, offsets increasing from the first block.
+        for inst in CARRIER_INSTANCES:
+            scheme = build_uqsd(carrier_spec(inst))
+            offsets = [off for off, _ in scheme.element_blocks]
+            assert len(offsets) == len(scheme.labels) and offsets[0] == 0
+            assert offsets == sorted(set(offsets))
 
     def test_carrier_block_must_be_psd_of_its_rank(self):
-        with pytest.raises(ValueError, match="offset 0 has 1 columns.*not PsdCone\\(1\\)"):
-            carrier_program((NonNegCone(1), PsdCone(2)), (np.array([[1.0], [0.0]]), None))
-        with pytest.raises(ValueError, match="offset 4 has 1 columns.*not PsdCone\\(1\\)"):
-            carrier_program((PsdCone(2), PsdCone(2)), (None, np.array([[1.0], [0.0]])))
+        for inst in CARRIER_INSTANCES:
+            scheme = build_uqsd(carrier_spec(inst))
+            blocks = scheme.program.blocks
+            starts = dict(zip(np.cumsum([0] + [blk.size for blk in blocks]), blocks))
+            for off, carrier in scheme.element_blocks:
+                if carrier is not None:
+                    assert starts[off] == PsdCone(carrier.shape[1])
 
     def test_carrier_must_be_column_orthonormal(self):
-        with pytest.raises(ValueError, match="offset 0 is not column-orthonormal"):
-            carrier_program((PsdCone(1), PsdCone(2)), (np.array([[1.0], [1e-3]]), None))
+        for inst in CARRIER_INSTANCES:
+            for _, carrier in build_uqsd(carrier_spec(inst)).element_blocks:
+                if carrier is not None:
+                    r = carrier.shape[1]
+                    assert np.linalg.norm(carrier.conj().T @ carrier - np.eye(r)) <= 1e-10
 
     def test_quadratic_term_on_carrier_blocks(self):
-        program = build_uqsd(mixed_spec()).program
-        offsets, _, carriers = program.block_sum
-        quad = np.zeros(program.num_vars)
-        for off, carrier in zip(offsets, carriers):
+        scheme = build_uqsd(mixed_spec())
+        quad = np.zeros(scheme.program.num_vars)
+        for off, carrier in scheme.element_blocks:
             if carrier is not None:
                 quad[off:off + carrier.shape[1] ** 2] = 0.5
-        program = dataclasses.replace(program, quad_diag=quad)
-        assert_same_solve(program, expand_carriers(program))
+        assert_same_solve(dataclasses.replace(scheme.program, quad_diag=quad),
+                          dataclasses.replace(expand_carriers(scheme), quad_diag=quad))
 
     def test_carrier_free_block_sum_stores_none_carriers(self):
-        program = carrier_program((PsdCone(2), PsdCone(2)), (None, None))
-        assert program.block_sum[2] == (None, None)
+        scheme = build_scheme(mixed_spec(), "med_plus")
+        offsets, rhs = scheme.program.block_sum
+        assert offsets == tuple(off for off, _ in scheme.element_blocks)
+        assert [carrier for _, carrier in scheme.element_blocks] == [None] * 4
+        np.testing.assert_array_equal(rhs, svec(np.eye(4)))
 
     def test_six_qubit_uqsd_matches_chefles_barnett(self):
         # Equiprobable symmetric pure states: P = lambda_min of their Gram matrix.
         spec = _bench_spec(6, 0.0)
         result = solve_scheme(spec, "uqsd")
-        assert result.scheme.program.A.shape[0] == 0
+        assert result.scheme.program.A.shape[0] == 16  # L: the 4x4 reduced blocks
         assert result.solution.status == OPTIMAL
         vecs = np.stack([np.linalg.eigh(s.matrix)[1][:, -1] for s in spec.states])
         gram = vecs.conj() @ vecs.T

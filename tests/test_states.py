@@ -294,6 +294,10 @@ def read_problem_text(tmp_path, payload):
                  ValueError, "must be square", id="density-not-square"),
     pytest.param(lambda tmp: DepolarizingChannel(0.1, 0),
                  ValueError, "dim must be >= 1", id="channel-dim-zero"),
+    pytest.param(lambda tmp: Povm(0, (), ()),
+                 ValueError, "dim >= 1 and at least one element", id="povm-empty"),
+    pytest.param(lambda tmp: Povm(2, (), ()),
+                 ValueError, "dim >= 1 and at least one element", id="povm-no-elements"),
     pytest.param(lambda tmp: Povm(2, (np.eye(2),), (0,)).element(1),
                  KeyError, "1", id="povm-missing-label"),
 ])

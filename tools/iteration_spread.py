@@ -8,8 +8,8 @@ direction (fixed seeds), and prints one JSON report: the unperturbed count,
 the median and maximum over the copies, the largest deviation of a copy's
 objective from the unperturbed one, the program's variable count, and two
 SHA-1 digests: ``program_sha1`` of the program as built (its blocks, ``c``,
-``A``, ``b``, ``quad_diag``, the block-sum offsets, rhs and carriers, and
-the scheme's labels) and ``x_sha1`` of the unperturbed solution's
+``A``, ``b``, ``quad_diag``, the block-sum rhs, and the scheme's labels and
+element offsets and carriers) and ``x_sha1`` of the unperturbed solution's
 ``x.tobytes()``.  Two reports can then be diffed to check that a change
 keeps every program byte-identical, and to see which solves it moves.
 After the report the script exits 1, naming the rows, when a solve is not
@@ -65,7 +65,8 @@ def perturbed(program, rng):
 def program_sha1(scheme) -> str:
     """SHA-1 of a scheme's program and labels, shapes included."""
     program = scheme.program
-    offsets, rhs, carriers = program.block_sum
+    offsets, carriers = zip(*scheme.element_blocks)
+    rhs = None if program.block_sum is None else program.block_sum[1]
     digest = hashlib.sha1(repr((program.blocks, offsets, scheme.labels)).encode())
     for array in (program.c, program.A, program.b, program.quad_diag, rhs, *carriers):
         array = np.zeros(0) if array is None else np.ascontiguousarray(array)
