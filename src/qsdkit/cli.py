@@ -52,7 +52,7 @@ from .serialize import (
     write_sweep_csv,
 )
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_TOL
-from .states import ProblemSpec, make_coherent_state
+from .states import MAX_QUBITS, ProblemSpec, make_coherent_state
 
 
 class UsageError(Exception):
@@ -241,6 +241,11 @@ def cmd_bench(args) -> int:
     for name in schemes:
         if name not in SCHEME_NAMES:
             raise UsageError(f"unknown scheme {name!r}")
+    # Checked before any solve: a size beyond MAX_QUBITS would otherwise be
+    # refused only after every smaller size had been solved.
+    if not 1 <= args.min_qubits <= args.max_qubits <= MAX_QUBITS:
+        raise UsageError(f"need 1 <= --min-qubits <= --max-qubits <= {MAX_QUBITS}, "
+                         f"got {args.min_qubits} and {args.max_qubits}")
     rows = []
     started = time.perf_counter()
     budget_hit = False

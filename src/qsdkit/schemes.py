@@ -2,8 +2,10 @@
 
 Each ``build_*`` function turns a :class:`~qsdkit.states.ProblemSpec` into a
 :class:`~qsdkit.solver.ConeProgram` whose variables are the POVM elements
-(one complex PSD block per element, plus slack blocks for inequality
-constraints).  :class:`SchemeProgram` records where each element lives, and
+(one complex PSD block per element) and the scheme's auxiliary variables.
+Every row of ``A`` is written by ``_Assembler.add_row``; an inequality is
+one row whose ``slack`` argument gives it a ``NonNegCone(1)`` variable of
+its own.  :class:`SchemeProgram` records where each element lives, and
 :func:`decode_povm` reads the elements from there back into a cleaned-up
 :class:`~qsdkit.states.Povm`; :func:`solve_scheme` bundles the whole round
 trip.
@@ -110,29 +112,23 @@ class SchemeResult:
 
 
 class _Assembler:
-    """Accumulates cone blocks, equality rows, and objective terms."""
+    """Accumulates cone blocks, rows of ``A``, and objective terms."""
 
     def __init__(self):
         self._blocks = []
-        self._sizes = []
+        self.num_vars = 0
         self._rows = []
         self._rhs = []
         self._obj = []
         self._quad = []
         self.block_sum = None
-        # Dense rows written, by assignment, before the rows of add_row.
-        self.lead = (np.zeros((0, 0)), np.zeros(0))
         self.basis = None
         self.element_blocks = ()
-
-    @property
-    def num_vars(self) -> int:
-        return sum(self._sizes)
 
     def _add_block(self, block) -> int:
         off = self.num_vars
         self._blocks.append(block)
-        self._sizes.append(block.size)
+        self.num_vars += block.size
         return off
 
     def add_psd(self, dim: int) -> int:
@@ -144,8 +140,15 @@ class _Assembler:
     def add_free(self, count: int = 1) -> int:
         return self._add_block(FreeCone(count))
 
-    def add_row(self, entries, rhs: float):
-        """One equality row; ``entries`` is a list of (offset, coefficient vector)."""
+    def add_row(self, entries, rhs: float, slack: float | None = None):
+        """One row of ``A``; ``entries`` is a list of (offset, coefficient vector).
+
+        With ``slack`` the row is an inequality: a new ``NonNegCone(1)``
+        variable enters it with coefficient ``slack``, so ``-1`` states
+        ``entries >= rhs`` and ``+1`` states ``entries <= rhs``.
+        """
+        if slack is not None:
+            entries = [*entries, (self.add_nonneg(), slack)]
         self._rows.append([(off, np.atleast_1d(np.asarray(vec, dtype=float)))
                            for off, vec in entries])
         self._rhs.append(float(rhs))
@@ -161,18 +164,14 @@ class _Assembler:
         c = np.zeros(n)
         for off, vec in self._obj:
             c[off:off + vec.size] += vec
-        lead, lead_rhs = self.lead
-        m = lead.shape[0]
-        A = np.zeros((m + len(self._rows), n))
-        A[:m, :lead.shape[1]] = lead
-        for r, entries in enumerate(self._rows, start=m):
+        A = np.zeros((len(self._rows), n))
+        for r, entries in enumerate(self._rows):
             for off, vec in entries:
                 A[r, off:off + vec.size] += vec
         quad = np.zeros(n)
         for off, vec in self._quad:
             quad[off:off + vec.size] += vec
-        return ConeProgram(blocks=tuple(self._blocks), c=c, A=A,
-                           b=np.concatenate([lead_rhs, self._rhs]), quad_diag=quad,
+        return ConeProgram(blocks=tuple(self._blocks), c=c, A=A, b=self._rhs, quad_diag=quad,
                            block_sum=self.block_sum)
 
 
@@ -234,21 +233,22 @@ def _lift(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis @ block[:r, :r] @ basis.conj().T + flat * (np.eye(d) - basis @ basis.conj().T)
 
 
-def _completeness_rows(element_blocks, size: int, width: int) -> np.ndarray:
-    """``sum_j svec(N_j M_j N_j^+) = svec(I)`` as ``size`` dense rows of ``width`` columns.
+def _add_completeness_rows(asm, rhs: np.ndarray):
+    """``sum_j svec(N_j M_j N_j^+) = rhs`` as ``rhs.size`` rows of ``asm``.
 
     A block without a carrier enters row ``t`` with its coordinate ``t``;
     column ``t`` of a carrier block is ``svec(N_j smat(e_t) N_j^+)``, one
     batched product per block.
     """
-    rows = np.zeros((size, width))
-    for off, n in element_blocks:
+    cols = []
+    for off, n in asm.element_blocks:
         if n is None:
-            rows[np.arange(size), off + np.arange(size)] = 1.0
+            cols.append((off, np.eye(rhs.size)))
         else:
             r = n.shape[1]
-            rows[:, off:off + r * r] = _svec_batch(n @ _smat_batch(np.eye(r * r), r) @ n.conj().T).T
-    return rows
+            cols.append((off, _svec_batch(n @ _smat_batch(np.eye(r * r), r) @ n.conj().T).T))
+    for t, value in enumerate(rhs):
+        asm.add_row([(off, rows[t]) for off, rows in cols], value)
 
 
 def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool = True,
@@ -263,7 +263,7 @@ def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool
     ``r_j`` columns that confines element ``j`` to ``N_j M_j N_j^+`` with
     block ``M_j`` in ``PsdCone(r_j)``.  Completeness, ``sum_j Pi_j = I``, is
     the program's block-sum rows when no element has a carrier, and
-    otherwise the first rows of ``A`` (:func:`_completeness_rows`).  With
+    otherwise the first rows of ``A`` (:func:`_add_completeness_rows`).  With
     ``success`` the objective is minus the success probability,
     ``-p_j svec(N_j^+ rho_j N_j)`` on a carrier block.
     """
@@ -282,7 +282,7 @@ def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool
     if all(carrier is None for _, carrier in asm.element_blocks):
         asm.block_sum = (tuple(o for o, _ in asm.element_blocks), rhs)
     else:
-        asm.lead = _completeness_rows(asm.element_blocks, rhs.size, asm.num_vars), rhs
+        _add_completeness_rows(asm, rhs)
     if success:
         for i in range(k):
             if offs[i] is not None:
@@ -325,8 +325,8 @@ def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
     states in the coordinates of :func:`_program_states`, so the carriers
     have ``r + 1`` rows over a reduced support.  :func:`_element_program`
     takes the kernel bases as the elements' carriers, so the completeness
-    rows ``sum_j N_j M_j N_j^+ + Pi_inc = I`` are the rows of ``A``, and the
-    program has no block-sum rows.
+    rows ``sum_j N_j M_j N_j^+ + Pi_inc = I`` are the first rows of ``A``,
+    one per coordinate, and the program has no block-sum rows.
     An element whose kernel is empty, which happens for any full-rank noisy
     states, is a ``zero`` element.  Nontrivial solutions need linearly
     independent states; the program stays feasible regardless.
@@ -356,9 +356,7 @@ def build_frio(spec: ProblemSpec, rate: float, bound: str = AT_LEAST) -> SchemeP
         raise ValueError(f"bound must be '{AT_LEAST}' or '{AT_MOST}'")
     asm, svecs, offs = _element_program(spec)
     inc_vec = sum(p * sv for p, sv in zip(spec.priors, svecs))
-    slack = asm.add_nonneg()
-    sign = -1.0 if bound == AT_LEAST else 1.0
-    asm.add_row([(offs[-1], inc_vec), (slack, [sign])], rate)
+    asm.add_row([(offs[-1], inc_vec)], rate, slack=-1.0 if bound == AT_LEAST else 1.0)
     return _make_scheme(asm, spec, offs)
 
 
@@ -390,20 +388,15 @@ def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
     asm, svecs, offs = _element_program(spec, states=states, zero=zero)
     for i in range(k):
         # Tr(rho_i' Pi_i) >= (1 - alpha_i) * sum_j Tr(rho_i' Pi_j)
-        slack = asm.add_nonneg()
-        entries = [(slack, [-1.0])]
-        for j in range(k):
-            if offs[j] is not None:
-                coeff = (1.0 if j == i else 0.0) - (1.0 - alpha[i])
-                entries.append((offs[j], coeff * svecs[i]))
-        asm.add_row(entries, 0.0)
+        entries = [(offs[j], ((1.0 if j == i else 0.0) - (1.0 - alpha[i])) * svecs[i])
+                   for j in range(k) if offs[j] is not None]
+        asm.add_row(entries, 0.0, slack=-1.0)
         if offs[i] is None:
             continue
         # p_i Tr(rho_i' Pi_i) >= (1 - beta_i) * sum_j p_j Tr(rho_j' Pi_i)
-        slack = asm.add_nonneg()
         vec = priors[i] * svecs[i] - (1.0 - beta[i]) * sum(
             priors[j] * svecs[j] for j in range(k))
-        asm.add_row([(offs[i], vec), (slack, [-1.0])], 0.0)
+        asm.add_row([(offs[i], vec)], 0.0, slack=-1.0)
     return _make_scheme(asm, spec, offs)
 
 
@@ -436,11 +429,9 @@ def _deviation_terms(asm, spec, offs, svecs, ref, ell, weight):
         for j in range(k + 1):
             if ell == 1:
                 t = asm.add_nonneg()
-                s_plus = asm.add_nonneg()
-                s_minus = asm.add_nonneg()
                 # t >= ref - y  and  t >= y - ref, with y = p_i Tr(rho_i' Pi_j)
-                asm.add_row([(offs[j], w_vec), (t, [1.0]), (s_plus, [-1.0])], ref[i, j])
-                asm.add_row([(offs[j], -w_vec), (t, [1.0]), (s_minus, [-1.0])], -ref[i, j])
+                asm.add_row([(offs[j], w_vec), (t, [1.0])], ref[i, j], slack=-1.0)
+                asm.add_row([(offs[j], -w_vec), (t, [1.0])], -ref[i, j], slack=-1.0)
                 asm.add_objective(t, [weight])
             else:
                 s = asm.add_free()
@@ -477,11 +468,7 @@ def build_fit_meco(spec: ProblemSpec, reference: JointDistribution) -> SchemePro
     for i in range(k):
         for j in range(k):
             w_vec = spec.priors[i] * svecs[i]
-            slack = asm.add_nonneg()
-            if i == j:
-                asm.add_row([(offs[j], w_vec), (slack, [1.0])], ref[i, j])
-            else:
-                asm.add_row([(offs[j], w_vec), (slack, [-1.0])], ref[i, j])
+            asm.add_row([(offs[j], w_vec)], ref[i, j], slack=1.0 if i == j else -1.0)
     return _make_scheme(asm, spec, offs)
 
 

@@ -247,6 +247,8 @@ def _encode_label(label):
 
 
 def _decode_label(raw):
+    if isinstance(raw, bool):
+        raise ValueError(f"label {raw!r} is not a state index")
     if isinstance(raw, int):
         return raw
     if raw == INCONCLUSIVE:

@@ -98,10 +98,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     @property
-    def num_qubits(self) -> int:
-        return int(self.amplitudes.size).bit_length() - 1
-
-    @property
     def dim(self) -> int:
         return self.amplitudes.size
 
@@ -265,6 +261,11 @@ class Povm:
         labels = tuple(self.labels)
         if len(elements) != len(labels):
             raise ValueError("need one label per element")
+        for l in labels:
+            # bool is an int subclass, and sorting would take True for 1
+            if not (isinstance(l, str) and l == INCONCLUSIVE
+                    or isinstance(l, (int, np.integer)) and not isinstance(l, bool)):
+                raise ValueError(f"label {l!r} is neither a state index nor {INCONCLUSIVE!r}")
         for e in elements:
             if e.shape != (self.dim, self.dim):
                 raise ValueError(f"element shape {e.shape} does not match dim {self.dim}")

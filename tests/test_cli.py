@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -331,6 +332,16 @@ class TestDilateCommand:
                      "--out", str(tmp_path / "iso.json")])
         assert code == 2
 
+    def test_residual_label_exits_2_without_output(self, tmp_path, povm_file, capsys):
+        data = read_json(povm_file)
+        data["elements"][0]["label"] = "residual"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "iso.json"
+        assert main(["dilate", "--povm", str(bad), "--out", str(out)]) == 2
+        assert "invalid POVM file: label 'residual'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_null_dim_exits_2(self, tmp_path, povm_file, capsys):
         data = read_json(povm_file)
         data["dim"] = None
@@ -640,6 +651,23 @@ class TestBenchCommand:
 
     def test_unknown_scheme_rejected(self):
         assert main(["bench", "--schemes", "med,warp"]) == 1
+
+    @pytest.mark.parametrize("low, high", [(9, 13), (3, 2), (0, 2)])
+    def test_qubit_range_checked_before_solving(self, tmp_path, capsys, low, high):
+        out = tmp_path / "bench.json"
+        started = time.perf_counter()
+        code = main(["bench", "--min-qubits", str(low), "--max-qubits", str(high),
+                     "--schemes", "med", "--out", str(out)])
+        assert code == 1 and time.perf_counter() - started < 1.0
+        assert (f"usage error: need 1 <= --min-qubits <= --max-qubits <= 12, got {low} and {high}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_zero_budget_stops_before_any_row(self, capsys):
+        code, report = run_json(capsys, ["bench", "--max-qubits", "2", "--schemes", "med",
+                                         "--budget-seconds", "0"])
+        assert code == 0
+        assert report["budget_exhausted"] is True and report["rows"] == []
 
 
 def written_povm(tmp_path, size, k, **header):

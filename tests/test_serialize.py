@@ -527,6 +527,15 @@ MATRICES = {"povm": ("elements", 1, "matrix"), "problem": ("states", 2, "matrix"
                                          lambda d: d["elements"][0].update(label="maybe")),
                  ValueError, "unknown label 'maybe'", id="povm-label"),
     pytest.param(lambda tmp: read_edited(tmp, "povm",
+                                         lambda d: d["elements"][0].update(label="residual")),
+                 ValueError, "label 'residual' is neither a state index", id="povm-label-residual"),
+    pytest.param(lambda tmp: read_edited(tmp, "povm",
+                                         lambda d: d["elements"][0].update(label=True)),
+                 ValueError, "label True is not a state index", id="povm-label-true"),
+    pytest.param(lambda tmp: read_edited(tmp, "isometry",
+                                         lambda d: d["outcome_map"].__setitem__(0, True)),
+                 ValueError, "label True is not a state index", id="isometry-label-true"),
+    pytest.param(lambda tmp: read_edited(tmp, "povm",
                                          lambda d: d.update(dim=10 ** 6, elements=[])),
                  ValueError, "at least one element", id="povm-no-elements"),
     pytest.param(lambda tmp: canonical_dumps({1: 2.0}),

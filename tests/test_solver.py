@@ -346,6 +346,20 @@ class TestAffineMetric:
         np.testing.assert_array_equal(steps[0], steps[1])
 
 
+class TestRedundantRows:
+    def test_singular_schur_complement_takes_the_pseudoinverse(self, monkeypatch):
+        # After row scaling the two rows are equal, so Cholesky fails on S.
+        calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda *a, **kw: calls.append(1) or pinv(*a, **kw))
+        program = ConeProgram(blocks=(NonNegCone(2),), c=np.array([1.0, 2.0]),
+                              A=np.array([[1.0, 1.0], [2.0, 2.0]]), b=np.array([1.0, 2.0]))
+        sol = solve(program)
+        assert calls
+        assert sol.status == OPTIMAL and sol.iterations == 4
+        np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-8)
+
+
 class TestZeroRows:
     @pytest.mark.parametrize("norm, kept", [(ZERO_ROW_NORM, False),
                                             (np.nextafter(ZERO_ROW_NORM, 1.0), True)])

@@ -298,6 +298,12 @@ def read_problem_text(tmp_path, payload):
                  ValueError, "dim >= 1 and at least one element", id="povm-empty"),
     pytest.param(lambda tmp: Povm(2, (), ()),
                  ValueError, "dim >= 1 and at least one element", id="povm-no-elements"),
+    pytest.param(lambda tmp: Povm(2, (np.eye(2),), (0, 1)),
+                 ValueError, "need one label per element", id="povm-label-count"),
+    *(pytest.param(lambda tmp, label=label: Povm(2, (np.eye(2) / 2, np.eye(2) / 2), (0, label)),
+                   ValueError, f"^label {label!r} is neither a state index",
+                   id=f"povm-label-{label!r}")
+      for label in ("residual", True, 1.0, None)),
     pytest.param(lambda tmp: Povm(2, (np.eye(2),), (0,)).element(1),
                  KeyError, "1", id="povm-missing-label"),
 ])
