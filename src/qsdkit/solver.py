@@ -24,8 +24,10 @@ clipping for PSD blocks), and a scaled dual update.  Every 100 iterations
 residual balancing scales the penalty parameter by the square root of the
 residual ratio (OSQP's rule).  Safeguarded Anderson acceleration takes its
 weights from the normal equations of a Gram matrix that each iteration
-updates by one matrix-vector product.  Everything is deterministic: fixed
-zero initialization, no randomized internals.
+updates by one matrix-vector product; a candidate that the safeguard
+rejects clears the memory, as in SCS 3 (Zhang, O'Donoghue, Boyd, SIAM J.
+Optim. 2020).  Everything is deterministic: fixed zero initialization, no
+randomized internals.
 
 Over a region of its domain the fixed-point map can be a translation: for
 hundreds of iterations ``z`` then moves by the same step while ``u`` stays
@@ -88,27 +90,40 @@ class FreeCone:
 
 @functools.lru_cache(maxsize=64)
 def _index_plan(dim: int) -> tuple:
-    """Flat index arrays relating a ``dim x dim`` matrix to its svec coordinates.
+    """Gather plans between svec coordinates and a ``dim x dim`` complex matrix.
 
-    ``svec_src`` picks, from the float view of a row-major complex matrix
-    (real and imaginary parts interleaved), the diagonal real parts, then the
-    upper-triangle real parts, then the upper-triangle imaginary parts.
-    ``smat_src`` picks each matrix entry, in row-major order, from the row
-    ``[diagonal, upper, lower]`` that :func:`_smat_batch` concatenates.
-    Both are read-only, as every caller shares them.
+    The matrix is read through the float view of its row-major entries, real
+    and imaginary parts interleaved.  ``svec_src`` picks from that view the
+    diagonal real parts, then the upper-triangle real parts, then the
+    upper-triangle imaginary parts, and ``svec_scale`` multiplies them by 1,
+    sqrt(2) and sqrt(2).  ``smat_src`` picks, for each entry of the float
+    view, the svec coordinate it comes from, and ``smat_scale`` multiplies it
+    by ``1 / svec_scale``, by 0 for a diagonal imaginary part, and by
+    ``-1 / sqrt(2)`` for an imaginary part below the diagonal, the conjugate
+    of the one above.  All four are read-only, as every caller shares them.
     """
     rows, cols = np.triu_indices(dim, k=1)
     t = rows.size
     diag = np.arange(dim) * (dim + 1)
     upper = rows * dim + cols
+    lower = cols * dim + rows
     svec_src = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
-    smat_src = np.empty(dim * dim, dtype=np.intp)
-    smat_src[diag] = np.arange(dim)
-    smat_src[upper] = dim + np.arange(t)
-    smat_src[cols * dim + rows] = dim + t + np.arange(t)
-    svec_src.setflags(write=False)
-    smat_src.setflags(write=False)
-    return svec_src, smat_src
+    svec_scale = np.full(dim * dim, _SQRT2)
+    svec_scale[:dim] = 1.0
+    smat_src = np.empty(2 * dim * dim, dtype=np.intp)
+    smat_scale = np.empty(2 * dim * dim)
+    smat_src[svec_src] = np.arange(dim * dim)
+    smat_scale[svec_src] = 1.0 / svec_scale
+    smat_src[2 * diag + 1] = np.arange(dim)
+    smat_scale[2 * diag + 1] = 0.0
+    smat_src[2 * lower] = smat_src[2 * upper]
+    smat_src[2 * lower + 1] = smat_src[2 * upper + 1]
+    smat_scale[2 * lower] = smat_scale[2 * upper]
+    smat_scale[2 * lower + 1] = -smat_scale[2 * upper + 1]
+    plan = (svec_src, svec_scale, smat_src, smat_scale)
+    for array in plan:
+        array.setflags(write=False)
+    return plan
 
 
 def svec(m: np.ndarray) -> np.ndarray:
@@ -129,19 +144,18 @@ def smat(v: np.ndarray, dim: int) -> np.ndarray:
 
 def _smat_batch(v: np.ndarray, dim: int) -> np.ndarray:
     """(nb, dim**2) stacked svec coordinates -> (nb, dim, dim) Hermitian matrices."""
-    t = dim * (dim - 1) // 2
-    upper = (v[:, dim:dim + t] + 1j * v[:, dim + t:]) / _SQRT2
-    rows = np.concatenate((v[:, :dim], upper, upper.conj()), axis=1)
-    return rows[:, _index_plan(dim)[1]].reshape(-1, dim, dim)
+    _, _, smat_src, smat_scale = _index_plan(dim)
+    m = np.empty((v.shape[0], dim, dim), dtype=complex)
+    np.multiply(v[:, smat_src], smat_scale, out=m.reshape(-1, dim * dim).view(float))
+    return m
 
 
 def _svec_batch(m: np.ndarray) -> np.ndarray:
     """(nb, dim, dim) complex matrices -> (nb, dim**2) svec coordinates."""
     nb, dim = m.shape[0], m.shape[1]
+    svec_src, svec_scale, _, _ = _index_plan(dim)
     parts = np.ascontiguousarray(m).reshape(nb, dim * dim).view(float)
-    out = parts[:, _index_plan(dim)[0]]
-    out[:, dim:] *= _SQRT2
-    return out
+    return parts[:, svec_src] * svec_scale
 
 
 def _psd_clip(mats: np.ndarray) -> np.ndarray:
@@ -269,9 +283,11 @@ class Solution:
 class _ConeProjector:
     """Blockwise projection onto K; PSD blocks of equal dimension are batched.
 
-    Each group of equal-dimension PSD blocks owns an (nb, dim**2) index
-    array of its coordinates in the variable vector, so the group is read
-    with one gather and written back with one scatter.
+    Each group of equal-dimension PSD blocks is read with one gather from
+    the variable vector, times :func:`_index_plan`'s ``smat_scale``, into a
+    complex (nb, dim, dim) buffer, and its clipped matrices are written back
+    with one gather times ``svec_scale`` (:func:`_svec_batch`) and one
+    scatter.
     """
 
     def __init__(self, blocks):
@@ -286,15 +302,24 @@ class _ConeProjector:
             elif not isinstance(blk, FreeCone):
                 raise TypeError(f"unknown cone block {blk!r}")
             off += blk.size
-        self.psd_groups = [(dim, np.asarray(offs)[:, None] + np.arange(dim * dim))
-                           for dim, offs in offsets.items()]
+        # Per group: the (nb, dim**2) coordinates of its blocks, the
+        # (nb, 2 dim**2) coordinates each float of the buffer is read from,
+        # their scale, and the buffer with its float view.
+        self.psd_groups = []
+        for dim, offs in offsets.items():
+            _, _, smat_src, smat_scale = _index_plan(dim)
+            offs = np.asarray(offs)[:, None]
+            buffer = np.empty((offs.size, dim, dim), dtype=complex)
+            self.psd_groups.append((offs + np.arange(dim * dim), offs + smat_src, smat_scale,
+                                    buffer, buffer.reshape(offs.size, dim * dim).view(float)))
 
     def __call__(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the projection of ``v`` into ``out`` and return ``out``."""
         out[...] = v
         np.maximum(out, 0.0, where=self.nonneg_mask, out=out)
-        for dim, index in self.psd_groups:
-            out[index] = _svec_batch(_psd_clip(_smat_batch(v[index], dim)))
+        for index, src, scale, buffer, floats in self.psd_groups:
+            np.multiply(v[src], scale, out=floats)
+            out[index] = _svec_batch(_psd_clip(buffer))
         return out
 
 
@@ -418,7 +443,10 @@ class _AndersonMemory:
     ``w = (z, u) -> F(w)`` and proposes the residual-minimizing affine
     combination of the images.  Candidates are only adopted when their own
     fixed-point residual beats the plain step's, so acceleration can never
-    drive the iteration away from the solution.  Everything is deterministic.
+    drive the iteration away from the solution; on a miss the solver keeps
+    the plain image and clears the memory, as SCS 3 resets its memory on a
+    rejected step, so the next candidate is not drawn from the window that
+    just failed.  Everything is deterministic.
 
     The history lives in two preallocated row-major buffers of ``size``
     rows and ``2 * mem`` columns: ``images`` holds the images ``F(w_j)``,
@@ -567,7 +595,12 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     affine-step iterate, which satisfies ``Ax = b`` to factorization accuracy;
     its cone violation is bounded by the primal residual.
 
-    ``acceleration`` is the Anderson memory size (0 disables it).
+    ``acceleration`` is the Anderson memory size: 0 disables it, and any
+    other value must be at least 3, the pairs a candidate needs
+    (``ValueError`` otherwise).  A candidate costs one more splitting step
+    and is taken when its fixed-point residual norm is below the plain
+    step's; otherwise the plain image is kept and the memory is cleared, the
+    rule of SCS 3 (Zhang, O'Donoghue, Boyd, SIAM J. Optim. 2020).
 
     Each iteration forms the fixed-point residual ``r = w - F(w)`` of the
     iterate ``w = (z, u)``.  When ``r`` repeats the previous iteration's and
@@ -592,6 +625,8 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if acceleration < 0 or acceleration in (1, 2):
+        raise ValueError(f"acceleration must be 0 or at least 3, got {acceleration}")
     n = program.num_vars
     c = program.c
     rho = _INITIAL_RHO_QUAD if program.quad_diag.any() else _INITIAL_RHO
@@ -606,8 +641,9 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         x = affine.project(z - u, c)
         x_relaxed = _OVER_RELAX * x + (1.0 - _OVER_RELAX) * z
         fw = np.empty(2 * n)
-        z_new = project_cone(x_relaxed + u, out=fw[:n])
-        np.subtract(u + x_relaxed, z_new, out=fw[n:])
+        shifted = x_relaxed + u
+        z_new = project_cone(shifted, out=fw[:n])
+        np.subtract(shifted, z_new, out=fw[n:])
         return x, fw
 
     # The iterate (z, u) and its image are kept as halves of one vector, the
@@ -656,6 +692,8 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
                 _, fw_cand = step(cand)
                 if _norm(cand - fw_cand) < residual_norm:
                     fw = fw_cand
+                else:
+                    anderson.clear()
         w = fw
 
         # Every 100 iterations the certificate check, then residual balancing

@@ -51,6 +51,18 @@ class TestSvec:
                 assert np.array_equal(vecs[i], svec(mats[i]))
                 assert np.array_equal(back[i], smat(vecs[i], d))
 
+    def test_matches_entrywise_definition(self, rng):
+        # The diagonal, then (re + i im) / sqrt(2) above it and its conjugate below.
+        for d in range(1, 9):
+            v = rng.standard_normal(d * d)
+            rows, cols = np.triu_indices(d, k=1)
+            t = rows.size
+            m = np.diag(v[:d]).astype(complex)
+            m[rows, cols] = (v[d:d + t] + 1j * v[d + t:]) / np.sqrt(2.0)
+            m[cols, rows] = m[rows, cols].conj()
+            np.testing.assert_allclose(smat(v, d), m, rtol=4 * np.finfo(float).eps)
+            np.testing.assert_allclose(svec(m), v, rtol=4 * np.finfo(float).eps)
+
     def test_inner_product_preserved(self, rng):
         for d in (2, 4, 8):
             a, b = random_hermitian(d, rng), random_hermitian(d, rng)
@@ -121,16 +133,20 @@ def with_exact_zeros(blocks, v, part):
 
 class TestConeProjector:
     def test_matches_blockwise_reference(self, rng):
-        blocks = (PsdCone(3), NonNegCone(4), PsdCone(1), PsdCone(3), FreeCone(2),
-                  PsdCone(2), PsdCone(1), NonNegCone(1), PsdCone(3))
-        project = _ConeProjector(blocks)
-        n = sum(blk.size for blk in blocks)
-        for _ in range(20):
-            v = rng.standard_normal(n)
-            assert np.array_equal(project(v, np.empty(n)), project_blockwise(blocks, v))
-            for part in ("imag", "offdiag", "block"):
-                z = with_exact_zeros(blocks, v, part)
-                assert np.array_equal(project(z, np.empty(n)), project_blockwise(blocks, z))
+        # Dimensions 1-3 interleaved, then the shape of a scheme program on
+        # 4x4 blocks: four elements beside slack and free blocks.
+        for blocks in ((PsdCone(3), NonNegCone(4), PsdCone(1), PsdCone(3), FreeCone(2),
+                        PsdCone(2), PsdCone(1), NonNegCone(1), PsdCone(3)),
+                       (PsdCone(4), PsdCone(4), PsdCone(4), PsdCone(4), NonNegCone(3),
+                        FreeCone(2))):
+            project = _ConeProjector(blocks)
+            n = sum(blk.size for blk in blocks)
+            for _ in range(20):
+                v = rng.standard_normal(n)
+                assert np.array_equal(project(v, np.empty(n)), project_blockwise(blocks, v))
+                for part in ("imag", "offdiag", "block"):
+                    z = with_exact_zeros(blocks, v, part)
+                    assert np.array_equal(project(z, np.empty(n)), project_blockwise(blocks, z))
 
 
 class ListAnderson:
@@ -207,6 +223,54 @@ class TestAndersonMemory:
         for j in range(4):
             memory.push(np.zeros(4), j * v)
         assert memory.candidate() is None
+
+
+def recording_memory(events):
+    """An Anderson memory class that logs its calls to ``events``, with copies of the pairs."""
+
+    class RecordingMemory(_AndersonMemory):
+        def push(self, fw, residual):
+            events.append(("push", fw.copy(), residual.copy()))
+            super().push(fw, residual)
+
+        def candidate(self):
+            events.append(("candidate", super().candidate()))
+            return events[-1][1]
+
+        def clear(self):
+            events.append(("clear",))
+            super().clear()
+
+    return RecordingMemory
+
+
+class TestSafeguardMiss:
+    def test_rejected_candidate_clears_the_memory(self, monkeypatch):
+        # tri2 frio rejects most candidates when the memory is kept, and all
+        # of its candidates are within the norm bound, so each is tested.  A
+        # candidate was rejected exactly when the next iterate is the plain
+        # image F(w): the next pushed residual is then F(w) - F(F(w)) bit
+        # for bit.  Each rejection must clear the memory before that push,
+        # so the next two iterations hold too few pairs to propose.
+        events = []
+        monkeypatch.setattr(solver_module, "_AndersonMemory", recording_memory(events))
+        sol = solve(build_scheme(_bench_spec(2, 0.01), "frio").program)
+        assert sol.status == OPTIMAL
+        pushes = [j for j, event in enumerate(events) if event[0] == "push"]
+        rejected = accepted = 0
+        for before, after in zip(pushes, pushes[1:]):
+            if events[before + 1][1] is None:  # no candidate proposed
+                continue
+            _, image, _ = events[before]
+            _, next_image, next_residual = events[after]
+            if not np.array_equal(next_residual, image - next_image):
+                accepted += 1
+                continue
+            rejected += 1
+            assert [event[0] for event in events[before + 1:after]] == ["candidate", "clear"]
+            later = [event[1] for event in events[after + 1:] if event[0] == "candidate"]
+            assert all(cand is None for cand in later[:2])
+        assert rejected >= 5 and accepted >= 5
 
 
 class TestPenaltyFactor:
@@ -564,6 +628,18 @@ class TestSolve:
                            A=np.ones((1, 1)), b=np.ones(1))
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
             solve(prog, max_iters=max_iters)
+
+    @pytest.mark.parametrize("acceleration", [-1, 1, 2])
+    def test_acceleration_that_cannot_propose_rejected(self, acceleration):
+        # A candidate needs three pairs, so memories of 1 or 2 would run unaccelerated.
+        prog = max_eig_program(np.diag([1.0, 3.0]).astype(complex))
+        with pytest.raises(ValueError, match="acceleration must be 0 or at least 3"):
+            solve(prog, acceleration=acceleration)
+
+    @pytest.mark.parametrize("acceleration", [0, 3])
+    def test_smallest_accelerations_solve(self, acceleration):
+        sol = solve(build_scheme(_bench_spec(2, 0.01), "frio").program, acceleration=acceleration)
+        assert sol.status == OPTIMAL
 
     def test_one_iteration_budget_runs(self):
         prog = ConeProgram(blocks=(NonNegCone(1),), c=np.ones(1),
