@@ -72,27 +72,49 @@ class Rank1Decomposition:
 
 @dataclass(frozen=True)
 class DilationResult:
-    """An isometry into a qubit register plus the outcome bookkeeping.
+    """A dilated measurement: an isometry and the outcome of each basis state.
 
     ``isometry`` has shape ``(2**target_qubits, domain_dim)``; basis index
     ``b`` of the target register maps to ``outcome_map[b]``, which is either
     a conclusive state index, :data:`INCONCLUSIVE`, or :data:`RESIDUAL`.
+    ``delta`` is the threshold below which rank-1 pieces were dropped.  The
+    other values are read off these: the shape fields from the matrix, and
+    ``total_rank`` as the number of basis states not labelled :data:`RESIDUAL`.
+    A row or column count that is not a power of two, or an outcome map of
+    another length than the rows, raises ``ValueError``.
     """
 
-    domain_dim: int
-    total_rank: int
-    target_qubits: int
     isometry: np.ndarray
     outcome_map: tuple
     delta: float
 
+    def __post_init__(self):
+        (rows, dim), labels = self.isometry.shape, len(self.outcome_map)
+        if dim & (dim - 1):
+            raise ValueError(f"domain dimension {dim} is not a power of two")
+        if rows & (rows - 1) or labels != rows:
+            raise ValueError(f"matrix has {rows} rows and outcome_map {labels} labels; "
+                             "both need the same power of two")
+
     @property
-    def ancilla_qubits(self) -> int:
-        return self.target_qubits - (self.domain_dim - 1).bit_length()
+    def domain_dim(self) -> int:
+        return self.isometry.shape[1]
 
     @property
     def target_dim(self) -> int:
-        return 2 ** self.target_qubits
+        return self.isometry.shape[0]
+
+    @property
+    def target_qubits(self) -> int:
+        return (self.target_dim - 1).bit_length()
+
+    @property
+    def total_rank(self) -> int:
+        return len(self.outcome_map) - self.outcome_map.count(RESIDUAL)
+
+    @property
+    def ancilla_qubits(self) -> int:
+        return self.target_qubits - (self.domain_dim - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -110,13 +132,6 @@ class MeasurementResult:
     probabilities: dict
     counts: dict | None
     shots: int
-
-
-def _domain_qubits(dim: int) -> int:
-    n = (dim - 1).bit_length()
-    if 2 ** n != dim:
-        raise ValueError(f"domain dimension {dim} is not a power of two")
-    return n
 
 
 def decompose_rank1(povm: Povm, rank_tol: float | None = RANK1_TOL) -> Rank1Decomposition:
@@ -165,16 +180,13 @@ def build_isometry(dec: Rank1Decomposition) -> DilationResult:
     total = dec.total_rank
     if total < 1:
         raise ValueError("decomposition has no terms left")
-    n = _domain_qubits(dec.dim)
-    m = max(n, (total - 1).bit_length())
-    target = 2 ** m
+    target = 2 ** max((dec.dim - 1).bit_length(), (total - 1).bit_length())
     v = np.zeros((target, dec.dim), dtype=complex)
     outcome_map = [RESIDUAL] * target
     for row, term in enumerate(dec.terms):
         v[row, :] = term.vector.conj()
         outcome_map[row] = dec.labels[term.element]
-    return DilationResult(domain_dim=dec.dim, total_rank=total, target_qubits=m,
-                          isometry=v, outcome_map=tuple(outcome_map), delta=0.0)
+    return DilationResult(isometry=v, outcome_map=tuple(outcome_map), delta=0.0)
 
 
 def dilate(povm: Povm, delta: float = 0.0) -> DilationResult:
@@ -329,9 +341,7 @@ def complete_to_unitary(dil: DilationResult) -> np.ndarray:
     deficiencies are completed deterministically).  The remaining columns are
     an orthonormal basis of the complement.
     """
-    v = dil.isometry
-    target, d = v.shape
-    p, _, wh = np.linalg.svd(v, full_matrices=True)
+    d = dil.domain_dim
+    p, _, wh = np.linalg.svd(dil.isometry, full_matrices=True)
     v_orth = p[:, :d] @ wh
-    u = np.concatenate([v_orth, p[:, d:]], axis=1)
-    return u
+    return np.concatenate([v_orth, p[:, d:]], axis=1)

@@ -98,9 +98,13 @@ def write_json(path, obj) -> None:
         fh.write(canonical_dumps(obj) + "\n")
 
 
-def read_json(path):
+def read_json(path) -> dict:
+    """The JSON object a file holds; ``ValueError`` if it holds another value."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):  # named by its type: the value may be the whole file
+        raise ValueError(f"file must hold a JSON object, got a {type(data).__name__}")
+    return data
 
 
 def _finite_number(v) -> bool:
@@ -206,6 +210,7 @@ def read_problem(path) -> ProblemSpec:
     num_qubits = _scalar(data, "num_qubits")
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
+    _check_schema(data["states"], {"type": "array", "items": {"type": "object"}}, "states")
     states = []
     for i, entry in enumerate(data["states"]):
         try:
@@ -276,6 +281,7 @@ def write_povm(path, povm: Povm, meta: dict | None = None) -> None:
 def read_povm(path) -> Povm:
     data = read_json(path)
     dim = _scalar(data, "dim")
+    _check_schema(data["elements"], {"type": "array", "items": {"type": "object"}}, "elements")
     labels = tuple(_decode_label(e["label"]) for e in data["elements"])
     elements = tuple(decode_complex_matrix(e["matrix"], f"elements[{j}].matrix")
                      for j, e in enumerate(data["elements"]))
@@ -303,34 +309,24 @@ def write_isometry(path, dil: DilationResult, meta: dict | None = None) -> None:
 def read_isometry(path) -> DilationResult:
     """Load an isometry file, checking its header against the matrix.
 
-    The matrix must have shape ``(2**target_qubits, domain_dim)`` and the
-    outcome map one label per matrix row; otherwise ``ValueError`` names
-    the field that disagrees.
+    The result is built from the matrix, the outcome map and ``delta``; each
+    header field must equal the value the result derives, and ``delta`` must
+    be nonnegative.  Otherwise ``ValueError`` names the field.
     """
     data = read_json(path)
-    domain_dim = _scalar(data, "domain_dim")
-    target_qubits = _scalar(data, "target_qubits")
-    matrix = decode_complex_matrix(data["matrix"], "matrix")
-    outcome_map = tuple(_decode_label(l) for l in data["outcome_map"])
-    rows = matrix.shape[0]
-    # Compared through the bit length: 2 ** target_qubits of a huge header is never formed.
-    if not (rows > 0 and rows & (rows - 1) == 0 and rows.bit_length() - 1 == target_qubits):
-        raise ValueError(f"matrix has {rows} rows, but target_qubits {target_qubits} "
-                         f"needs 2**{target_qubits}")
-    if matrix.shape[1] != domain_dim:
-        raise ValueError(f"matrix has {matrix.shape[1]} columns, but domain_dim "
-                         f"is {domain_dim}")
-    if len(outcome_map) != matrix.shape[0]:
-        raise ValueError(f"outcome_map has {len(outcome_map)} labels for "
-                         f"{matrix.shape[0]} matrix rows")
-    return DilationResult(
-        domain_dim=domain_dim,
-        total_rank=_scalar(data, "total_rank"),
-        target_qubits=target_qubits,
-        isometry=matrix,
-        outcome_map=outcome_map,
-        delta=_scalar(data, "delta", float),
-    )
+    _check_schema(data["outcome_map"], {"type": "array"}, "outcome_map")
+    dil = DilationResult(isometry=decode_complex_matrix(data["matrix"], "matrix"),
+                         outcome_map=tuple(_decode_label(l) for l in data["outcome_map"]),
+                         delta=_scalar(data, "delta", float))
+    # Compared as numbers: 2 ** target_qubits of a huge header is never formed.
+    for field in ("domain_dim", "target_qubits", "total_rank"):
+        stated, derived = _scalar(data, field), getattr(dil, field)
+        if stated != derived:
+            raise ValueError(f"{field} {stated} needs to match the matrix and outcome map, "
+                             f"which give {derived}")
+    if not dil.delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {dil.delta}")
+    return dil
 
 
 # --------------------------------------------------------------------------

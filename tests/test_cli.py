@@ -351,15 +351,28 @@ class TestDilateCommand:
         assert code == 2
         assert "invalid POVM file: dim" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", [None, "0.5"])
-    def test_malformed_povm_entry_exits_2(self, tmp_path, povm_file, capsys, entry):
+    @pytest.mark.parametrize("entry, message", [
+        pytest.param(None, "elements[1].matrix", id="None"),
+        pytest.param("0.5", "elements[1].matrix", id="0.5"),
+        # A callable entry edits the structure around the matrices.
+        pytest.param(lambda d: d.update(elements=5), "elements must be of type array, got 5",
+                     id="elements-int"),
+        pytest.param(lambda d: d.update(elements=["x"]),
+                     "elements[0] must be of type object, got 'x'", id="elements-list"),
+        pytest.param(lambda d: [d], "file must hold a JSON object, got a list",
+                     id="top-level-list"),
+    ])
+    def test_malformed_povm_entry_exits_2(self, tmp_path, povm_file, capsys, entry, message):
         data = read_json(povm_file)
-        data["elements"][1]["matrix"][0][1][1] = entry
+        if callable(entry):
+            data = entry(data) or data
+        else:
+            data["elements"][1]["matrix"][0][1][1] = entry
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         code = main(["dilate", "--povm", str(bad), "--out", str(tmp_path / "iso.json")])
         assert code == 2
-        assert "invalid POVM file: elements[1].matrix" in capsys.readouterr().err
+        assert f"invalid POVM file: {message}" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -522,6 +535,8 @@ class TestSimulateCommand:
         ("domain_dim", lambda d: d.update(domain_dim=2 * d["domain_dim"])),
         ("outcome_map", lambda d: d["outcome_map"].pop()),
         ("matrix", lambda d: d["matrix"].pop()),
+        ("total_rank", lambda d: d.update(total_rank=d["total_rank"] + 1)),
+        ("delta", lambda d: d.update(delta=-1.0)),
     ])
     def test_isometry_header_disagreeing_with_matrix_exits_1(
             self, tmp_path, problem_file, isometry_file, capsys, field, mutate):
@@ -533,20 +548,40 @@ class TestSimulateCommand:
         assert code == 1
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", [None, "0.5"])
+    @pytest.mark.parametrize("entry, message", [
+        pytest.param(None, "matrix", id="None"),
+        pytest.param("0.5", "matrix", id="0.5"),
+        # A callable entry edits the structure around the matrix.
+        pytest.param(lambda d: d.update(outcome_map=3), "outcome_map must be of type array, got 3",
+                     id="outcome_map-int"),
+        pytest.param(lambda d: [d], "file must hold a JSON object, got a list",
+                     id="top-level-list"),
+    ])
     def test_malformed_isometry_entry_exits_1(self, tmp_path, problem_file, isometry_file,
-                                              capsys, entry):
+                                              capsys, entry, message):
         data = read_json(isometry_file)
-        data["matrix"][0][0][0] = entry
+        if callable(entry):
+            data = entry(data) or data
+        else:
+            data["matrix"][0][0][0] = entry
         bad = tmp_path / "bad_iso.json"
         bad.write_text(json.dumps(data))
         code = main(["simulate", "--isometry", str(bad), "--problem", str(problem_file)])
         assert code == 1
-        assert "matrix" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, entry", [("matrix", None), ("matrix", "0.5"),
-                                            ("amplitudes", None), ("amplitudes", "0.5")])
-    def test_malformed_problem_entry_exits_1(self, tmp_path, isometry_file, capsys, key, entry):
+    @pytest.mark.parametrize("key, entry, message", [
+        pytest.param("matrix", None, "states[0]: matrix", id="matrix-None"),
+        pytest.param("matrix", "0.5", "states[0]: matrix", id="matrix-0.5"),
+        pytest.param("amplitudes", None, "states[0]: amplitudes", id="amplitudes-None"),
+        pytest.param("amplitudes", "0.5", "states[0]: amplitudes", id="amplitudes-0.5"),
+        # With the key "states" the entry is the whole list of states.
+        pytest.param("states", 5, "states must be of type array, got 5", id="states-int"),
+        pytest.param("states", ["x"], "states[0] must be of type object, got 'x'",
+                     id="states-list"),
+    ])
+    def test_malformed_problem_entry_exits_1(self, tmp_path, isometry_file, capsys, key, entry,
+                                             message):
         if key == "matrix":
             state = {"type": "density",
                      "matrix": [[[0.25, 0.0] for _ in range(4)] for _ in range(4)]}
@@ -554,11 +589,12 @@ class TestSimulateCommand:
         else:
             state = {"type": "pure", "amplitudes": [[0.5, 0.0] for _ in range(4)]}
             state["amplitudes"][0][0] = entry
+        states = entry if key == "states" else [state, state]
         bad = tmp_path / "bad_problem.json"
-        bad.write_text(json.dumps({"num_qubits": 2, "states": [state, state]}))
+        bad.write_text(json.dumps({"num_qubits": 2, "states": states}))
         code = main(["simulate", "--isometry", str(isometry_file), "--problem", str(bad)])
         assert code == 1
-        assert f"states[0]: {key}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["domain_dim", "target_qubits", "total_rank", "delta"])
     def test_null_isometry_field_exits_1(self, tmp_path, problem_file, isometry_file,

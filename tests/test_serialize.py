@@ -265,6 +265,8 @@ class TestIsometryHeader:
         ("domain_dim", lambda d: d.update(domain_dim=d["domain_dim"] + 1)),
         ("outcome_map", lambda d: d["outcome_map"].pop()),
         ("matrix", lambda d: d["matrix"].pop()),
+        ("total_rank", lambda d: d.update(total_rank=d["total_rank"] + 1)),
+        ("total_rank", lambda d: d.update(total_rank=d["total_rank"] - 1)),
     ])
     def test_disagreeing_header_rejected(self, tmp_path, rng, field, mutate):
         path = tmp_path / "iso.json"
@@ -483,7 +485,8 @@ def read_edited(tmp_path, kind, edit):
     """Write a valid ``kind`` file, apply ``edit`` to its JSON, and read it back.
 
     An entry that ``edit`` sets to ``"1e999"`` is written as that bare number,
-    which JSON reads as infinity.
+    which JSON reads as infinity.  An ``edit`` that returns a value replaces
+    the whole document with it.
     """
     path = tmp_path / f"{kind}.json"
     rng = np.random.default_rng(3)
@@ -494,7 +497,7 @@ def read_edited(tmp_path, kind, edit):
     else:
         write_isometry(path, dilate(random_povm(2, 2, rng)))
     data = json.loads(path.read_text())
-    edit(data)
+    data = edit(data) or data
     path.write_text(json.dumps(data).replace('"1e999"', "1e999"))
     return {"povm": read_povm, "problem": read_problem, "isometry": read_isometry}[kind](path)
 
@@ -538,6 +541,19 @@ MATRICES = {"povm": ("elements", 1, "matrix"), "problem": ("states", 2, "matrix"
     pytest.param(lambda tmp: read_edited(tmp, "povm",
                                          lambda d: d.update(dim=10 ** 6, elements=[])),
                  ValueError, "at least one element", id="povm-no-elements"),
+    *(pytest.param(lambda tmp, kind=kind: read_edited(tmp, kind, lambda d: [d]), ValueError,
+                   "file must hold a JSON object, got a list", id=f"{kind}-top-level-list")
+      for kind in MATRICES),
+    *(pytest.param(lambda tmp, kind=kind, field=field, value=value:
+                   read_edited(tmp, kind, lambda d: d.update({field: value})),
+                   ValueError, message, id=f"{kind}-{field}-{type(value).__name__}")
+      for kind, field, value, message in [
+          ("povm", "elements", 5, "elements must be of type array, got 5"),
+          ("povm", "elements", ["x"], r"elements\[0\] must be of type object, got 'x'"),
+          ("problem", "states", 5, "states must be of type array, got 5"),
+          ("problem", "states", ["x"], r"states\[0\] must be of type object, got 'x'"),
+          ("isometry", "outcome_map", 3, "outcome_map must be of type array, got 3"),
+          ("isometry", "delta", -1.0, "delta must be nonnegative, got -1.0")]),
     pytest.param(lambda tmp: canonical_dumps({1: 2.0}),
                  TypeError, "keys must be strings", id="integer-key"),
     pytest.param(lambda tmp: write_problem(tmp / "p.json", ProblemSpec.from_states(

@@ -224,6 +224,16 @@ class TestAndersonMemory:
             memory.push(np.zeros(4), j * v)
         assert memory.candidate() is None
 
+    def test_overflowing_window_gives_no_candidate(self):
+        # The last difference's square overflows, so the Gram matrix holds an
+        # infinity; the solve returns non-finite weights rather than raising.
+        memory = _AndersonMemory(5, 2)
+        with np.errstate(over="ignore"):
+            for residual in ([0.0, 0.0], [1.0, 0.0], [1e200, 0.0]):
+                memory.push(np.zeros(2), np.array(residual))
+            assert np.isinf(memory.gram[1, 1])
+            assert memory.candidate() is None
+
 
 def recording_memory(events):
     """An Anderson memory class that logs its calls to ``events``, with copies of the pairs."""
@@ -422,6 +432,19 @@ class TestRedundantRows:
         assert calls
         assert sol.status == OPTIMAL and sol.iterations == 4
         np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-8)
+
+
+class TestSchurSolve:
+    def test_potrs_error_raises(self, monkeypatch):
+        # A negative info from potrs names an illegal argument; its output is
+        # then no solution and must not be returned as multipliers.
+        def potrs(factor, r, lower, overwrite_b):
+            return r, -2
+        monkeypatch.setattr(solver_module.scipy.linalg, "get_lapack_funcs",
+                            lambda names, arrays: (potrs,))
+        solve_schur = solver_module._AffineProjector._make_solver(np.eye(2))
+        with pytest.raises(ValueError, match="illegal value in argument 2 of potrs"):
+            solve_schur(np.ones(2))
 
 
 class TestZeroRows:
