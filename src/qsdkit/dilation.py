@@ -70,7 +70,7 @@ class Rank1Decomposition:
         return tuple(counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DilationResult:
     """A dilated measurement: an isometry and the outcome of each basis state.
 
@@ -81,7 +81,9 @@ class DilationResult:
     other values are read off these: the shape fields from the matrix, and
     ``total_rank`` as the number of basis states not labelled :data:`RESIDUAL`.
     A row or column count that is not a power of two, or an outcome map of
-    another length than the rows, raises ``ValueError``.
+    another length than the rows, raises ``ValueError``.  Two results are
+    equal when their isometries are equal entry for entry and their outcome
+    maps and ``delta`` are equal; a result is unhashable.
     """
 
     isometry: np.ndarray
@@ -95,6 +97,12 @@ class DilationResult:
         if rows & (rows - 1) or labels != rows:
             raise ValueError(f"matrix has {rows} rows and outcome_map {labels} labels; "
                              "both need the same power of two")
+
+    def __eq__(self, other):
+        if not isinstance(other, DilationResult):
+            return NotImplemented
+        return (np.array_equal(self.isometry, other.isometry)
+                and self.outcome_map == other.outcome_map and self.delta == other.delta)
 
     @property
     def domain_dim(self) -> int:

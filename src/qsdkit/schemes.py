@@ -3,12 +3,14 @@
 Each ``build_*`` function turns a :class:`~qsdkit.states.ProblemSpec` into a
 :class:`~qsdkit.solver.ConeProgram` whose variables are the POVM elements
 (one complex PSD block per element) and the scheme's auxiliary variables.
-Every row of ``A`` is written by ``_Assembler.add_row``; an inequality is
-one row whose ``slack`` argument gives it a ``NonNegCone(1)`` variable of
-its own.  :class:`SchemeProgram` records where each element lives, and
-:func:`decode_povm` reads the elements from there back into a cleaned-up
-:class:`~qsdkit.states.Povm`; :func:`solve_scheme` bundles the whole round
-trip.
+Each builder makes one ``_Assembler(spec)``, which computes the program
+states once, adds every block through ``add_block`` and every row of ``A``
+through ``add_row`` (an inequality is one row whose ``slack`` argument gives
+it a ``NonNegCone(1)`` variable of its own), and returns the finished
+program from ``finish``.  :class:`SchemeProgram` records where each element
+lives, and :func:`decode_povm` reads the elements from there back into a
+cleaned-up :class:`~qsdkit.states.Povm`; :func:`solve_scheme` bundles the
+whole round trip.
 
 Every program is built over the rank-``r`` support of the noiseless states
 plus one lumped coordinate for its complement when that makes it smaller
@@ -112,33 +114,34 @@ class SchemeResult:
 
 
 class _Assembler:
-    """Accumulates cone blocks, rows of ``A``, and objective terms."""
+    """One scheme program under construction over the program states of ``spec``.
 
-    def __init__(self):
-        self._blocks = []
+    ``basis``, ``identity`` and the noisy states ``mats`` are those of
+    :func:`_program_states`, with their ``svecs``.  ``objective`` and
+    ``quad`` hold the ``(offset, vector)`` terms of ``c`` and ``quad_diag``,
+    and ``offs`` the element offsets set by :func:`_element_program`.
+    """
+
+    def __init__(self, spec: ProblemSpec):
+        self.spec = spec
+        self.basis, self.identity, self.mats = _program_states(spec)
+        self.svecs = [svec(m) for m in self.mats]
+        self.blocks = []
         self.num_vars = 0
-        self._rows = []
-        self._rhs = []
-        self._obj = []
-        self._quad = []
+        self.rows = []
+        self.rhs = []
+        self.objective = []
+        self.quad = []
         self.block_sum = None
-        self.basis = None
         self.element_blocks = ()
+        self.offs = []
 
-    def _add_block(self, block) -> int:
+    def add_block(self, cone) -> int:
+        """Append ``cone``; returns the offset of its first variable."""
         off = self.num_vars
-        self._blocks.append(block)
-        self.num_vars += block.size
+        self.blocks.append(cone)
+        self.num_vars += cone.size
         return off
-
-    def add_psd(self, dim: int) -> int:
-        return self._add_block(PsdCone(dim))
-
-    def add_nonneg(self, count: int = 1) -> int:
-        return self._add_block(NonNegCone(count))
-
-    def add_free(self, count: int = 1) -> int:
-        return self._add_block(FreeCone(count))
 
     def add_row(self, entries, rhs: float, slack: float | None = None):
         """One row of ``A``; ``entries`` is a list of (offset, coefficient vector).
@@ -148,31 +151,30 @@ class _Assembler:
         ``entries >= rhs`` and ``+1`` states ``entries <= rhs``.
         """
         if slack is not None:
-            entries = [*entries, (self.add_nonneg(), slack)]
-        self._rows.append([(off, np.atleast_1d(np.asarray(vec, dtype=float)))
-                           for off, vec in entries])
-        self._rhs.append(float(rhs))
+            entries = [*entries, (self.add_block(NonNegCone(1)), slack)]
+        self.rows.append(entries)
+        self.rhs.append(float(rhs))
 
-    def add_objective(self, off: int, vec):
-        self._obj.append((off, np.atleast_1d(np.asarray(vec, dtype=float))))
+    def finish(self, maximize: bool = True) -> SchemeProgram:
+        """The program, its element labels read off ``offs``."""
+        n, k = self.num_vars, self.spec.num_states
+        program = ConeProgram(blocks=tuple(self.blocks), c=_scatter([self.objective], n)[0],
+                              A=_scatter(self.rows, n), b=self.rhs,
+                              quad_diag=_scatter([self.quad], n)[0], block_sum=self.block_sum)
+        labels = tuple(j for j in range(k) if self.offs[j] is not None)
+        return SchemeProgram(program, self.spec.dim, k,
+                             labels + (INCONCLUSIVE,) * (len(self.offs) - k),
+                             self.element_blocks, maximize, self.basis)
 
-    def add_quad(self, off: int, vec):
-        self._quad.append((off, np.atleast_1d(np.asarray(vec, dtype=float))))
 
-    def build(self) -> ConeProgram:
-        n = self.num_vars
-        c = np.zeros(n)
-        for off, vec in self._obj:
-            c[off:off + vec.size] += vec
-        A = np.zeros((len(self._rows), n))
-        for r, entries in enumerate(self._rows):
-            for off, vec in entries:
-                A[r, off:off + vec.size] += vec
-        quad = np.zeros(n)
-        for off, vec in self._quad:
-            quad[off:off + vec.size] += vec
-        return ConeProgram(blocks=tuple(self._blocks), c=c, A=A, b=self._rhs, quad_diag=quad,
-                           block_sum=self.block_sum)
+def _scatter(rows, n: int) -> np.ndarray:
+    """``len(rows) x n`` array; row ``r`` sums the ``(offset, vector)`` terms of ``rows[r]``."""
+    out = np.zeros((len(rows), n))
+    for r, entries in enumerate(rows):
+        for off, vec in entries:
+            vec = np.atleast_1d(np.asarray(vec, dtype=float))
+            out[r, off:off + vec.size] += vec
+    return out
 
 
 def _program_states(spec: ProblemSpec):
@@ -251,34 +253,30 @@ def _add_completeness_rows(asm, rhs: np.ndarray):
         asm.add_row([(off, rows[t]) for off, rows in cols], value)
 
 
-def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool = True,
-                     states=None, zero=(), carriers=None):
-    """POVM element blocks at ``offs``; returns ``(asm, svecs, offs)``.
+def _element_program(asm, inconclusive: bool = True, success: bool = True, zero=(),
+                     carriers=None):
+    """Place the POVM element blocks on ``asm`` and set ``asm.offs``.
 
-    ``states`` is :func:`_program_states` of ``spec`` (computed when not
-    given), and ``svecs`` are the svecs of its noisy states.  Conclusive
-    elements listed in ``zero`` are identically zero and get no block: their
-    entry of ``offs`` is ``None``.  ``carriers``, when given, has one entry
-    per conclusive element: ``None``, or a column-orthonormal ``N_j`` with
-    ``r_j`` columns that confines element ``j`` to ``N_j M_j N_j^+`` with
-    block ``M_j`` in ``PsdCone(r_j)``.  Completeness, ``sum_j Pi_j = I``, is
-    the program's block-sum rows when no element has a carrier, and
-    otherwise the first rows of ``A`` (:func:`_add_completeness_rows`).  With
-    ``success`` the objective is minus the success probability,
-    ``-p_j svec(N_j^+ rho_j N_j)`` on a carrier block.
+    Conclusive elements listed in ``zero`` are identically zero and get no
+    block: their entry of ``offs`` is ``None``.  ``carriers``, when given,
+    has one entry per conclusive element: ``None``, or a column-orthonormal
+    ``N_j`` with ``r_j`` columns that confines element ``j`` to
+    ``N_j M_j N_j^+`` with block ``M_j`` in ``PsdCone(r_j)``.  Completeness,
+    ``sum_j Pi_j = I``, is the program's block-sum rows when no element has
+    a carrier, and otherwise the first rows of ``A``
+    (:func:`_add_completeness_rows`).  With ``success`` the objective is
+    minus the success probability, ``-p_j svec(N_j^+ rho_j N_j)`` on a
+    carrier block.
     """
-    asm = _Assembler()
-    asm.basis, identity, mats = states or _program_states(spec)
-    svecs = [svec(m) for m in mats]
-    n = identity.shape[0]
-    k = spec.num_states
+    n = asm.identity.shape[0]
+    k = asm.spec.num_states
     carriers = list(carriers or [None] * k) + [None]  # the inconclusive element has none
-    offs = [None if j in zero else asm.add_psd(n if carriers[j] is None else carriers[j].shape[1])
-            for j in range(k)]
+    offs = asm.offs = [None if j in zero else asm.add_block(
+        PsdCone(n if carriers[j] is None else carriers[j].shape[1])) for j in range(k)]
     if inconclusive:
-        offs.append(asm.add_psd(n))
+        offs.append(asm.add_block(PsdCone(n)))
     asm.element_blocks = tuple((o, carriers[j]) for j, o in enumerate(offs) if o is not None)
-    rhs = svec(identity)
+    rhs = svec(asm.identity)
     if all(carrier is None for _, carrier in asm.element_blocks):
         asm.block_sum = (tuple(o for o, _ in asm.element_blocks), rhs)
     else:
@@ -287,29 +285,22 @@ def _element_program(spec: ProblemSpec, inconclusive: bool = True, success: bool
         for i in range(k):
             if offs[i] is not None:
                 n_i = carriers[i]
-                vec = svecs[i] if n_i is None else svec(n_i.conj().T @ mats[i] @ n_i)
-                asm.add_objective(offs[i], -spec.priors[i] * vec)
-    return asm, svecs, offs
-
-
-def _make_scheme(asm, spec, offs, maximize=True) -> SchemeProgram:
-    """Finish a program of :func:`_element_program` with element offsets ``offs``."""
-    k = spec.num_states
-    labels = tuple(j for j in range(k) if offs[j] is not None)
-    return SchemeProgram(asm.build(), spec.dim, k, labels + (INCONCLUSIVE,) * (len(offs) - k),
-                         asm.element_blocks, maximize, asm.basis)
+                vec = asm.svecs[i] if n_i is None else svec(n_i.conj().T @ asm.mats[i] @ n_i)
+                asm.objective.append((offs[i], -asm.spec.priors[i] * vec))
 
 
 def build_med(spec: ProblemSpec) -> SchemeProgram:
     """Minimum-error discrimination: maximize the success probability."""
-    asm, _, offs = _element_program(spec, inconclusive=False)
-    return _make_scheme(asm, spec, offs)
+    asm = _Assembler(spec)
+    _element_program(asm, inconclusive=False)
+    return asm.finish()
 
 
 def build_med_plus(spec: ProblemSpec) -> SchemeProgram:
     """Minimum-error discrimination with an (always redundant) inconclusive element."""
-    asm, _, offs = _element_program(spec)
-    return _make_scheme(asm, spec, offs)
+    asm = _Assembler(spec)
+    _element_program(asm)
+    return asm.finish()
 
 
 def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
@@ -332,16 +323,15 @@ def build_uqsd(spec: ProblemSpec) -> SchemeProgram:
     independent states; the program stays feasible regardless.
     """
     k = spec.num_states
-    _, identity, mats = states = _program_states(spec)
-    n = identity.shape[0]
-    svecs = [svec(m) for m in mats]
+    asm = _Assembler(spec)
+    n = asm.identity.shape[0]
     carriers = []
     for j in range(k):
-        w, u = np.linalg.eigh(smat(sum(svecs[i] for i in range(k) if i != j), n))
+        w, u = np.linalg.eigh(smat(sum(asm.svecs[i] for i in range(k) if i != j), n))
         carriers.append(u[:, w < UQSD_KERNEL_TOL])
     zero = [j for j in range(k) if carriers[j].shape[1] == 0]
-    asm, _, offs = _element_program(spec, states=states, zero=zero, carriers=carriers)
-    return _make_scheme(asm, spec, offs)
+    _element_program(asm, zero=zero, carriers=carriers)
+    return asm.finish()
 
 
 def build_frio(spec: ProblemSpec, rate: float, bound: str = AT_LEAST) -> SchemeProgram:
@@ -354,10 +344,11 @@ def build_frio(spec: ProblemSpec, rate: float, bound: str = AT_LEAST) -> SchemeP
         raise ValueError("rate must be a number in [0, 1]")
     if bound not in (AT_LEAST, AT_MOST):
         raise ValueError(f"bound must be '{AT_LEAST}' or '{AT_MOST}'")
-    asm, svecs, offs = _element_program(spec)
-    inc_vec = sum(p * sv for p, sv in zip(spec.priors, svecs))
-    asm.add_row([(offs[-1], inc_vec)], rate, slack=-1.0 if bound == AT_LEAST else 1.0)
-    return _make_scheme(asm, spec, offs)
+    asm = _Assembler(spec)
+    _element_program(asm)
+    inc_vec = sum(p * sv for p, sv in zip(spec.priors, asm.svecs))
+    asm.add_row([(asm.offs[-1], inc_vec)], rate, slack=-1.0 if bound == AT_LEAST else 1.0)
+    return asm.finish()
 
 
 def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
@@ -380,12 +371,13 @@ def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
         raise ValueError("need one alpha and one beta per state")
     if not np.all((0 <= alpha) & (alpha <= 1) & (0 <= beta) & (beta <= 1)):
         raise ValueError("alpha and beta entries must lie in [0, 1]")
-    states = _program_states(spec)
-    mats, priors = states[2], spec.priors
+    asm = _Assembler(spec)
+    mats, svecs, priors = asm.mats, asm.svecs, spec.priors
     mixture = sum(p * m for p, m in zip(priors, mats))
     zero = [i for i in range(k) if np.linalg.eigvalsh(
         priors[i] * mats[i] - (1.0 - beta[i]) * mixture)[-1] < UNREACHABLE_POSTERIOR_EIG]
-    asm, svecs, offs = _element_program(spec, states=states, zero=zero)
+    _element_program(asm, zero=zero)
+    offs = asm.offs
     for i in range(k):
         # Tr(rho_i' Pi_i) >= (1 - alpha_i) * sum_j Tr(rho_i' Pi_j)
         entries = [(offs[j], ((1.0 if j == i else 0.0) - (1.0 - alpha[i])) * svecs[i])
@@ -397,7 +389,7 @@ def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
         vec = priors[i] * svecs[i] - (1.0 - beta[i]) * sum(
             priors[j] * svecs[j] for j in range(k))
         asm.add_row([(offs[i], vec)], 0.0, slack=-1.0)
-    return _make_scheme(asm, spec, offs)
+    return asm.finish()
 
 
 def _check_reference(spec: ProblemSpec, reference: JointDistribution) -> np.ndarray:
@@ -415,28 +407,27 @@ def _check_reference(spec: ProblemSpec, reference: JointDistribution) -> np.ndar
     return reference.entries
 
 
-def _deviation_terms(asm, spec, offs, svecs, ref, ell, weight):
+def _deviation_terms(asm, ref, ell, weight):
     """Slack encoding of ``weight * sum_ij |ref_ij - p_i Tr(rho_i' Pi_j)|^ell``.
 
-    ``svecs`` are the noisy states' svecs (:func:`_element_program`).  For ell=1
-    each entry gets a bound variable ``t >= |deviation|`` entering the linear
-    objective; for ell=2 each deviation is pinned to a free variable entering
-    the diagonal quadratic term.
+    For ell=1 each entry gets a bound variable ``t >= |deviation|`` entering
+    the linear objective; for ell=2 each deviation is pinned to a free
+    variable entering the diagonal quadratic term.
     """
-    k = spec.num_states
+    k = asm.spec.num_states
     for i in range(k):
-        w_vec = spec.priors[i] * svecs[i]
+        w_vec = asm.spec.priors[i] * asm.svecs[i]
         for j in range(k + 1):
             if ell == 1:
-                t = asm.add_nonneg()
+                t = asm.add_block(NonNegCone(1))
                 # t >= ref - y  and  t >= y - ref, with y = p_i Tr(rho_i' Pi_j)
-                asm.add_row([(offs[j], w_vec), (t, [1.0])], ref[i, j], slack=-1.0)
-                asm.add_row([(offs[j], -w_vec), (t, [1.0])], -ref[i, j], slack=-1.0)
-                asm.add_objective(t, [weight])
+                asm.add_row([(asm.offs[j], w_vec), (t, [1.0])], ref[i, j], slack=-1.0)
+                asm.add_row([(asm.offs[j], -w_vec), (t, [1.0])], -ref[i, j], slack=-1.0)
+                asm.objective.append((t, [weight]))
             else:
-                s = asm.add_free()
-                asm.add_row([(offs[j], w_vec), (s, [1.0])], ref[i, j])
-                asm.add_quad(s, [2.0 * weight])
+                s = asm.add_block(FreeCone(1))
+                asm.add_row([(asm.offs[j], w_vec), (s, [1.0])], ref[i, j])
+                asm.quad.append((s, [2.0 * weight]))
 
 
 def build_fit_min_lp(spec: ProblemSpec, ell: int, reference: JointDistribution) -> SchemeProgram:
@@ -448,9 +439,10 @@ def build_fit_min_lp(spec: ProblemSpec, ell: int, reference: JointDistribution) 
     if ell not in (1, 2):
         raise ValueError("ell must be 1 or 2")
     ref = _check_reference(spec, reference)
-    asm, svecs, offs = _element_program(spec, success=False)
-    _deviation_terms(asm, spec, offs, svecs, ref, ell, weight=1.0)
-    return _make_scheme(asm, spec, offs, maximize=False)
+    asm = _Assembler(spec)
+    _element_program(asm, success=False)
+    _deviation_terms(asm, ref, ell, weight=1.0)
+    return asm.finish(maximize=False)
 
 
 def build_fit_meco(spec: ProblemSpec, reference: JointDistribution) -> SchemeProgram:
@@ -463,13 +455,14 @@ def build_fit_meco(spec: ProblemSpec, reference: JointDistribution) -> SchemePro
     solver status.
     """
     ref = _check_reference(spec, reference)
-    asm, svecs, offs = _element_program(spec)
+    asm = _Assembler(spec)
+    _element_program(asm)
     k = spec.num_states
     for i in range(k):
         for j in range(k):
-            w_vec = spec.priors[i] * svecs[i]
-            asm.add_row([(offs[j], w_vec)], ref[i, j], slack=1.0 if i == j else -1.0)
-    return _make_scheme(asm, spec, offs)
+            w_vec = spec.priors[i] * asm.svecs[i]
+            asm.add_row([(asm.offs[j], w_vec)], ref[i, j], slack=1.0 if i == j else -1.0)
+    return asm.finish()
 
 
 def build_hybrid(spec: ProblemSpec, w: float, ell: int,
@@ -485,10 +478,11 @@ def build_hybrid(spec: ProblemSpec, w: float, ell: int,
     if ell not in (1, 2):
         raise ValueError("ell must be 1 or 2")
     ref = _check_reference(spec, reference)
-    asm, svecs, offs = _element_program(spec)
+    asm = _Assembler(spec)
+    _element_program(asm)
     if w > 0:
-        _deviation_terms(asm, spec, offs, svecs, ref, ell, weight=w)
-    return _make_scheme(asm, spec, offs)
+        _deviation_terms(asm, ref, ell, weight=w)
+    return asm.finish()
 
 
 # --------------------------------------------------------------------------

@@ -187,17 +187,23 @@ def expand_state_entry(entry: dict, num_qubits: int) -> list:
     Entry types: ``pure`` (amplitudes), ``density`` (matrix), ``coherent``
     (truncated coherent state of the given complex amplitude), and
     ``benchmark2q`` (the three nearly orthogonal two-qubit states, expanding
-    to three entries).
+    to three entries).  An entry without its ``type`` or its type's field
+    raises ``ValueError`` naming the field.
     """
-    kind = entry.get("type")
+    _check_schema(entry, {"required": ["type"]}, "state entry")
+    kind = entry["type"]
     if kind == "pure":
+        _check_schema(entry, {"required": ["amplitudes"]}, "pure entry")
         return [PureState(decode_complex_vector(entry["amplitudes"], "amplitudes"))]
     if kind == "density":
+        _check_schema(entry, {"required": ["matrix"]}, "density entry")
         return [DensityMatrix(decode_complex_matrix(entry["matrix"], "matrix"))]
     if kind == "coherent":
+        _check_schema(entry, {"required": ["alpha"]}, "coherent entry")
         alpha = complex(decode_complex_vector([entry["alpha"]], "alpha")[0])
         return [make_coherent_state(alpha, num_qubits)]
     if kind == "benchmark2q":
+        _check_schema(entry, {"required": ["a"]}, "benchmark2q entry")
         if num_qubits != 2:
             raise ValueError("benchmark2q entries require num_qubits = 2")
         return list(make_benchmark_two_qubit_states(tuple(_finite_list(entry["a"], "a"))))
@@ -207,6 +213,7 @@ def expand_state_entry(entry: dict, num_qubits: int) -> list:
 def read_problem(path) -> ProblemSpec:
     """Load a problem file into a noiseless :class:`ProblemSpec`."""
     data = read_json(path)
+    _check_schema(data, {"required": ["num_qubits", "states"]}, "problem file")
     num_qubits = _scalar(data, "num_qubits")
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
@@ -247,10 +254,6 @@ def write_problem(path, spec: ProblemSpec) -> None:
 # POVM and isometry files
 # --------------------------------------------------------------------------
 
-def _encode_label(label):
-    return label if isinstance(label, (int, np.integer)) else str(label)
-
-
 def _decode_label(raw):
     if isinstance(raw, bool):
         raise ValueError(f"label {raw!r} is not a state index")
@@ -266,7 +269,7 @@ def _decode_label(raw):
 def povm_payload(povm: Povm, meta: dict | None = None) -> dict:
     payload = {
         "dim": povm.dim,
-        "elements": [{"label": _encode_label(lbl), "matrix": encode_complex_matrix(e)}
+        "elements": [{"label": lbl, "matrix": encode_complex_matrix(e)}
                      for lbl, e in zip(povm.labels, povm.elements)],
     }
     if meta is not None:
@@ -280,8 +283,10 @@ def write_povm(path, povm: Povm, meta: dict | None = None) -> None:
 
 def read_povm(path) -> Povm:
     data = read_json(path)
+    _check_schema(data, {"required": ["dim", "elements"]}, "POVM file")
     dim = _scalar(data, "dim")
-    _check_schema(data["elements"], {"type": "array", "items": {"type": "object"}}, "elements")
+    _check_schema(data["elements"], {"type": "array", "items": {
+        "type": "object", "required": ["label", "matrix"]}}, "elements")
     labels = tuple(_decode_label(e["label"]) for e in data["elements"])
     elements = tuple(decode_complex_matrix(e["matrix"], f"elements[{j}].matrix")
                      for j, e in enumerate(data["elements"]))
@@ -294,7 +299,7 @@ def isometry_payload(dil: DilationResult, meta: dict | None = None) -> dict:
         "target_qubits": dil.target_qubits,
         "total_rank": dil.total_rank,
         "delta": float(dil.delta),
-        "outcome_map": [_encode_label(lbl) for lbl in dil.outcome_map],
+        "outcome_map": list(dil.outcome_map),
         "matrix": encode_complex_matrix(dil.isometry),
     }
     if meta is not None:
@@ -311,9 +316,12 @@ def read_isometry(path) -> DilationResult:
 
     The result is built from the matrix, the outcome map and ``delta``; each
     header field must equal the value the result derives, and ``delta`` must
-    be nonnegative.  Otherwise ``ValueError`` names the field.
+    be nonnegative.  Otherwise, or when a field is missing, ``ValueError``
+    names the field.
     """
     data = read_json(path)
+    _check_schema(data, {"required": ["matrix", "outcome_map", "delta", "domain_dim",
+                                      "target_qubits", "total_rank"]}, "isometry file")
     _check_schema(data["outcome_map"], {"type": "array"}, "outcome_map")
     dil = DilationResult(isometry=decode_complex_matrix(data["matrix"], "matrix"),
                          outcome_map=tuple(_decode_label(l) for l in data["outcome_map"]),

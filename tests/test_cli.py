@@ -361,6 +361,10 @@ class TestDilateCommand:
                      "elements[0] must be of type object, got 'x'", id="elements-list"),
         pytest.param(lambda d: [d], "file must hold a JSON object, got a list",
                      id="top-level-list"),
+        pytest.param(lambda d: d["elements"][0].__delitem__("matrix"),
+                     "elements[0] is missing 'matrix'", id="element-without-matrix"),
+        pytest.param(lambda d: d.__delitem__("dim"), "POVM file is missing 'dim'",
+                     id="without-dim"),
     ])
     def test_malformed_povm_entry_exits_2(self, tmp_path, povm_file, capsys, entry, message):
         data = read_json(povm_file)
@@ -556,6 +560,10 @@ class TestSimulateCommand:
                      id="outcome_map-int"),
         pytest.param(lambda d: [d], "file must hold a JSON object, got a list",
                      id="top-level-list"),
+        pytest.param(lambda d: d.__delitem__("outcome_map"),
+                     "isometry file is missing 'outcome_map'", id="without-outcome_map"),
+        pytest.param(lambda d: d.__delitem__("matrix"), "isometry file is missing 'matrix'",
+                     id="without-matrix"),
     ])
     def test_malformed_isometry_entry_exits_1(self, tmp_path, problem_file, isometry_file,
                                               capsys, entry, message):
@@ -579,6 +587,11 @@ class TestSimulateCommand:
         pytest.param("states", 5, "states must be of type array, got 5", id="states-int"),
         pytest.param("states", ["x"], "states[0] must be of type object, got 'x'",
                      id="states-list"),
+        # With the key "type" the entry is a state of that type without its field.
+        pytest.param("type", "density", "states[0]: density entry is missing 'matrix'",
+                     id="density-without-matrix"),
+        pytest.param("type", "pure", "states[0]: pure entry is missing 'amplitudes'",
+                     id="pure-without-amplitudes"),
     ])
     def test_malformed_problem_entry_exits_1(self, tmp_path, isometry_file, capsys, key, entry,
                                              message):
@@ -586,6 +599,8 @@ class TestSimulateCommand:
             state = {"type": "density",
                      "matrix": [[[0.25, 0.0] for _ in range(4)] for _ in range(4)]}
             state["matrix"][0][0][0] = entry
+        elif key == "type":
+            state = {"type": entry}
         else:
             state = {"type": "pure", "amplitudes": [[0.5, 0.0] for _ in range(4)]}
             state["amplitudes"][0][0] = entry

@@ -368,6 +368,23 @@ class TestHybrid:
         hyb = solve_scheme(spec, "hybrid", w=0.0, ell=1, reference=ref)
         assert abs(hyb.value - med.value) <= 1e-5
 
+    @pytest.mark.parametrize("spec_of", [lambda: _bench_spec(2, 0.01), lambda: _bench_spec(3, 0.01),
+                                         lambda: bench2q_spec(0.01)], ids=["tri2", "tri3", "ens"])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_w_zero_builds_the_med_plus_program(self, spec_of, ell):
+        # Exactly equal: a term or a row added twice would show here.
+        spec = spec_of()
+        hyb = schemes.build_hybrid(spec, 0.0, ell, np.full((3, 4), 1.0 / 12.0))
+        med = schemes.build_med_plus(spec)
+        assert hyb.program.blocks == med.program.blocks
+        for field in ("c", "A", "b", "quad_diag"):
+            assert np.array_equal(getattr(hyb.program, field), getattr(med.program, field))
+        for part in (0, 1):
+            assert np.array_equal(hyb.program.block_sum[part], med.program.block_sum[part])
+        assert hyb.labels == med.labels
+        assert [o for o, _ in hyb.element_blocks] == [o for o, _ in med.element_blocks]
+        assert hyb.maximize == med.maximize
+
     def test_large_w_pins_reference(self):
         spec = bench2q_spec()
         ref = uqsd_reference(spec)

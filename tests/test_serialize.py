@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -19,6 +20,7 @@ from qsdkit.serialize import (
     decode_complex_matrix,
     decode_complex_vector,
     encode_complex_matrix,
+    expand_state_entry,
     povm_payload,
     read_isometry,
     read_povm,
@@ -317,6 +319,18 @@ class TestFileRoundTrips:
         assert reread.outcome_map == dil.outcome_map
         assert reread.delta == dil.delta
 
+    def test_isometry_compares_by_value(self, tmp_path, rng):
+        path = tmp_path / "iso.json"
+        write_isometry(path, dilate(random_povm(4, 2, rng), delta=1e-3))
+        dil = read_isometry(path)
+        assert dil == read_isometry(path)
+        assert dil != dataclasses.replace(dil, delta=2e-3)
+        changed = dil.isometry.copy()
+        changed[0, 0] += 1e-15
+        assert dil != dataclasses.replace(dil, isometry=changed)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(dil)
+
     def test_problem_file_bit_identical(self, tmp_path):
         spec = ProblemSpec.from_states(make_benchmark_two_qubit_states((0.2, 0.5, 0.7)))
         path = tmp_path / "problem.json"
@@ -511,6 +525,15 @@ def set_entry(value, *keys):
     return edit
 
 
+def drop_entry(*keys):
+    """An edit that deletes the entry at ``keys``."""
+    def edit(data):
+        for key in keys[:-1]:
+            data = data[key]
+        del data[keys[-1]]
+    return edit
+
+
 def read_sweep_text(tmp_path, text):
     path = tmp_path / "sweep.csv"
     path.write_text(text)
@@ -554,6 +577,28 @@ MATRICES = {"povm": ("elements", 1, "matrix"), "problem": ("states", 2, "matrix"
           ("problem", "states", ["x"], r"states\[0\] must be of type object, got 'x'"),
           ("isometry", "outcome_map", 3, "outcome_map must be of type array, got 3"),
           ("isometry", "delta", -1.0, "delta must be nonnegative, got -1.0")]),
+    *(pytest.param(lambda tmp, kind=kind, keys=keys: read_edited(tmp, kind, drop_entry(*keys)),
+                   ValueError, message, id=f"{kind}-without-{'.'.join(map(str, keys))}")
+      for kind, keys, message in [
+          ("povm", ("dim",), "POVM file is missing 'dim'"),
+          ("povm", ("elements",), "POVM file is missing 'elements'"),
+          ("povm", ("elements", 0, "matrix"), r"elements\[0\] is missing 'matrix'"),
+          ("povm", ("elements", 1, "label"), r"elements\[1\] is missing 'label'"),
+          ("problem", ("num_qubits",), "problem file is missing 'num_qubits'"),
+          ("problem", ("states",), "problem file is missing 'states'"),
+          ("problem", ("states", 0, "matrix"), r"states\[0\]: density entry is missing 'matrix'"),
+          *(("isometry", (field,), f"isometry file is missing '{field}'")
+            for field in ("matrix", "outcome_map", "delta", "domain_dim", "target_qubits",
+                          "total_rank"))]),
+    *(pytest.param(lambda tmp, kind=kind: expand_state_entry({"type": kind}, 2), ValueError,
+                   f"{kind} entry is missing '{field}'", id=f"{kind}-entry-without-{field}")
+      for kind, field in [("pure", "amplitudes"), ("density", "matrix"), ("coherent", "alpha"),
+                          ("benchmark2q", "a")]),
+    pytest.param(lambda tmp: read_edited(tmp, "problem", drop_entry("states", 1, "type")),
+                 ValueError, r"states\[1\]: state entry is missing 'type'",
+                 id="problem-entry-without-type"),
+    pytest.param(lambda tmp: expand_state_entry({"type": ["pure"]}, 2), ValueError,
+                 r"unknown state entry type \['pure'\]", id="entry-type-list"),
     pytest.param(lambda tmp: canonical_dumps({1: 2.0}),
                  TypeError, "keys must be strings", id="integer-key"),
     pytest.param(lambda tmp: write_problem(tmp / "p.json", ProblemSpec.from_states(
