@@ -31,14 +31,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import JointDistribution, _fold, _mix
-from .states import INCONCLUSIVE, RANK1_TOL, Povm, ProblemSpec, PureState
+from .states import INCONCLUSIVE, RANK1_TOL, Povm, ProblemSpec, PureState, _fields_equal
 
 #: Outcome label for target-basis states outside the decomposition's range
 #: (collects the truncation deficit).
 RESIDUAL = "residual"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rank1Term:
     """One rank-1 piece ``sigma * |l><l|`` of a POVM element, stored as
     ``vector = sqrt(sigma) * l``."""
@@ -47,8 +47,10 @@ class Rank1Term:
     sigma: float
     vector: np.ndarray
 
+    __eq__ = _fields_equal
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Rank1Decomposition:
     """Rank-1 decomposition of a labeled POVM; term ``t`` fills basis slot
     ``t`` of :func:`build_isometry`.  :func:`decompose_rank1` groups the terms
@@ -57,6 +59,8 @@ class Rank1Decomposition:
     dim: int
     terms: tuple
     labels: tuple
+
+    __eq__ = _fields_equal
 
     @property
     def total_rank(self) -> int:
@@ -90,6 +94,8 @@ class DilationResult:
     outcome_map: tuple
     delta: float
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         (rows, dim), labels = self.isometry.shape, len(self.outcome_map)
         if dim & (dim - 1):
@@ -97,12 +103,6 @@ class DilationResult:
         if rows & (rows - 1) or labels != rows:
             raise ValueError(f"matrix has {rows} rows and outcome_map {labels} labels; "
                              "both need the same power of two")
-
-    def __eq__(self, other):
-        if not isinstance(other, DilationResult):
-            return NotImplemented
-        return (np.array_equal(self.isometry, other.isometry)
-                and self.outcome_map == other.outcome_map and self.delta == other.delta)
 
     @property
     def domain_dim(self) -> int:

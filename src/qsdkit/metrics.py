@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (CONDITIONING_MASS_FLOOR, INCONCLUSIVE, JOINT_NEGATIVE_TOL, JOINT_SUM_TOL,
-                     SUCCESS_MASS_FLOOR, Povm, ProblemSpec, _readonly)
+                     SUCCESS_MASS_FLOOR, Povm, ProblemSpec, _fields_equal, _readonly)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Joint probabilities ``entries[i, j] = p_i * Tr(rho_i' Pi_j)``.
 
@@ -30,6 +30,8 @@ class JointDistribution:
     """
 
     entries: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)

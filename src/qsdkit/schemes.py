@@ -65,7 +65,8 @@ from .solver import (
     svec,
 )
 from .states import (COMPLEMENT_TOL, DECODE_COMPLETENESS_TOL, INCONCLUSIVE, SUPPORT_TOL,
-                     UNREACHABLE_POSTERIOR_EIG, UQSD_KERNEL_TOL, Povm, ProblemSpec)
+                     UNREACHABLE_POSTERIOR_EIG, UQSD_KERNEL_TOL, Povm, ProblemSpec,
+                     _fields_equal)
 
 AT_LEAST = "at_least"
 AT_MOST = "at_most"
@@ -75,7 +76,7 @@ class DecodeError(RuntimeError):
     """Raised when a solution is too far from feasibility to decode."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeProgram:
     """A conic program together with the metadata needed to decode it.
 
@@ -99,14 +100,18 @@ class SchemeProgram:
     maximize: bool
     basis: np.ndarray | None = None
 
+    __eq__ = _fields_equal
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SchemeResult:
     """Decoded output of one scheme solve."""
 
     povm: Povm
     solution: Solution
     scheme: SchemeProgram
+
+    __eq__ = _fields_equal
 
     @property
     def value(self) -> float:

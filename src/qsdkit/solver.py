@@ -22,24 +22,26 @@ through a diagonal, the other rows through a cached Cholesky factorization
 of their Schur complement), a cone projection per block (eigenvalue
 clipping for PSD blocks), and a scaled dual update.  Every 100 iterations
 residual balancing scales the penalty parameter by the square root of the
-residual ratio (OSQP's rule).  Safeguarded Anderson acceleration takes its
-weights from the normal equations of a Gram matrix that each iteration
-updates by one matrix-vector product; a candidate that the safeguard
-rejects clears the memory, as in SCS 3 (Zhang, O'Donoghue, Boyd, SIAM J.
-Optim. 2020).  Everything is deterministic: fixed zero initialization, no
-randomized internals.
+residual ratio, within [1e-6, 1e6] (OSQP's rule and limits).  Safeguarded
+Anderson acceleration takes its weights from the normal equations of a Gram
+matrix that each iteration updates by one matrix-vector product; a
+candidate that the safeguard rejects clears the memory, as in SCS 3 (Zhang,
+O'Donoghue, Boyd, SIAM J. Optim. 2020).  Everything is deterministic: fixed
+zero initialization, no randomized internals.
 
 Over a region of its domain the fixed-point map can be a translation: for
 hundreds of iterations ``z`` then moves by the same step while ``u`` stays
 put, the residuals stay frozen, and Anderson sees only zero differences.  A
-ray step detects such a drift from two equal consecutive residuals and jumps
-along it by doubling multiples of the residual while the point reached is
-still on it, so a drift of N steps ends in about log2 N of them (N / 1024
-past the cap on a jump).  On a program without an optimum the residual is
-Banjac, Goulart, Stellato and Boyd's certificate ("Infeasibility detection
-in the alternating direction method of multipliers for convex
-optimization", JOTA 2019): its ``u`` half of primal infeasibility, its
-``z`` half of unboundedness.  The solve checks it every 100 iterations.
+ray step detects such a drift from two equal consecutive residuals and, in
+that one iteration, walks along it: doubling multiples of the residual while
+the point reached is still on it, then a bisection of the last step, so a
+drift of N steps ends in one iteration of about 2 log2 N splitting steps (in
+N / 2**16 iterations past the cap on a walk).  On a program without an
+optimum the residual is Banjac, Goulart, Stellato and Boyd's certificate
+("Infeasibility detection in the alternating direction method of multipliers
+for convex optimization", JOTA 2019): its ``u`` half of primal
+infeasibility, its ``z`` half of unboundedness.  The solve checks it every
+100 iterations.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .states import DRIFT_RTOL, RAY_RTOL, ZERO_ROW_NORM, ZERO_ROW_RHS_TOL
+from .states import DRIFT_RTOL, RAY_RTOL, ZERO_ROW_NORM, ZERO_ROW_RHS_TOL, _fields_equal
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -175,7 +177,7 @@ def psd_project(m: np.ndarray) -> np.ndarray:
 # Program and solution containers
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeProgram:
     """A conic program in the solver's standard form (minimization).
 
@@ -199,6 +201,8 @@ class ConeProgram:
     b: np.ndarray
     quad_diag: np.ndarray | None = None
     block_sum: tuple | None = None
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         n = sum(blk.size for blk in self.blocks)
@@ -259,14 +263,15 @@ DEFAULT_MAX_ITERS = 200_000
 #: quadratic term starts it small, so the quadratic dominates the proximal step.
 _INITIAL_RHO, _INITIAL_RHO_QUAD = 1.0, 0.02
 _OVER_RELAX = 1.6  # over-relaxation factor of the splitting step
-_RAY_MAX_STEP = 1024.0  # the ray step's longest jump, in multiples of the residual
+_RAY_MAX_STEP = 2.0 ** 16  # the ray step's longest jump, in multiples of the residual
+_RHO_MIN, _RHO_MAX = 1e-6, 1e6  # the range residual balancing keeps rho in (OSQP's limits)
 
 OPTIMAL = "optimal"
 MAX_ITERS = "max_iters"
 INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     x: np.ndarray
     status: str
@@ -274,6 +279,8 @@ class Solution:
     dual_residual: float
     objective: float
     iterations: int
+
+    __eq__ = _fields_equal
 
 
 # --------------------------------------------------------------------------
@@ -286,8 +293,8 @@ class _ConeProjector:
     Each group of equal-dimension PSD blocks is read with one gather from
     the variable vector, times :func:`_index_plan`'s ``smat_scale``, into a
     complex (nb, dim, dim) buffer, and its clipped matrices are written back
-    with one gather times ``svec_scale`` (:func:`_svec_batch`) and one
-    scatter.
+    with one gather from their flat float view, times ``svec_scale``, and
+    one scatter.
     """
 
     def __init__(self, blocks):
@@ -304,22 +311,25 @@ class _ConeProjector:
             off += blk.size
         # Per group: the (nb, dim**2) coordinates of its blocks, the
         # (nb, 2 dim**2) coordinates each float of the buffer is read from,
-        # their scale, and the buffer with its float view.
+        # their scale, the buffer with its float view, and the (nb, dim**2)
+        # floats of the stacked clipped matrices that svec reads, with their scale.
         self.psd_groups = []
         for dim, offs in offsets.items():
-            _, _, smat_src, smat_scale = _index_plan(dim)
+            svec_src, svec_scale, smat_src, smat_scale = _index_plan(dim)
             offs = np.asarray(offs)[:, None]
             buffer = np.empty((offs.size, dim, dim), dtype=complex)
+            floats_in = 2 * dim * dim * np.arange(offs.size)[:, None]
             self.psd_groups.append((offs + np.arange(dim * dim), offs + smat_src, smat_scale,
-                                    buffer, buffer.reshape(offs.size, dim * dim).view(float)))
+                                    buffer, buffer.reshape(offs.size, dim * dim).view(float),
+                                    floats_in + svec_src, svec_scale))
 
     def __call__(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the projection of ``v`` into ``out`` and return ``out``."""
         out[...] = v
         np.maximum(out, 0.0, where=self.nonneg_mask, out=out)
-        for index, src, scale, buffer, floats in self.psd_groups:
+        for index, src, scale, buffer, floats, svec_src, svec_scale in self.psd_groups:
             np.multiply(v[src], scale, out=floats)
-            out[index] = _svec_batch(_psd_clip(buffer))
+            out[index] = _psd_clip(buffer).reshape(-1).view(float)[svec_src] * svec_scale
         return out
 
 
@@ -560,6 +570,43 @@ def _on_ray(candidate_norm: float, residual_norm: float) -> bool:
     return candidate_norm <= (1.0 + RAY_RTOL) * residual_norm
 
 
+def _walk_ray(step, w, residual, residual_norm: float):
+    """The image of the farthest point ``w - t residual`` found on a drift, or ``None``.
+
+    ``step`` maps a point to its image under the splitting map.  ``t``
+    starts at 2 and doubles while the point reached is still on the drift
+    (:func:`_on_ray`), up to ``_RAY_MAX_STEP``; the bracket between the last
+    ``t`` that landed and the first that missed is then bisected until it
+    is at most ``max(1, t/50)`` wide.  A drift of N residual lengths thus
+    costs at most ``2 ceil(log2 N) + 2`` calls of ``step``, and a miss at
+    ``t = 2`` exactly one, which returns ``None``.
+    """
+    def image_on_ray(t):
+        point = w - t * residual
+        fw = step(point)
+        return fw if _on_ray(_norm(point - fw), residual_norm) else None
+
+    landed, fw_landed, missed = 0.0, None, 2.0
+    while True:
+        fw = image_on_ray(missed)
+        if fw is None:
+            break
+        landed, fw_landed = missed, fw
+        if landed >= _RAY_MAX_STEP:
+            return fw_landed
+        missed = min(2.0 * landed, _RAY_MAX_STEP)
+    if fw_landed is None:
+        return None
+    while missed - landed > max(1.0, landed / 50.0):
+        t = 0.5 * (landed + missed)
+        fw = image_on_ray(t)
+        if fw is None:
+            missed = t
+        else:
+            landed, fw_landed = t, fw
+    return fw_landed
+
+
 def _no_optimum(residual, x, c, project_cone, affine) -> bool:
     """Whether the fixed-point residual of ``w = (z, u)`` certifies that no optimum exists.
 
@@ -606,15 +653,22 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     iterate ``w = (z, u)``.  When ``r`` repeats the previous iteration's and
     its ``u`` half vanishes, each to within ``DRIFT_RTOL`` of ``|r|``
     (:func:`_primal_drift`), the iteration is drifting along a straight
-    line, and a ray step tries ``w - t r`` at the cost of one more splitting
-    step.  If that point's residual norm is at most ``(1 + RAY_RTOL) |r|``
-    it is still on the drift (:func:`_on_ray`) (past the region where the map is a
-    translation the residual grows): its image becomes the next iterate,
-    ``t`` doubles up to ``_RAY_MAX_STEP`` and the Anderson memory is
-    cleared.  Otherwise ``t`` returns to 2, its starting value, and the
-    iteration takes its usual step.  Iterations that never drift take
-    exactly the path they take without the ray step; a primal-infeasible
-    program drifts in ``u`` and takes no ray step.
+    line, and a ray step tries points ``w - t r``, each at the cost of one
+    more splitting step.  A point whose residual norm is at most
+    ``(1 + RAY_RTOL) |r|`` is still on the drift (:func:`_on_ray`) (past the
+    region where the map is a translation the residual grows).  Within the
+    one iteration (:func:`_walk_ray`), ``t`` starts at 2 and doubles while
+    the point lands, up to ``_RAY_MAX_STEP`` (2**16), and the bracket
+    between the last landed ``t`` and the first miss is bisected to at most
+    ``max(1, t/50)``; the image of the farthest landed point becomes the
+    next iterate and the Anderson memory is cleared.  A miss at ``t = 2``
+    costs one splitting step, and the iteration takes its usual step.
+    Iterations that never drift take exactly the path they take without the
+    ray step; a primal-infeasible program drifts in ``u`` and takes no ray
+    step.
+
+    Residual balancing cuts its factor so that rho stays in
+    ``[_RHO_MIN, _RHO_MAX]`` = [1e-6, 1e6].
 
     Status is ``optimal`` when both normalized residuals fall below ``tol``
     and the affine system holds, ``infeasible`` when a check made every 100
@@ -646,13 +700,15 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         np.subtract(shifted, z_new, out=fw[n:])
         return x, fw
 
+    def image(w):
+        return step(w)[1]
+
     # The iterate (z, u) and its image are kept as halves of one vector, the
     # form Anderson acceleration works on.
     w = np.zeros(2 * n)
     anderson = _AndersonMemory(acceleration, 2 * n) if acceleration > 0 else None
 
     previous = None  # the last iteration's residual w - F(w)
-    ray = 2.0  # length of the next ray step, in residuals
     status = MAX_ITERS
     for it in range(1, max_iters + 1):
         x, fw = step(w)
@@ -671,18 +727,14 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
                 break
 
         residual_norm = _norm(residual)
-        # The ray step (see above): a jump that lands on the drift doubles
-        # the next; one that overshoots its end is dropped, and the next
-        # starts again at 2.
-        on_ray = False
+        # The ray step (see above): one line search along the drift, whose
+        # farthest landed point's image replaces the plain one.
+        fw_ray = None
         if _primal_drift(residual, residual_norm, previous, n):
-            cand = w - ray * residual
-            _, fw_cand = step(cand)
-            on_ray = _on_ray(_norm(cand - fw_cand), residual_norm)
-            ray = min(2.0 * ray, _RAY_MAX_STEP) if on_ray else 2.0
+            fw_ray = _walk_ray(image, w, residual, residual_norm)
         previous = residual
-        if on_ray:
-            fw = fw_cand
+        if fw_ray is not None:
+            fw = fw_ray
             if anderson is not None:
                 anderson.clear()
         elif anderson is not None:
@@ -697,16 +749,17 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         w = fw
 
         # Every 100 iterations the certificate check, then residual balancing
-        # (_penalty_factor); u is rescaled so the unscaled dual variable rho*u
-        # is untouched.  The fixed-point map changes with the penalty, so the
-        # acceleration memory and the last residual are flushed.
+        # (_penalty_factor), its factor cut so that rho stays in
+        # [_RHO_MIN, _RHO_MAX]; u is rescaled so the unscaled dual variable
+        # rho*u is untouched.  The fixed-point map changes with the penalty,
+        # so the acceleration memory and the last residual are flushed.
         if it % 100 == 0:
             if _no_optimum(residual, x, c, project_cone, affine):
                 status = INFEASIBLE
                 break
-            factor = _penalty_factor(pri_res, dual_res)
+            factor = min(max(_penalty_factor(pri_res, dual_res), _RHO_MIN / rho), _RHO_MAX / rho)
             if factor != 1.0:
-                rho *= factor
+                rho = min(max(rho * factor, _RHO_MIN), _RHO_MAX)
                 w[n:] /= factor
                 affine.set_rho(rho)
                 previous = None

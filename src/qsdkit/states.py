@@ -12,7 +12,7 @@ basis order is ``|00>, |01>, |10>, |11>``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,7 +75,28 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def _equal(a, b) -> bool:
+    """Whether two field values are equal: arrays by shape and entries, tuples and lists item by item."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_equal, a, b))
+    return bool(a == b)
+
+
+def _fields_equal(self, other):
+    """``__eq__`` of the value types that hold arrays: the same class, and every field :func:`_equal`.
+
+    The dataclass-generated ``__eq__`` compares the fields as one tuple, which
+    asks an array comparison for a single truth value and raises.  A class
+    that takes this ``__eq__`` is unhashable, as its arrays are.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
 class PureState:
     """A pure multi-qubit state given by its amplitude vector.
 
@@ -86,6 +107,8 @@ class PureState:
     """
 
     amplitudes: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
@@ -108,11 +131,13 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A density operator: Hermitian, unit trace, positive semidefinite."""
 
     matrix: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -171,7 +196,7 @@ def depolarize(rho: DensityMatrix, lam: float) -> DensityMatrix:
     return apply_depolarizing(DepolarizingChannel(lam, rho.dim), rho)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """A state-discrimination instance.
 
@@ -189,6 +214,8 @@ class ProblemSpec:
     states: tuple
     priors: np.ndarray
     noise_lambda: float = 0.0
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -239,7 +266,7 @@ class ProblemSpec:
         return [depolarize(s, self.noise_lambda) for s in self.states]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """A positive operator-valued measure with labeled elements.
 
@@ -252,6 +279,8 @@ class Povm:
     dim: int
     elements: tuple
     labels: tuple
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         if not self.dim >= 1 or len(self.elements) == 0:

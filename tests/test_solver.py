@@ -348,6 +348,68 @@ class TestPrimalDrift:
         assert not any(fired for _, fired in calls)
 
 
+def walk_ray(length):
+    """``_walk_ray`` from 0 along a drift of ``length`` residual lengths.
+
+    The fake splitting map moves a point ``-t r`` by ``-r`` while ``t`` is at
+    most ``length``, and by ``-2 r`` beyond, where the point is off the
+    drift.  Returns the ``t`` of the point whose image came back (``None``
+    for no point) and the ``t`` of each call, in order.
+    """
+    r = np.array([1.0, -2.0, 0.5, 0.0, 0.0, 0.0])
+    calls = []
+
+    def step(v):
+        calls.append(-(v @ r) / (r @ r))
+        return v - (r if calls[-1] <= length else 2.0 * r)
+
+    fw = solver_module._walk_ray(step, np.zeros(r.size), r, np.linalg.norm(r))
+    return (None if fw is None else -(fw @ r) / (r @ r) - 1.0), calls
+
+
+class TestWalkRay:
+    @pytest.mark.parametrize("length", [2.0, 3.0, 5.5, 64.0, 100.0, 1041.0, 4500.0, 40_000.0])
+    def test_lands_within_the_bisection_rule(self, length):
+        t, calls = walk_ray(length)
+        assert calls[0] == 2.0
+        assert 0.0 <= length - t < max(1.0, t / 50.0)
+        assert len(calls) <= 2 * np.ceil(np.log2(length)) + 2
+
+    @pytest.mark.parametrize("length", [0.0, 1.0, 1.9])
+    def test_miss_at_two_costs_one_call(self, length):
+        assert walk_ray(length) == (None, [2.0])
+
+    @pytest.mark.parametrize("length", [solver_module._RAY_MAX_STEP, 1e9, np.inf])
+    def test_stops_at_the_cap(self, length):
+        t, calls = walk_ray(length)
+        assert t == solver_module._RAY_MAX_STEP
+        assert calls == [2.0 ** k for k in range(1, 17)]
+
+
+class TestPenaltyRange:
+    @pytest.mark.parametrize("factor, bound", [(1e3, 1e6), (1e-3, 1e-6)])
+    def test_rho_stays_within_its_bounds(self, monkeypatch, factor, bound):
+        # A penalty rule that scales rho by 1e3 (or 1e-3) at each of the ten
+        # checks would take it to 1e30 (1e-30); the solve stops it at 1e6
+        # (1e-6) and changes it no more.  tol = 1e-300 keeps the solve
+        # from ending before its last check.
+        rhos, set_rho = [], solver_module._AffineProjector.set_rho
+
+        def record(self, rho):
+            rhos.append(rho)
+            set_rho(self, rho)
+
+        monkeypatch.setattr(solver_module._AffineProjector, "set_rho", record)
+        monkeypatch.setattr(solver_module, "_penalty_factor", lambda pri, dual: factor)
+        prog = build_scheme(_bench_spec(2, 0.01), "med").program
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(prog, tol=1e-300, max_iters=1000)
+        assert sol.iterations == 1000
+        assert all(1e-6 <= rho <= 1e6 for rho in rhos)
+        assert rhos[-1] == bound and len(rhos) <= 5
+
+
 def no_optimum(prog, x, s=None, d=None):
     """``_no_optimum`` of ``prog`` at rho = 1 on the residual ``(-d, s)``, zero where omitted."""
     n = prog.num_vars

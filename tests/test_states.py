@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -15,10 +16,13 @@ from qsdkit import (
     ProblemSpec,
     PureState,
     apply_depolarizing,
+    decompose_rank1,
     density_of,
+    joint_distribution,
     make_benchmark_two_qubit_states,
     make_coherent_state,
     make_single_qubit_pair,
+    solve_scheme,
 )
 from qsdkit.serialize import read_problem
 from qsdkit.states import MAX_QUBITS, POVM_HERMITIAN_TOL, PRIOR_SUM_TOL, STATE_NORM_TOL
@@ -154,6 +158,64 @@ class TestDensityOf:
         m = density_of(psi).matrix
         assert abs(np.trace(m).real - 1.0) < 1e-12
         np.testing.assert_allclose(m @ m, m, atol=1e-12)
+
+
+def values_of_the_pair():
+    """One value of each type that holds arrays, built afresh from the |0>,|+> pair at λ = 0.01."""
+    spec = ProblemSpec.from_states(make_single_qubit_pair(), noise_lambda=0.01)
+    result = solve_scheme(spec, "med")
+    return {"PureState": make_single_qubit_pair()[1], "DensityMatrix": spec.states[1],
+            "ProblemSpec": spec, "Povm": result.povm,
+            "JointDistribution": joint_distribution(spec, result.povm),
+            "Rank1Decomposition": decompose_rank1(result.povm),
+            "ConeProgram": result.scheme.program, "Solution": result.solution,
+            "SchemeProgram": result.scheme, "SchemeResult": result}
+
+
+def perturbed(name, value):
+    """A valid value of the same type that differs from ``value`` in one field."""
+    def ulp_up(a):
+        return np.nextafter(a, np.inf)
+
+    if name == "PureState":
+        return PureState(1j * value.amplitudes)
+    if name == "DensityMatrix":
+        return apply_depolarizing(DepolarizingChannel(1e-3, value.dim), value)
+    if name == "ProblemSpec":
+        return value.with_noise(0.02)
+    if name == "Povm":
+        return dataclasses.replace(value, elements=value.elements[::-1])
+    if name == "JointDistribution":
+        return dataclasses.replace(value, entries=value.entries[::-1])
+    if name == "Rank1Decomposition":
+        return dataclasses.replace(value, terms=value.terms[::-1])
+    if name == "ConeProgram":
+        return dataclasses.replace(value, c=ulp_up(value.c))
+    if name == "Solution":
+        return dataclasses.replace(value, x=ulp_up(value.x))
+    if name == "SchemeProgram":
+        return dataclasses.replace(value, program=perturbed("ConeProgram", value.program))
+    return dataclasses.replace(value, solution=perturbed("Solution", value.solution))
+
+
+class TestValueEquality:
+    @pytest.mark.parametrize("name", sorted(values_of_the_pair()))
+    def test_copies_are_equal(self, name):
+        first, second = values_of_the_pair()[name], values_of_the_pair()[name]
+        assert first is not second
+        assert (first == second) is True
+        assert (first != second) is False
+
+    @pytest.mark.parametrize("name", sorted(values_of_the_pair()))
+    def test_perturbed_copy_is_not_equal(self, name):
+        value = values_of_the_pair()[name]
+        assert value != perturbed(name, value)
+        assert value != name
+
+    @pytest.mark.parametrize("name", sorted(values_of_the_pair()))
+    def test_unhashable(self, name):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(values_of_the_pair()[name])
 
 
 class TestValidation:

@@ -5,15 +5,18 @@ last bits of its input, so one count is one draw.  For each instance and
 scheme this script solves the scheme's program as built, then five copies
 whose nonzero objective entries are each moved by one ulp in a random
 direction (fixed seeds), and prints one JSON report: the unperturbed count,
-the median and maximum over the copies, the largest deviation of a copy's
-objective from the unperturbed one, the program's variable count, and two
-SHA-1 digests: ``program_sha1`` of the program as built (its blocks, ``c``,
-``A``, ``b``, ``quad_diag``, the block-sum rhs, and the scheme's labels and
-element offsets and carriers) and ``x_sha1`` of the unperturbed solution's
-``x.tobytes()``.  Two reports can then be diffed to check that a change
-keeps every program byte-identical, and to see which solves it moves.
-After the report the script exits 1, naming the rows, when a solve is not
-``optimal`` or a scheme's largest count exceeds twice its median.
+the unperturbed solve's splitting steps (its cone projections: one per
+iteration, Anderson candidate and ray try, and the few of the certificate
+checks), the median and maximum over the copies, the largest deviation of a
+copy's objective from the unperturbed one, the program's variable count, and
+two SHA-1 digests: ``program_sha1`` of the program as built (its blocks,
+``c``, ``A``, ``b``, ``quad_diag``, the block-sum rhs, and the scheme's
+labels and element offsets and carriers) and ``x_sha1`` of the unperturbed
+solution's ``x.tobytes()``.  Two reports can then be diffed to check that a
+change keeps every program byte-identical, and to see which solves it moves,
+and a change that trades iterations for steps shows in the steps.  After the
+report the script exits 1, naming the rows, when a solve is not ``optimal``
+or a scheme's largest count exceeds twice its median.
 
 The instances are the coherent triple of ``qsd bench`` (λ = 0.01) at 2 to
 ``--max-qubits`` qubits and the two-qubit benchmark ensemble at λ = 0,
@@ -41,7 +44,7 @@ import numpy as np
 import scipy
 
 from qsdkit import (OPTIMAL, ProblemSpec, SCHEME_NAMES, build_scheme,
-                    make_benchmark_two_qubit_states, solve, uqsd_reference)
+                    make_benchmark_two_qubit_states, solve, solver, uqsd_reference)
 from qsdkit.cli import _bench_spec
 from qsdkit.schemes import SCHEMES
 
@@ -75,8 +78,25 @@ def program_sha1(scheme) -> str:
     return digest.hexdigest()
 
 
+def solve_counting_steps(program):
+    """``solve(program)`` and the number of cone projections it made."""
+    count = 0
+    project = solver._ConeProjector.__call__
+
+    def counted(self, v, out):
+        nonlocal count
+        count += 1
+        return project(self, v, out)
+
+    solver._ConeProjector.__call__ = counted
+    try:
+        return solve(program), count
+    finally:
+        solver._ConeProjector.__call__ = project
+
+
 def spread(program) -> dict:
-    base = solve(program)
+    base, steps = solve_counting_steps(program)
     iterations, deviation, statuses = [], 0.0, [base.status]
     for copy in range(COPIES):
         sol = solve(perturbed(program, np.random.default_rng(copy)))
@@ -84,7 +104,7 @@ def spread(program) -> dict:
         deviation = max(deviation, abs(sol.objective - base.objective))
         statuses.append(sol.status)
     median = float(np.median(iterations))
-    return {"iterations": base.iterations, "median": median, "max": max(iterations),
+    return {"iterations": base.iterations, "steps": steps, "median": median, "max": max(iterations),
             "objective_deviation": deviation, "num_vars": program.num_vars, "x_sha1": hashlib.sha1(base.x.tobytes()).hexdigest(),
             "statuses": {s: statuses.count(s) for s in sorted(set(statuses))}}
 
@@ -107,6 +127,7 @@ def main(argv=None) -> int:
                  "copies": COPIES},
         "rows": rows,
         "total": {"iterations": sum(r["iterations"] for r in rows),
+                  "steps": sum(r["steps"] for r in rows),
                   "median": sum(r["median"] for r in rows),
                   "max": sum(r["max"] for r in rows),
                   "objective_deviation": max(r["objective_deviation"] for r in rows)},
