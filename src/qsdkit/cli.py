@@ -100,8 +100,8 @@ _FLAG_FORMS = {
 
 def cmd_solve(args) -> int:
     problem = read_problem(args.problem)
-    lam_eval = args.lambda_eval if args.lambda_eval is not None else (args.lam or 0.0)
-    lam_metrics = args.lam if args.lam is not None else lam_eval
+    lam_eval = getattr(args, "lambda_eval", getattr(args, "lambda", 0.0))
+    lam_metrics = getattr(args, "lambda", lam_eval)
     # Both noise levels are checked here, before the solve writes anything.
     spec, reported = problem.with_noise(lam_eval), problem.with_noise(lam_metrics)
     # The scheme parameters given on the command line; the scheme fills in
@@ -173,8 +173,8 @@ def cmd_simulate(args) -> int:
     dil = read_isometry(args.isometry)
     spec = read_problem(args.problem)
     if args.lambda_sweep:
-        # A sweep reports rates only: per-state flags would go unused.
-        unused = [name for name in ("shots", "seed", "state_index") if name in args]
+        # A sweep reports rates only: per-state flags and --lambda would go unused.
+        unused = [name for name in ("shots", "seed", "state_index", "lambda") if name in args]
         if unused:
             raise UsageError(f"--lambda-sweep takes no --{unused[0].replace('_', '-')}")
         try:
@@ -186,8 +186,6 @@ def cmd_simulate(args) -> int:
             raise UsageError("--lambda-sweep needs at least one point")
         if not args.out:
             raise UsageError("--lambda-sweep requires --out for the CSV")
-    else:
-        lams = [args.lam or 0.0]
     try:
         labels, table, columns = _problem_table(spec, dil)
     except ValueError as exc:
@@ -204,7 +202,7 @@ def cmd_simulate(args) -> int:
         _print_json({"meta": _meta(args), "rows": len(rows), "out": args.out})
         return 0
 
-    lam = float(lams[0])
+    lam = getattr(args, "lambda", 0.0)
     meta = {**_meta(args), "lambda": lam}
     shots, seed = getattr(args, "shots", 0), getattr(args, "seed", 0)
     index = getattr(args, "state_index", None)
@@ -246,11 +244,12 @@ def cmd_bench(args) -> int:
     if not 1 <= args.min_qubits <= args.max_qubits <= MAX_QUBITS:
         raise UsageError(f"need 1 <= --min-qubits <= --max-qubits <= {MAX_QUBITS}, "
                          f"got {args.min_qubits} and {args.max_qubits}")
+    lam = getattr(args, "lambda")
     rows = []
     started = time.perf_counter()
     budget_hit = False
     for num_qubits in range(args.min_qubits, args.max_qubits + 1):
-        spec = _bench_spec(num_qubits, args.lam if args.lam is not None else 0.01)
+        spec = _bench_spec(num_qubits, lam)
         reference = None
         for name in schemes:
             if time.perf_counter() - started > args.budget_seconds:
@@ -259,7 +258,7 @@ def cmd_bench(args) -> int:
             # A None table default stands for the uqsd reference, solved once per instance.
             takes = [key for key, default in SCHEMES[name][1].items() if default is None]
             if takes and reference is None:
-                reference = uqsd_reference(spec, tol=args.tol)
+                reference = uqsd_reference(spec, tol=args.tol, max_iters=args.max_iters)
             params = dict.fromkeys(takes, reference)
             stages = (
                 ("solve", lambda _: solve_scheme(spec, name, tol=args.tol,
@@ -275,7 +274,7 @@ def cmd_bench(args) -> int:
                              "seconds": time.perf_counter() - t0})
         if budget_hit:
             break
-    report = {"meta": _meta(args), "rows": rows,
+    report = {"meta": {**_meta(args), "lambda": lam}, "rows": rows,
               "budget_exhausted": budget_hit}
     validate_bench_report(report)
     if args.out:
@@ -316,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True, choices=SCHEME_NAMES)
     p.add_argument("--out", required=True, help="output POVM JSON file")
     p.add_argument("--metrics-out", help="also write the metrics report here")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="noise level for the reported metrics (default: lambda-eval)")
-    p.add_argument("--lambda-eval", dest="lambda_eval", type=float, default=None,
+    p.add_argument("--lambda", type=float, default=argparse.SUPPRESS,
+                   help="noise level for the reported metrics (default: --lambda-eval)")
+    p.add_argument("--lambda-eval", type=float, default=argparse.SUPPRESS,
                    help="noise level assumed while solving (default: --lambda or 0)")
     _add_scheme_flags(p)
     _add_common(p)
@@ -342,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shots per state (default 0: exact probabilities only)")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="sampling seed (default 0)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="depolarizing level applied to the input states")
+    p.add_argument("--lambda", type=float, default=argparse.SUPPRESS,
+                   help="depolarizing level applied to the input states (default 0)")
     p.add_argument("--lambda-sweep", default=None,
                    help="log-spaced sweep start:stop:points; writes a CSV to --out")
     p.add_argument("--out", help="output file (JSON, or CSV for sweeps)")
@@ -353,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-qubits", type=int, default=3)
     p.add_argument("--schemes", default="all",
                    help="comma-separated scheme list (default: all nine)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="noise level assumed while solving (default 0.01)")
+    p.add_argument("--lambda", type=float, default=0.01,
+                   help="noise level assumed while solving")
     p.add_argument("--budget-seconds", type=float, default=600.0,
                    help="skip remaining configurations beyond this wall-clock budget")
     p.add_argument("--out", help="write the timing report JSON here")

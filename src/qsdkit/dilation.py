@@ -26,7 +26,7 @@ outcome probabilities, their shots come from the sampler behind
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,11 +54,13 @@ class Rank1Term:
 class Rank1Decomposition:
     """Rank-1 decomposition of a labeled POVM; term ``t`` fills basis slot
     ``t`` of :func:`build_isometry`.  :func:`decompose_rank1` groups the terms
-    by element."""
+    by element.  ``delta`` is the cut it was made at: no piece it dropped
+    weighs more, and no piece it kept weighs less."""
 
     dim: int
     terms: tuple
     labels: tuple
+    delta: float
 
     __eq__ = _fields_equal
 
@@ -81,7 +83,7 @@ class DilationResult:
     ``isometry`` has shape ``(2**target_qubits, domain_dim)``; basis index
     ``b`` of the target register maps to ``outcome_map[b]``, which is either
     a conclusive state index, :data:`INCONCLUSIVE`, or :data:`RESIDUAL`.
-    ``delta`` is the threshold below which rank-1 pieces were dropped.  The
+    ``delta`` is the cut of the decomposition it was built from.  The
     other values are read off these: the shape fields from the matrix, and
     ``total_rank`` as the number of basis states not labelled :data:`RESIDUAL`.
     A row or column count that is not a power of two, or an outcome map of
@@ -147,7 +149,7 @@ def decompose_rank1(povm: Povm, rank_tol: float | None = RANK1_TOL) -> Rank1Deco
 
     Eigenpairs with eigenvalue above ``rank_tol`` are kept, largest first
     within each element.  ``rank_tol=None`` keeps all ``dim`` eigenpairs of
-    every element (no numerical-rank estimation), which is the
+    every element (no numerical-rank estimation, cut 0), which is the
     no-approximation mode used before an explicit truncation.
     """
     terms = []
@@ -162,7 +164,8 @@ def decompose_rank1(povm: Povm, rank_tol: float | None = RANK1_TOL) -> Rank1Deco
             sigma = max(sigma, 0.0)
             vec = math.sqrt(sigma) * u[:, pos]
             terms.append(Rank1Term(element=idx, sigma=sigma, vector=vec))
-    return Rank1Decomposition(dim=povm.dim, terms=tuple(terms), labels=povm.labels)
+    return Rank1Decomposition(dim=povm.dim, terms=tuple(terms), labels=povm.labels,
+                              delta=0.0 if rank_tol is None else max(float(rank_tol), 0.0))
 
 
 def truncate(dec: Rank1Decomposition, delta: float) -> Rank1Decomposition:
@@ -170,12 +173,14 @@ def truncate(dec: Rank1Decomposition, delta: float) -> Rank1Decomposition:
 
     ``delta = 0`` is the identity; an element may lose all of its pieces, in
     which case it simply never fires and the lost mass surfaces under the
-    :data:`RESIDUAL` outcome of the dilated measurement.
+    :data:`RESIDUAL` outcome of the dilated measurement.  The new cut is
+    the larger of ``dec.delta`` and ``delta``.
     """
     if not delta >= 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     kept = tuple(t for t in dec.terms if not (t.sigma < delta))
-    return Rank1Decomposition(dim=dec.dim, terms=kept, labels=dec.labels)
+    return Rank1Decomposition(dim=dec.dim, terms=kept, labels=dec.labels,
+                              delta=max(dec.delta, float(delta)))
 
 
 def build_isometry(dec: Rank1Decomposition) -> DilationResult:
@@ -183,7 +188,7 @@ def build_isometry(dec: Rank1Decomposition) -> DilationResult:
 
     The target register has ``max(n, ceil(log2 L))`` qubits for an
     ``n``-qubit domain and total rank ``L``.  Rows beyond the first ``L``
-    basis indices are zero and map to :data:`RESIDUAL`.
+    basis indices are zero and map to :data:`RESIDUAL`; ``delta`` is the cut of ``dec``.
     """
     total = dec.total_rank
     if total < 1:
@@ -194,7 +199,7 @@ def build_isometry(dec: Rank1Decomposition) -> DilationResult:
     for row, term in enumerate(dec.terms):
         v[row, :] = term.vector.conj()
         outcome_map[row] = dec.labels[term.element]
-    return DilationResult(isometry=v, outcome_map=tuple(outcome_map), delta=0.0)
+    return DilationResult(isometry=v, outcome_map=tuple(outcome_map), delta=dec.delta)
 
 
 def dilate(povm: Povm, delta: float = 0.0) -> DilationResult:
@@ -205,8 +210,7 @@ def dilate(povm: Povm, delta: float = 0.0) -> DilationResult:
     isometry is exact.  A positive ``delta`` discards pieces with
     ``sigma < delta`` first.
     """
-    dec = truncate(decompose_rank1(povm, rank_tol=None), delta)
-    return replace(build_isometry(dec), delta=delta)
+    return build_isometry(truncate(decompose_rank1(povm, rank_tol=None), delta))
 
 
 def build_isometry_generic(povm: Povm) -> DilationResult:
@@ -224,7 +228,8 @@ def build_isometry_generic(povm: Povm) -> DilationResult:
     terms = tuple(Rank1Term(element=i, sigma=float(np.vdot(root[r], root[r]).real),
                             vector=root[r].conj())
                   for r in range(povm.dim) for i, root in enumerate(roots))
-    return build_isometry(Rank1Decomposition(dim=povm.dim, terms=terms, labels=povm.labels))
+    return build_isometry(Rank1Decomposition(dim=povm.dim, terms=terms, labels=povm.labels,
+                                             delta=0.0))
 
 
 def _densities(states) -> np.ndarray:

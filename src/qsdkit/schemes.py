@@ -367,11 +367,11 @@ def build_crossqsd(spec: ProblemSpec, alpha, beta) -> SchemeProgram:
     ``Tr(M_i Pi_i) >= 0`` with ``M_i = p_i rho_i' - (1 - beta_i) sum_j p_j rho_j'``;
     when ``M_i`` has no eigenvalue above ``UNREACHABLE_POSTERIOR_EIG`` only
     ``Pi_i = 0`` satisfies it, and element ``i`` gets no block and no
-    posterior row.
+    posterior row.  A scalar ``alpha`` or ``beta`` applies to every state.
     """
     k = spec.num_states
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    beta = np.asarray(beta, dtype=float).ravel()
+    alpha, beta = (np.full(k, v, dtype=float) if np.ndim(v) == 0
+                   else np.asarray(v, dtype=float).ravel() for v in (alpha, beta))
     if alpha.size != k or beta.size != k:
         raise ValueError("need one alpha and one beta per state")
     if not np.all((0 <= alpha) & (alpha <= 1) & (0 <= beta) & (beta <= 1)):
@@ -561,11 +561,6 @@ def uqsd_reference(spec: ProblemSpec, tol: float = DEFAULT_TOL,
     return joint_distribution(noiseless, povm, 0.0)
 
 
-def _per_state(spec: ProblemSpec, value):
-    """``value`` for every state when it is a scalar, else ``value`` unchanged."""
-    return np.full(spec.num_states, value) if np.ndim(value) == 0 else value
-
-
 #: Each scheme's builder call and its keyword parameters with their defaults.
 #: A call looks its builder up by name when it runs, so a wrapper installed
 #: on this module's attribute (by a profiler, say) sees every build.  A
@@ -576,8 +571,7 @@ SCHEMES = {
     "uqsd": (lambda spec, p: build_uqsd(spec), {}),
     "frio": (lambda spec, p: build_frio(spec, p["rate"], p["bound"]),
              {"rate": 0.1, "bound": AT_LEAST}),
-    "crossqsd": (lambda spec, p: build_crossqsd(spec, _per_state(spec, p["alpha"]),
-                                                _per_state(spec, p["beta"])),
+    "crossqsd": (lambda spec, p: build_crossqsd(spec, p["alpha"], p["beta"]),
                  {"alpha": 0.1, "beta": 0.1}),
     "minl1": (lambda spec, p: build_fit_min_lp(spec, 1, p["reference"]), {"reference": None}),
     "minss": (lambda spec, p: build_fit_min_lp(spec, 2, p["reference"]), {"reference": None}),
@@ -589,14 +583,14 @@ SCHEME_NAMES = tuple(SCHEMES)
 
 
 def build_scheme(spec: ProblemSpec, name: str, *, tol: float = DEFAULT_TOL,
-                 **params) -> SchemeProgram:
+                 max_iters: int = DEFAULT_MAX_ITERS, **params) -> SchemeProgram:
     """Build a scheme by name from the keyword parameters it takes.
 
     The parameters and their defaults are those of :data:`SCHEMES`; a
-    parameter the scheme does not take raises ``ValueError``.  A scalar
-    ``alpha`` or ``beta`` applies to every state.  A fitting scheme without
-    a ``reference`` fits :func:`uqsd_reference` of ``spec``, solved to
-    ``tol`` only after the builder has checked the other parameters.
+    parameter the scheme does not take raises ``ValueError``.  A fitting
+    scheme without a ``reference`` fits :func:`uqsd_reference` of ``spec``,
+    solved with ``tol`` and ``max_iters`` only after the builder has checked
+    the other parameters.
     """
     if name not in SCHEMES:
         raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
@@ -607,14 +601,14 @@ def build_scheme(spec: ProblemSpec, name: str, *, tol: float = DEFAULT_TOL,
         raise ValueError(f"scheme {name!r} takes {takes}; got {', '.join(unknown)}")
     params = {**defaults, **params}
     if "reference" in params and params["reference"] is None:
-        params["reference"] = lambda: uqsd_reference(spec, tol=tol)
+        params["reference"] = lambda: uqsd_reference(spec, tol=tol, max_iters=max_iters)
     return call(spec, params)
 
 
 def solve_scheme(spec: ProblemSpec, name: str, *, tol: float = DEFAULT_TOL,
                  max_iters: int = DEFAULT_MAX_ITERS, **params) -> SchemeResult:
     """Build (see :func:`build_scheme`), solve, and decode one scheme in one call."""
-    scheme = build_scheme(spec, name, tol=tol, **params)
+    scheme = build_scheme(spec, name, tol=tol, max_iters=max_iters, **params)
     solution = solve(scheme.program, tol=tol, max_iters=max_iters)
     povm = decode_povm(scheme, solution)
     return SchemeResult(povm=povm, solution=solution, scheme=scheme)

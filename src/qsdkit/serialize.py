@@ -2,11 +2,12 @@
 
 All floats are written with 17 significant digits, enough for an exact
 binary round trip, and object keys are sorted, so rereading a file and
-rewriting it reproduces it byte for byte.  Complex numbers are always
-``[re, im]`` pairs.  Payloads hold complex matrices and vectors as float
-arrays of shape ``(..., 2)``; :func:`canonical_dumps` writes an array with
-exactly the bytes of the equal nested lists, so the file layout is the
-same whichever form a payload uses.
+rewriting it reproduces it byte for byte.  The one exception is the lambda
+column of the sweep CSV, written as ``{:.10e}`` (11 significant digits).
+Complex numbers are always ``[re, im]`` pairs.  Payloads hold complex
+matrices and vectors as float arrays of shape ``(..., 2)``;
+:func:`canonical_dumps` writes an array with exactly the bytes of the equal
+nested lists, so the file layout is the same whichever form a payload uses.
 """
 
 from __future__ import annotations

@@ -33,13 +33,11 @@ Over a region of its domain the fixed-point map can be a translation: for
 hundreds of iterations ``z`` then moves by the same step while ``u`` stays
 put, the residuals stay frozen, and Anderson sees only zero differences.  A
 ray step detects such a drift from two equal consecutive residuals and, in
-that one iteration, walks along it: doubling multiples of the residual while
-the point reached is still on it, then a bisection of the last step, so a
-drift of N steps ends in one iteration of about 2 log2 N splitting steps (in
-N / 2**16 iterations past the cap on a walk).  On a program without an
-optimum the residual is Banjac, Goulart, Stellato and Boyd's certificate
-("Infeasibility detection in the alternating direction method of multipliers
-for convex optimization", JOTA 2019): its ``u`` half of primal
+that one iteration, walks along it (:func:`_walk_ray`), so a drift of N
+steps ends in one iteration of about 2 log2 N splitting steps.  On a program
+without an optimum the residual is Banjac, Goulart, Stellato and Boyd's
+certificate ("Infeasibility detection in the alternating direction method of
+multipliers for convex optimization", JOTA 2019): its ``u`` half of primal
 infeasibility, its ``z`` half of unboundedness.  The solve checks it every
 100 iterations.
 """
@@ -575,10 +573,11 @@ def _walk_ray(step, w, residual, residual_norm: float):
 
     ``step`` maps a point to its image under the splitting map.  ``t``
     starts at 2 and doubles while the point reached is still on the drift
-    (:func:`_on_ray`), up to ``_RAY_MAX_STEP``; the bracket between the last
-    ``t`` that landed and the first that missed is then bisected until it
-    is at most ``max(1, t/50)`` wide.  A drift of N residual lengths thus
-    costs at most ``2 ceil(log2 N) + 2`` calls of ``step``, and a miss at
+    (:func:`_on_ray`), up to ``_RAY_MAX_STEP`` (2**16); the bracket between
+    the last ``t`` that landed and the first that missed is then bisected
+    until it is at most ``max(1, t/50)`` wide.  A drift of N <= 2**16
+    residual lengths thus costs at most ``2 ceil(log2 N) + 2`` calls of
+    ``step`` (a longer one takes one walk per 2**16), and a miss at
     ``t = 2`` exactly one, which returns ``None``.
     """
     def image_on_ray(t):
@@ -656,13 +655,11 @@ def solve(program: ConeProgram, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     line, and a ray step tries points ``w - t r``, each at the cost of one
     more splitting step.  A point whose residual norm is at most
     ``(1 + RAY_RTOL) |r|`` is still on the drift (:func:`_on_ray`) (past the
-    region where the map is a translation the residual grows).  Within the
-    one iteration (:func:`_walk_ray`), ``t`` starts at 2 and doubles while
-    the point lands, up to ``_RAY_MAX_STEP`` (2**16), and the bracket
-    between the last landed ``t`` and the first miss is bisected to at most
-    ``max(1, t/50)``; the image of the farthest landed point becomes the
-    next iterate and the Anderson memory is cleared.  A miss at ``t = 2``
-    costs one splitting step, and the iteration takes its usual step.
+    region where the map is a translation the residual grows).
+    :func:`_walk_ray` chooses the ``t`` within the one iteration; the image
+    of the farthest landed point becomes the next iterate and the Anderson
+    memory is cleared.  A miss at the first ``t`` costs one splitting step,
+    and the iteration takes its usual step.
     Iterations that never drift take exactly the path they take without the
     ray step; a primal-infeasible program drifts in ``u`` and takes no ray
     step.

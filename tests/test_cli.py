@@ -482,7 +482,7 @@ class TestSimulateCommand:
         assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
     @pytest.mark.parametrize("flag", [["--shots", "0"], ["--seed", "0"],
-                                      ["--state-index", "1"]])
+                                      ["--state-index", "1"], ["--lambda", "0.3"]])
     def test_sweep_rejects_per_state_flags(self, tmp_path, problem_file, isometry_file,
                                            capsys, flag):
         out = tmp_path / "sweep.csv"
@@ -691,6 +691,28 @@ class TestBenchCommand:
                                          "--max-iters", "5000"])
         assert code == 0
         assert report["meta"]["max_iters"] == 5000 and report["meta"]["tol"] == 1e-8
+
+    def test_meta_records_the_noise_level(self, capsys):
+        code, report = run_json(capsys, ["bench", "--max-qubits", "2", "--schemes", "med",
+                                         "--lambda", "0.05"])
+        assert code == 0
+        assert report["meta"]["lambda"] == 0.05
+
+    def test_iteration_budget_reaches_the_shared_reference(self, capsys, monkeypatch):
+        # As in test_schemes: the uqsd reference converges within the budget,
+        # the minl1 solve does not, and both see --tol and --max-iters.
+        settings = []
+        solve_program = schemes.solve
+
+        def recording(program, **kwargs):
+            settings.append((kwargs["tol"], kwargs["max_iters"]))
+            return solve_program(program, **kwargs)
+
+        monkeypatch.setattr(schemes, "solve", recording)
+        code = main(["bench", "--max-qubits", "2", "--schemes", "minl1", "--max-iters", "20"])
+        assert code == 2
+        assert "status=max_iters" in capsys.readouterr().err
+        assert settings == [(1e-8, 20), (1e-8, 20)]
 
     def test_unconverged_bench_exits_2_without_output(self, tmp_path, capsys):
         out = tmp_path / "bench.json"

@@ -18,10 +18,14 @@ from qsdkit import (
     dilate,
     dilated_joint_distribution,
     joint_distribution,
+    make_single_qubit_pair,
     simulate_measurement,
+    solve_scheme,
     truncate,
     verify_dilation,
 )
+from qsdkit.cli import _bench_spec
+from qsdkit.serialize import read_isometry, write_isometry
 from qsdkit.states import RANK1_TOL
 from conftest import random_density, random_povm, random_problem, random_pure
 
@@ -408,3 +412,57 @@ class TestDilatedJointDistribution:
                                         PureState(np.array([0.0, 1.0]))])
         with pytest.raises(ValueError, match="noise level"):
             dilated_joint_distribution(spec, dilate(basis_pvm(2)), lam)
+
+
+@pytest.fixture(scope="module")
+def med_povms():
+    """The MED POVMs of the |0>,|+> pair and of the 2-qubit coherent triple."""
+    specs = (ProblemSpec.from_states(make_single_qubit_pair()), _bench_spec(2, 0.01))
+    return [solve_scheme(spec, "med").povm for spec in specs]
+
+
+class TestCut:
+    """The cut a decomposition was made at travels with it into the isometry."""
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-4, 0.2])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_three_steps_equal_dilate(self, med_povms, which, delta):
+        povm = med_povms[which]
+        dil = build_isometry(truncate(decompose_rank1(povm, rank_tol=None), delta))
+        assert dil == dilate(povm, delta)
+        assert dil.delta == delta
+
+    def test_default_rank_tol_is_the_cut(self, med_povms):
+        for povm in med_povms:
+            assert decompose_rank1(povm).delta == RANK1_TOL
+            assert build_isometry(decompose_rank1(povm)).delta == RANK1_TOL
+            assert decompose_rank1(povm, rank_tol=None).delta == 0.0
+            assert decompose_rank1(povm, rank_tol=-1.0).delta == 0.0
+
+    def test_generic_cuts_nothing(self, med_povms):
+        for povm in med_povms:
+            assert build_isometry_generic(povm).delta == 0.0
+
+    def test_truncating_twice_keeps_the_larger_cut(self, med_povms):
+        dec = decompose_rank1(med_povms[1], rank_tol=None)
+        for first, second in ((1e-4, 0.2), (0.2, 1e-4)):
+            twice = truncate(truncate(dec, first), second)
+            assert twice.delta == 0.2
+            assert twice == truncate(dec, 0.2)
+        assert truncate(decompose_rank1(med_povms[1]), 0.0).delta == RANK1_TOL
+
+    def test_kept_and_dropped_pieces_straddle_the_cut(self, med_povms):
+        dec = decompose_rank1(med_povms[1], rank_tol=None)
+        cut = truncate(dec, 0.2)
+        dropped = [t for t in dec.terms if t not in cut.terms]
+        assert dropped and cut.terms
+        assert all(t.sigma <= cut.delta for t in dropped)
+        assert all(t.sigma >= cut.delta for t in cut.terms)
+
+    def test_file_keeps_the_cut(self, med_povms, tmp_path):
+        dil = build_isometry(truncate(decompose_rank1(med_povms[1], rank_tol=None), 0.2))
+        path = tmp_path / "iso.json"
+        write_isometry(path, dil)
+        reread = read_isometry(path)
+        assert reread.delta == 0.2
+        assert reread == dil

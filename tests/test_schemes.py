@@ -13,6 +13,7 @@ from qsdkit import (
     PureState,
     brute_force_qubit_povm,
     SCHEME_NAMES,
+    build_crossqsd,
     build_med,
     build_scheme,
     confidences,
@@ -286,6 +287,15 @@ class TestCrossQsd:
         np.testing.assert_array_equal(scalar.A, vector.A)
         np.testing.assert_array_equal(scalar.c, vector.c)
 
+    @pytest.mark.parametrize("inst", ["ens", "tri2", "tri3"])
+    def test_builder_broadcasts_scalar_bounds(self, inst):
+        spec = bench2q_spec(0.01) if inst == "ens" else _bench_spec(int(inst[-1]), 0.01)
+        k = spec.num_states
+        assert build_crossqsd(spec, 0.1, 0.2) == build_crossqsd(spec, np.full(k, 0.1),
+                                                                np.full(k, 0.2))
+        with pytest.raises(ValueError, match="one alpha and one beta per state"):
+            build_crossqsd(spec, np.array([0.1]), 0.2)
+
 
 class TestFitSchemes:
     def test_minl1_recovers_achievable_reference(self):
@@ -452,6 +462,21 @@ class TestHybrid:
 
 
 class TestSchemeTable:
+    def test_solver_settings_reach_the_default_reference(self, monkeypatch):
+        # The budget ends the minl1 solve (241 iterations at this tol) but not
+        # the uqsd reference (9): both solves see the caller's settings.
+        settings = []
+        solve_program = schemes.solve
+
+        def recording(program, **kwargs):
+            settings.append((kwargs["tol"], kwargs["max_iters"]))
+            return solve_program(program, **kwargs)
+
+        monkeypatch.setattr(schemes, "solve", recording)
+        with pytest.raises(DecodeError, match="status=max_iters"):
+            solve_scheme(_bench_spec(2, 0.01), "minl1", tol=1e-7, max_iters=20)
+        assert settings == [(1e-7, 20), (1e-7, 20)]
+
     def test_names_keep_their_order(self):
         # qsd bench rows and the benchmark's operation order follow this order.
         assert SCHEME_NAMES == ("med", "med_plus", "uqsd", "frio", "crossqsd",

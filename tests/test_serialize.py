@@ -20,6 +20,7 @@ from qsdkit.serialize import (
     decode_complex_matrix,
     decode_complex_vector,
     encode_complex_matrix,
+    encode_complex_vector,
     expand_state_entry,
     povm_payload,
     read_isometry,
@@ -162,6 +163,15 @@ class TestMalformedEntries:
         m = decode_complex_matrix([values, values])
         assert m.shape == (2, 2)
         assert m.tobytes() == np.array([values, values]).tobytes()
+
+    def test_vector_round_trip_is_bit_exact(self):
+        subnormal = 5e-324
+        v = np.array([complex(1.0 / 3.0, 0.0), complex(-0.0, subnormal), complex(subnormal, -0.0),
+                      complex(-2.5e17, 1e-300)])
+        encoded = encode_complex_vector(v)
+        assert encoded.shape == (4, 2)
+        for data in (encoded, json.loads(canonical_dumps(encoded))):
+            assert decode_complex_vector(data).tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("kind", ["povm", "problem", "isometry"])
     @pytest.mark.parametrize("defect", [_null, _string, _ragged, _re_only])
