@@ -34,7 +34,7 @@ from .metrics import (
     lp_distance,
     outcome_stats,
 )
-from .oracles import brute_force_qubit_povm, helstrom_two_state, uqsd_two_pure
+from .oracles import frio_two_pure, helstrom_two_state, uqsd_two_pure
 from .schemes import (
     AT_LEAST,
     AT_MOST,

@@ -244,6 +244,9 @@ def cmd_bench(args) -> int:
     if not 1 <= args.min_qubits <= args.max_qubits <= MAX_QUBITS:
         raise UsageError(f"need 1 <= --min-qubits <= --max-qubits <= {MAX_QUBITS}, "
                          f"got {args.min_qubits} and {args.max_qubits}")
+    # No elapsed time compares greater than NaN, so a NaN budget would mean none.
+    if not args.budget_seconds >= 0:
+        raise UsageError(f"--budget-seconds must be nonnegative, got {args.budget_seconds}")
     lam = getattr(args, "lambda")
     rows = []
     started = time.perf_counter()

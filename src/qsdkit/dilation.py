@@ -86,10 +86,11 @@ class DilationResult:
     ``delta`` is the cut of the decomposition it was built from.  The
     other values are read off these: the shape fields from the matrix, and
     ``total_rank`` as the number of basis states not labelled :data:`RESIDUAL`.
-    A row or column count that is not a power of two, or an outcome map of
-    another length than the rows, raises ``ValueError``.  Two results are
-    equal when their isometries are equal entry for entry and their outcome
-    maps and ``delta`` are equal; a result is unhashable.
+    ``ValueError`` is raised unless the isometry is a nonempty matrix whose
+    row and column counts are powers of two, with one label per row, and
+    ``delta >= 0``.  The outcome map is stored as a tuple.  Two results are
+    equal when their fields are (the isometries entry for entry); a result
+    is unhashable.
     """
 
     isometry: np.ndarray
@@ -99,6 +100,11 @@ class DilationResult:
     __eq__ = _fields_equal
 
     def __post_init__(self):
+        object.__setattr__(self, "outcome_map", tuple(self.outcome_map))
+        if self.isometry.ndim != 2 or 0 in self.isometry.shape:
+            raise ValueError(f"isometry needs a nonempty 2-D shape, got {self.isometry.shape}")
+        if not self.delta >= 0:
+            raise ValueError(f"delta must be nonnegative, got {self.delta}")
         (rows, dim), labels = self.isometry.shape, len(self.outcome_map)
         if dim & (dim - 1):
             raise ValueError(f"domain dimension {dim} is not a power of two")

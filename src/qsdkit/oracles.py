@@ -1,10 +1,10 @@
 """Independent small-instance references used by the test suite.
 
-Closed forms and brute-force searches for two-state qubit discrimination.
-Nothing in this module calls the conic solver, so these values can vouch for
-it.  :func:`helstrom_two_state` and :func:`uqsd_two_pure` are exact.
-:func:`brute_force_qubit_povm` returns the best candidate found on a finite
-grid and is therefore a one-sided (lower) bound on the true optimum.
+Exact closed forms for two-state discrimination: :func:`helstrom_two_state`
+(minimum error, any two states), :func:`uqsd_two_pure` (unambiguous, two pure
+states) and :func:`frio_two_pure` (minimum error at a fixed inconclusive rate,
+two pure states where both conclusive outcomes fire).  Nothing in this module
+calls the conic solver, so these values can vouch for it.
 """
 
 from __future__ import annotations
@@ -13,16 +13,19 @@ import math
 
 import numpy as np
 
-from .schemes import AT_LEAST, AT_MOST
-from .states import DensityMatrix, ProblemSpec, PureState
+from .states import DensityMatrix, PureState
+
+
+def _check_pair(state1, state2, p1: float) -> None:
+    if state1.dim != state2.dim:
+        raise ValueError("dimension mismatch")
+    if not 0.0 <= p1 <= 1.0:
+        raise ValueError("p1 must be in [0, 1]")
 
 
 def helstrom_two_state(rho1: DensityMatrix, rho2: DensityMatrix, p1: float) -> float:
     """Optimal two-state success probability ``(1 + ||p1 rho1 - p2 rho2||_1) / 2``."""
-    if rho1.dim != rho2.dim:
-        raise ValueError("dimension mismatch")
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError("p1 must be in [0, 1]")
+    _check_pair(rho1, rho2, p1)
     diff = p1 * rho1.matrix - (1.0 - p1) * rho2.matrix
     trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
     return 0.5 * (1.0 + trace_norm)
@@ -37,10 +40,7 @@ def uqsd_two_pure(psi1: PureState, psi2: PureState, p1: float) -> float:
     outcomes fire, and ``hi (1 - s**2)`` otherwise, where only the likelier
     state is ever identified.  Equal priors give ``1 - s``.
     """
-    if psi1.dim != psi2.dim:
-        raise ValueError("dimension mismatch")
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError("p1 must be in [0, 1]")
+    _check_pair(psi1, psi2, p1)
     s = abs(psi1.overlap(psi2))
     lo, hi = sorted((p1, 1.0 - p1))
     if s * s * hi <= lo:
@@ -48,83 +48,26 @@ def uqsd_two_pure(psi1: PureState, psi2: PureState, p1: float) -> float:
     return hi * (1.0 - s * s)
 
 
-def brute_force_qubit_povm(spec: ProblemSpec, scheme: str = "med",
-                           grid: int = 60, rate: float = 0.5,
-                           bound: str = AT_LEAST) -> float:
-    """Grid-search lower bound for two-state qubit programs.
+def frio_two_pure(psi1: PureState, psi2: PureState, p1: float, rate: float) -> float:
+    """Optimal success probability for two pure states at inconclusive rate ``rate``.
 
-    ``scheme="med"`` scans projective measurements over the full Bloch
-    sphere.  ``scheme="frio"`` scans rank-1 conclusive elements
-    ``a_i |v_i><v_i|`` with both directions in the real Bloch plane (adequate
-    for real-amplitude states) and, per candidate, the largest weights
-    allowed by the PSD and inconclusive-rate constraints; roughly
-    ``grid**3`` candidates in total.
+    The fixed-rate closed form (Chefles and Barnett, J. Mod. Opt. 45, 1295
+    (1998); Bagan et al., Phys. Rev. A 86, 040303 (2012)): with overlap
+    ``s = |<psi1|psi2>|``, priors ``lo <= hi`` and ``Q0 = 2 sqrt(lo hi) s``,
+    it is ``(1 - Q + sqrt((1 - Q)**2 - (Q0 - Q)**2)) / 2`` for ``Q = rate <
+    Q0`` and ``1 - Q`` above.  Rate 0 gives Helstrom's value and rate ``Q0``
+    the unambiguous optimum.  The form holds where both conclusive outcomes
+    fire, ``s**2 hi <= lo``; elsewhere ``ValueError`` is raised.
     """
-    if spec.dim != 2 or spec.num_states != 2:
-        raise ValueError("brute force oracle supports dim=2, k=2 only")
-    rho1, rho2 = [s.matrix for s in spec.noisy_states()]
-    p1, p2 = spec.priors
-
-    if scheme == "med":
-        thetas = np.linspace(0.0, math.pi, grid)
-        phis = np.linspace(0.0, 2.0 * math.pi, 2 * grid, endpoint=False)
-        th, ph = np.meshgrid(thetas, phis, indexing="ij")
-        v = np.empty(th.shape + (2,), dtype=complex)
-        v[..., 0] = np.cos(th / 2.0)
-        v[..., 1] = np.exp(1j * ph) * np.sin(th / 2.0)
-        v = v.reshape(-1, 2)
-        q1 = np.einsum("ni,ij,nj->n", v.conj(), rho1, v).real
-        q2 = np.einsum("ni,ij,nj->n", v.conj(), rho2, v).real
-        return float(np.max(p1 * q1 + p2 * (1.0 - q2)))
-
-    if scheme != "frio":
-        raise ValueError(f"unsupported scheme {scheme!r} for the brute-force oracle")
-    if bound not in (AT_LEAST, AT_MOST):
-        raise ValueError("bound must be at_least or at_most")
-
-    rho_bar = p1 * rho1 + p2 * rho2
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    weights = np.linspace(0.0, 1.0, grid)
-    dirs = np.stack([np.cos(thetas / 2.0), np.sin(thetas / 2.0)], axis=1)
-    # Success and average-state overlaps for every direction.
-    succ1 = np.einsum("ni,ij,nj->n", dirs, rho1.real, dirs)
-    succ2 = np.einsum("ni,ij,nj->n", dirs, rho2.real, dirs)
-    bar = np.einsum("ni,ij,nj->n", dirs, rho_bar.real, dirs)
-
-    best = 0.0
-    eye = np.eye(2)
-    for i1, v1 in enumerate(dirs):
-        proj1 = np.outer(v1, v1)
-        for a1 in weights:
-            w, u = np.linalg.eigh(eye - a1 * proj1)
-            overlaps = (dirs @ u) ** 2  # (grid, 2)
-            # Largest a2 with (I - a1 P1) - a2 |v2><v2| PSD, per direction.
-            pos = w >= 1e-12
-            quad = overlaps[:, pos] @ (1.0 / w[pos]) if pos.any() else np.zeros(len(dirs))
-            blocked = (overlaps[:, ~pos] > 1e-18).any(axis=1) if (~pos).any() else \
-                np.zeros(len(dirs), dtype=bool)
-            with np.errstate(divide="ignore"):
-                a2_psd = np.where(quad > 1e-14, 1.0 / quad, np.inf)
-            a2_psd = np.where(blocked, 0.0, a2_psd)
-            if bound == AT_LEAST:
-                # P_inc >= rate  <=>  a1 <v1|rb|v1> + a2 <v2|rb|v2> <= 1 - rate
-                budget = 1.0 - rate - a1 * bar[i1]
-                if budget < -1e-12:
-                    continue
-                with np.errstate(divide="ignore"):
-                    a2_rate = np.where(bar > 1e-14, budget / bar, np.inf)
-                a2 = np.minimum(np.minimum(a2_psd, a2_rate), 1.0)
-                a2 = np.clip(a2, 0.0, None)
-                feasible = np.ones(len(dirs), dtype=bool)
-            else:
-                floor = 1.0 - rate - a1 * bar[i1]
-                with np.errstate(divide="ignore"):
-                    a2_rate = np.where(bar > 1e-14, floor / bar,
-                                       np.where(floor > 1e-12, np.inf, 0.0))
-                a2 = np.minimum(a2_psd, 1.0)
-                feasible = a2 >= a2_rate - 1e-12
-                a2 = np.clip(a2, 0.0, None)
-            values = p1 * a1 * succ1[i1] + p2 * a2 * succ2
-            values = np.where(feasible, values, -np.inf)
-            best = max(best, float(values.max()))
-    return best
+    _check_pair(psi1, psi2, p1)
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must be in [0, 1]")
+    s = abs(psi1.overlap(psi2))
+    lo, hi = sorted((p1, 1.0 - p1))
+    if s * s * hi > lo:
+        raise ValueError("frio_two_pure needs s**2 * max(p1, p2) <= min(p1, p2), "
+                         "where both conclusive outcomes fire")
+    q0 = 2.0 * math.sqrt(lo * hi) * s
+    if rate >= q0:
+        return 1.0 - rate
+    return 0.5 * (1.0 - rate + math.sqrt((1.0 - rate) ** 2 - (q0 - rate) ** 2))

@@ -315,10 +315,10 @@ def write_isometry(path, dil: DilationResult, meta: dict | None = None) -> None:
 def read_isometry(path) -> DilationResult:
     """Load an isometry file, checking its header against the matrix.
 
-    The result is built from the matrix, the outcome map and ``delta``; each
-    header field must equal the value the result derives, and ``delta`` must
-    be nonnegative.  Otherwise, or when a field is missing, ``ValueError``
-    names the field.
+    The result is built from the matrix, the outcome map and ``delta``, and
+    checks them itself; each header field must equal the value the result
+    derives.  Otherwise, or when a field is missing, ``ValueError`` names the
+    field.
     """
     data = read_json(path)
     _check_schema(data, {"required": ["matrix", "outcome_map", "delta", "domain_dim",
@@ -333,8 +333,6 @@ def read_isometry(path) -> DilationResult:
         if stated != derived:
             raise ValueError(f"{field} {stated} needs to match the matrix and outcome map, "
                              f"which give {derived}")
-    if not dil.delta >= 0:
-        raise ValueError(f"delta must be nonnegative, got {dil.delta}")
     return dil
 
 

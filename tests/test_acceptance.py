@@ -4,8 +4,7 @@ Each test exercises one acceptance criterion and prints a single PASS/FAIL
 line (run ``pytest tests/test_acceptance.py -v -s`` to see them).  Reference
 values for the two-qubit benchmark ensemble and the coherent-state
 error-tolerant instance are fixed constants here; everything else is checked
-against closed forms, independent brute-force oracles, or internal
-consistency.
+against independent closed-form oracles or internal consistency.
 """
 
 import json

@@ -736,6 +736,17 @@ class TestBenchCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_nan_or_negative_budget_rejected_before_solving(self, tmp_path, capsys, budget):
+        out = tmp_path / "bench.json"
+        started = time.perf_counter()
+        code = main(["bench", "--max-qubits", "2", "--schemes", "med",
+                     "--budget-seconds", budget, "--out", str(out)])
+        assert code == 1 and time.perf_counter() - started < 1.0
+        assert (f"usage error: --budget-seconds must be nonnegative, got {float(budget)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_zero_budget_stops_before_any_row(self, capsys):
         code, report = run_json(capsys, ["bench", "--max-qubits", "2", "--schemes", "med",
                                          "--budget-seconds", "0"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qsdkit import (
     INCONCLUSIVE,
     RESIDUAL,
     DensityMatrix,
+    DilationResult,
     Povm,
     ProblemSpec,
     PureState,
@@ -153,6 +155,29 @@ class TestBuildIsometry:
             dil = dilate(povm)
             gram = dil.isometry.conj().T @ dil.isometry
             assert np.max(np.abs(gram - np.eye(d))) < 1e-10
+
+
+class TestDilationResult:
+    @pytest.mark.parametrize("shape, outcome_map", [
+        pytest.param((0, 0), (), id="0x0"),
+        pytest.param((1, 0), (0,), id="1x0"),
+        pytest.param((0, 1), (), id="0x1"),
+        pytest.param((2, 2, 1), (0, 1), id="3-d"),
+    ])
+    def test_empty_or_non_matrix_isometry_rejected(self, shape, outcome_map):
+        with pytest.raises(ValueError, match=re.escape(
+                f"isometry needs a nonempty 2-D shape, got {shape}")):
+            DilationResult(np.zeros(shape), outcome_map, 0.0)
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan])
+    def test_negative_or_nan_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match=f"delta must be nonnegative, got {delta}"):
+            DilationResult(np.eye(2), (0, 1), delta)
+
+    def test_outcome_map_stored_as_tuple(self):
+        listed = DilationResult(np.eye(2), [0, 1], 0.0)
+        assert listed.outcome_map == (0, 1)
+        assert listed == DilationResult(np.eye(2), (0, 1), 0.0)
 
 
 class TestGenericDilation:

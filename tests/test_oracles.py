@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +8,14 @@ import pytest
 from qsdkit import (
     ProblemSpec,
     PureState,
-    brute_force_qubit_povm,
     density_of,
+    frio_two_pure,
     helstrom_two_state,
     make_single_qubit_pair,
     solve_scheme,
     uqsd_two_pure,
 )
+from qsdkit import oracles
 from conftest import random_density, random_pure
 
 
@@ -102,49 +105,82 @@ class TestUqsdTwoPure:
                 1 - 2 * lo, abs=1e-8)
 
 
-class TestBruteForce:
-    def test_med_orthogonal_tiny_grid(self):
-        spec = ProblemSpec.from_states([PureState(np.array([1.0, 0.0])),
-                                        PureState(np.array([0.0, 1.0]))])
-        assert brute_force_qubit_povm(spec, "med", grid=2) == pytest.approx(1.0)
+def region_pair(rng):
+    """Two random qubit states, a prior ``p1 ~ U(s**2 / (1 + s**2), 1/2)`` and ``Q0``.
 
-    def test_med_zero_plus(self):
-        spec = ProblemSpec.from_states(zero_plus())
-        value = brute_force_qubit_povm(spec, "med", grid=200)
-        assert value >= 0.5 * (1 + 1 / math.sqrt(2)) - 1e-3
+    The prior keeps ``s**2 * hi <= lo``, where both conclusive outcomes fire;
+    ``Q0 = 2 sqrt(p1 p2) s`` is the rate at which frio meets uqsd.
+    """
+    psi1, psi2 = random_pure(2, rng), random_pure(2, rng)
+    s = abs(psi1.overlap(psi2))
+    p1 = float(rng.uniform(s * s / (1 + s * s), 0.5))
+    return psi1, psi2, p1, 2 * math.sqrt(p1 * (1 - p1)) * s
+
+
+class TestFrioTwoPure:
+    def test_rate_zero_is_helstrom(self, rng):
+        for _ in range(5):
+            psi1, psi2, p1, _ = region_pair(rng)
+            assert frio_two_pure(psi1, psi2, p1, 0.0) == pytest.approx(
+                helstrom_two_state(density_of(psi1), density_of(psi2), p1), abs=1e-12)
+
+    def test_rate_q0_is_uqsd(self, rng):
+        for _ in range(5):
+            psi1, psi2, p1, q0 = region_pair(rng)
+            assert frio_two_pure(psi1, psi2, p1, q0) == pytest.approx(
+                uqsd_two_pure(psi1, psi2, p1), abs=1e-12)
+
+    def test_above_q0_the_value_is_one_minus_rate(self, rng):
+        psi1, psi2, p1, q0 = region_pair(rng)
+        for rate in np.linspace(q0, 1.0, 5):
+            assert frio_two_pure(psi1, psi2, p1, rate) == pytest.approx(1 - rate, abs=1e-15)
+
+    def test_random_pairs_match_sdp(self, rng):
+        # Rates up to 1.25 Q0 keep most draws on the curved branch.
+        for _ in range(10):
+            psi1, psi2, p1, q0 = region_pair(rng)
+            rate = float(rng.uniform(0.0, min(1.0, 1.25 * q0)))
+            spec = ProblemSpec.from_states([psi1, psi2], priors=[p1, 1 - p1])
+            sdp = solve_scheme(spec, "frio", rate=rate)
+            assert sdp.value == pytest.approx(frio_two_pure(psi1, psi2, p1, rate), abs=1e-7)
+
+
+class TestBruteForce:
+    """Solver values for MED and frio on the qubit pair against exact two-state values.
+
+    The class keeps the name of the grid search these tests once compared
+    with, so that their test ids stay the same.
+    """
 
     def test_frio_lower_bounds_sdp(self):
-        spec = ProblemSpec.from_states(zero_plus())
-        sdp = solve_scheme(spec, "frio", rate=0.5)
-        scan = brute_force_qubit_povm(spec, "frio", grid=60, rate=0.5)
-        assert scan <= sdp.value + 1e-6
-        assert scan >= sdp.value - 5e-3  # grid is coarse but close
+        zero, plus = zero_plus()
+        sdp = solve_scheme(ProblemSpec.from_states([zero, plus]), "frio", rate=0.5)
+        assert sdp.value == pytest.approx(frio_two_pure(zero, plus, 0.5, 0.5), abs=1e-7)
 
     def test_frio_at_most_lower_bounds_sdp(self):
         # P_inc <= rate never binds on the noisy pair: the SDP value is Helstrom's.
         spec = ProblemSpec.from_states(zero_plus(), noise_lambda=0.05)
         sdp = solve_scheme(spec, "frio", rate=0.3, bound="at_most")
-        scan = brute_force_qubit_povm(spec, "frio", grid=60, rate=0.3, bound="at_most")
-        assert scan <= sdp.value + 1e-6
-        assert scan >= sdp.value - 5e-3
         assert abs(sdp.value - helstrom_two_state(*spec.noisy_states(), 0.5)) <= 1e-7
 
     def test_med_bounds_on_random_real_pairs(self, rng):
-        # Real amplitudes keep the scan plane optimal for the MED grid too.
         for _ in range(5):
             amps = rng.standard_normal((2, 2))
             states = [PureState(a / np.linalg.norm(a)) for a in amps]
             spec = ProblemSpec.from_states(states)
             sdp = solve_scheme(spec, "med")
-            scan = brute_force_qubit_povm(spec, "med", grid=120)
-            hel = helstrom_two_state(*spec.states, 0.5)
-            assert sdp.value >= scan - 1e-6
-            assert sdp.value <= hel + 1e-6
+            assert sdp.value == pytest.approx(helstrom_two_state(*spec.states, 0.5), abs=1e-7)
 
-    def test_rejects_large_instances(self, rng):
-        spec = ProblemSpec.from_states([random_pure(4, rng) for _ in range(2)])
-        with pytest.raises(ValueError):
-            brute_force_qubit_povm(spec, "med")
+
+def test_oracles_import_only_states():
+    # The oracles vouch for the solver, so they must not reach it: the only
+    # part of the package they may use is the state types.
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert {name for name in imported if name.startswith((".", "qsdkit"))} == {".states"}
 
 
 QUBIT = PureState(np.array([1.0, 0.0]))
@@ -160,11 +196,14 @@ TWO_QUBIT = PureState(np.array([1.0, 0.0, 0.0, 0.0]))
                  "dimension mismatch", id="uqsd-dims"),
     pytest.param(lambda: uqsd_two_pure(QUBIT, QUBIT, -0.5),
                  r"p1 must be in \[0, 1\]", id="uqsd-prior"),
-    pytest.param(lambda: brute_force_qubit_povm(ProblemSpec.from_states(zero_plus()), "uqsd"),
-                 "unsupported scheme 'uqsd'", id="brute-force-scheme"),
-    pytest.param(lambda: brute_force_qubit_povm(ProblemSpec.from_states(zero_plus()), "frio",
-                                                bound="exactly"),
-                 "bound must be at_least or at_most", id="brute-force-bound"),
+    pytest.param(lambda: frio_two_pure(QUBIT, TWO_QUBIT, 0.5, 0.1),
+                 "dimension mismatch", id="frio-dims"),
+    pytest.param(lambda: frio_two_pure(QUBIT, QUBIT, 1.5, 0.1),
+                 r"p1 must be in \[0, 1\]", id="frio-prior"),
+    pytest.param(lambda: frio_two_pure(QUBIT, QUBIT, 0.5, 1.5),
+                 r"rate must be in \[0, 1\]", id="frio-rate"),
+    pytest.param(lambda: frio_two_pure(QUBIT, QUBIT, 0.1, 0.1),
+                 "both conclusive outcomes fire", id="frio-one-outcome"),
 ])
 def test_rejected_arguments(call, message):
     with pytest.raises(ValueError, match=message):
